@@ -3,6 +3,12 @@ insertion, reading words, and Knuth moves.
 
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
+
+Insertion, classical and timed, runs through one kernel (``_insert_runs``)
+on mutable rows of ``[letter, count]`` runs with integer counts: timed
+insertion works on the grid 1/q of its durations' common denominator q, and
+classical insertion is the case where every count is 1. Each returned
+tableau is built, and so validated, once.
 """
 
 from __future__ import annotations
@@ -10,10 +16,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError
 
 Word = tuple[int, ...]
+_LETTER = itemgetter(0)
 
 
 def _check_letters(letters) -> None:
@@ -91,35 +100,77 @@ def reading_word(t: Tableau) -> Word:
     return tuple(out)
 
 
+def _bump_runs(row: list[list[int]], stream) -> list[list[int]]:
+    """Insert the integer runs ``(a, d)`` of stream into row, in order, and
+    return the bumped runs. Each a^d goes in after the last entry <= a and
+    bumps the next d units of the row (fewer if the row ends first)."""
+    out: list[list[int]] = []
+    for a, d in stream:
+        j = k = bisect_right(row, a, key=_LETTER)
+        rest = d
+        while rest and k < len(row):
+            c, n = run = row[k]
+            if n > rest:
+                run[1] = n - rest
+                n = rest
+            else:
+                k += 1
+            rest -= n
+            if out and out[-1][0] == c:
+                out[-1][1] += n
+            else:
+                out.append([c, n])
+        del row[j:k]
+        if j and row[j - 1][0] == a:
+            row[j - 1][1] += d
+        else:
+            row.insert(j, [a, d])
+    return out
+
+
+def _insert_runs(rows: list[list[list[int]]], stream) -> None:
+    """The insertion kernel: pass stream through rows top to bottom, each
+    row's bumped runs feeding the next, and open a row for any residue.
+    Row by row equals run by run: each row sees the same stream in order."""
+    i = 0
+    while stream:
+        if i == len(rows):
+            rows.append([])
+        stream = _bump_runs(rows[i], stream)
+        i += 1
+
+
+def _tableau(rows: list[list[list[int]]]) -> Tableau:
+    # tuple() of a list comprehension has exact size; tuple() of a generator
+    # resizes as it grows, which fragmented the heap over long runs.
+    return Tableau(tuple([tuple([c for c, n in row for _ in range(n)]) for row in rows]))
+
+
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
-    rows = list(t.rows)
-    carry: int | None = a
-    for i, row in enumerate(rows):
-        carry, rows[i] = row_insert(row, carry)
-        if carry is None:
-            break
-    if carry is not None:
-        _check_letters((carry,))
-        rows.append((carry,))
-    return Tableau(tuple(rows))
+    _check_letters((a,))
+    rows = [[[c, len(list(g))] for c, g in groupby(row)] for row in t.rows]
+    _insert_runs(rows, [(a, 1)])
+    return _tableau(rows)
 
 
 def insertion_tableau(w: Word) -> Tableau:
-    """Left fold of tableau_insert over w, starting from the empty tableau."""
-    t = Tableau()
-    for a in w:
-        t = tableau_insert(t, a)
-    return t
+    """Schensted insertion of the letters of w, left to right, into the
+    empty tableau."""
+    _check_letters(w)
+    rows: list[list[list[int]]] = []
+    _insert_runs(rows, [(a, 1) for a in w])
+    return _tableau(rows)
 
 
 def insertion_steps(w: Word) -> list[Tableau]:
     """The tableau after each successive letter of w (len(w) entries)."""
+    _check_letters(w)
+    rows: list[list[list[int]]] = []
     steps: list[Tableau] = []
-    t = Tableau()
     for a in w:
-        t = tableau_insert(t, a)
-        steps.append(t)
+        _insert_runs(rows, [(a, 1)])
+        steps.append(_tableau(rows))
     return steps
 
 

@@ -70,6 +70,11 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
@@ -239,6 +244,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    _at_least("--runs", args.runs, 0)
+    _at_least("--letters", args.letters, 1)
+    _at_least("--max-den", args.max_den, 1)
+    _at_least("--max-num", args.max_num, 1)
     seed = _resolve_seed(args)
     rng = random.Random(seed)
     word = random_timed_word(
@@ -256,6 +265,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _at_least("--iters", args.iters, 0)
     seed = _resolve_seed(args)
     report = run_checks(args.iters, seed)
     if args.json:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .classical import Word
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import Run, TimedWord, concat, restrict
-from .timed_tableaux import TimedTableau, timed_insertion_tableau
 
 
 def random_word(
@@ -65,12 +64,6 @@ def random_timed_row(
     return TimedWord(
         tuple(Run(c, random_duration(rng, max_num=max_num, max_den=max_den)) for c in letters)
     )
-
-
-def random_timed_tableau(rng: random.Random, **kwargs) -> TimedTableau:
-    """A valid timed tableau, obtained as the insertion tableau of a random
-    timed word (guaranteed valid without a dedicated sampler)."""
-    return timed_insertion_tableau(random_timed_word(rng, **kwargs))
 
 
 def random_kappa_instance(

@@ -5,14 +5,21 @@ decreasing lengths in which, at every time t covered by both, a lower row's
 value strictly exceeds the row above. The strictness check is exact: both
 rows are step functions, so comparing them on the merged run boundaries
 settles every t.
+
+Timed insertion clears denominators once per call: with q the lcm of the
+input's run denominators, every duration becomes an integer count on the
+grid 1/q, the integer-run kernel of :mod:`.classical` inserts them (classical
+insertion is its unit-duration case), and the counts go back to exact
+``Fraction(n, q)`` durations. Each returned tableau is validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .classical import Tableau
+from .classical import Tableau, _bump_runs, _insert_runs
 from .errors import InvalidTableauError, NotARowError
 from .timed_words import (
     DurationLike,
@@ -22,7 +29,6 @@ from .timed_words import (
     concat,
     embed_classical,
     is_timed_row,
-    restrict,
 )
 
 
@@ -94,6 +100,19 @@ def timed_reading_word(t: TimedTableau) -> TimedWord:
     return concat(*reversed(t.rows))
 
 
+def _grid(*words: TimedWord) -> int:
+    """The grid denominator q: the lcm of every run denominator."""
+    return lcm(*(d.denominator for w in words for _, d in w.runs))
+
+
+def _to_grid(w: TimedWord, q: int) -> list[list[int]]:
+    return [[c, d.numerator * (q // d.denominator)] for c, d in w.runs]
+
+
+def _from_grid(rows: list[list[list[int]]], q: int) -> tuple[TimedWord, ...]:
+    return tuple([TimedWord(tuple([Run(c, Fraction(n, q)) for c, n in row])) for row in rows])
+
+
 def timed_row_insert(
     w: TimedWord, letter: int, duration: DurationLike
 ) -> tuple[TimedWord, TimedWord]:
@@ -111,22 +130,7 @@ def timed_row_insert(
     dur = as_duration(duration)
     if dur <= 0:
         raise ValueError(f"inserted duration must be positive, got {dur}")
-    piece = TimedWord((Run(letter, dur),))
-    if not w.runs or w.runs[-1].letter <= letter:
-        return TimedWord(), concat(w, piece)
-    t0 = Fraction(0)
-    for run in w.runs:
-        if run.letter > letter:
-            break
-        t0 += run.duration
-    total = w.length
-    if total - t0 > dur:
-        bumped = restrict(w, t0, t0 + dur)
-        new_row = concat(restrict(w, 0, t0), piece, restrict(w, t0 + dur, total))
-    else:
-        bumped = restrict(w, t0, total)
-        new_row = concat(restrict(w, 0, t0), piece)
-    return bumped, new_row
+    return timed_row_insert_word(w, TimedWord((Run(letter, dur),)))
 
 
 def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedWord]:
@@ -134,29 +138,10 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
     the bumped pieces in order. l(bumped) + l(new_row) = l(w) + l(u)."""
     if not is_timed_row(w):
         raise NotARowError(f"timed_row_insert_word needs a timed row, got {w!r}")
-    bumped_parts: list[TimedWord] = []
-    row = w
-    for letter, dur in u.runs:
-        piece, row = timed_row_insert(row, letter, dur)
-        bumped_parts.append(piece)
-    return concat(*bumped_parts), row
-
-
-def _cascade(rows: list[TimedWord], v: TimedWord) -> list[TimedWord]:
-    # Shared insertion engine on a mutable row list; validation happens when
-    # the caller wraps the result in a TimedTableau.
-    carry = v
-    for i, row in enumerate(rows):
-        if not carry:
-            return rows
-        carry, rows[i] = timed_row_insert_word(row, carry)
-    if carry:
-        if not is_timed_row(carry):
-            raise AssertionError(
-                f"internal error: bumped residue {carry!r} is not a timed row"
-            )
-        rows.append(carry)
-    return rows
+    q = _grid(w, u)
+    row = _to_grid(w, q)
+    bumped = _bump_runs(row, _to_grid(u, q))
+    return _from_grid([bumped, row], q)
 
 
 def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
@@ -164,25 +149,29 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     residue below the last row becomes a new row."""
     if not is_timed_row(v):
         raise NotARowError(f"timed_tableau_insert needs a timed row, got {v!r}")
-    return TimedTableau(tuple(_cascade(list(t.rows), v)))
+    q = _grid(v, *t.rows)
+    rows = [_to_grid(row, q) for row in t.rows]
+    _insert_runs(rows, _to_grid(v, q))
+    return TimedTableau(_from_grid(rows, q))
 
 
 def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
-    """Left fold of timed_tableau_insert over the runs of w (each run is a
-    one-run timed row), starting from the empty tableau."""
-    rows: list[TimedWord] = []
-    for letter, dur in w.runs:
-        rows = _cascade(rows, TimedWord((Run(letter, dur),)))
-    return TimedTableau(tuple(rows))
+    """Timed insertion of the runs of w, left to right, into the empty
+    tableau."""
+    q = _grid(w)
+    rows: list[list[list[int]]] = []
+    _insert_runs(rows, _to_grid(w, q))
+    return TimedTableau(_from_grid(rows, q))
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     """The tableau after each successive run of w (len(w.runs) entries)."""
+    q = _grid(w)
+    rows: list[list[list[int]]] = []
     steps: list[TimedTableau] = []
-    rows: list[TimedWord] = []
-    for letter, dur in w.runs:
-        rows = _cascade(rows, TimedWord((Run(letter, dur),)))
-        steps.append(TimedTableau(tuple(rows)))
+    for run in _to_grid(w, q):
+        _insert_runs(rows, [run])
+        steps.append(TimedTableau(_from_grid(rows, q)))
     return steps
 
 

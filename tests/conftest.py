@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import settings
@@ -87,6 +88,22 @@ KAPPA2_MOVE_KWARGS = dict(
 
 def tw(text: str) -> TimedWord:
     return parse_timed_word(text)
+
+
+def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
+    """Plain-list Schensted insertion, written without the library so that
+    differential tests compare the insertion kernel with something else."""
+    rows: list[list[int]] = []
+    for a in word:
+        for row in rows:
+            j = bisect_right(row, a)
+            if j == len(row):
+                row.append(a)
+                break
+            row[j], a = a, row[j]
+        else:
+            rows.append([a])
+    return tuple(tuple(row) for row in rows)
 
 
 # hypothesis strategies

@@ -19,7 +19,16 @@ from timed_plactic import (
     tableau_insert,
 )
 
-from conftest import STEPS_3421153, TABLEAU_3421153, WORD_3421153, words
+from conftest import (
+    STEPS_3421153,
+    TABLEAU_3421153,
+    WORD_3421153,
+    schensted_rows,
+    words,
+)
+
+# Longer words over more letters than ``words``, still at desk scale.
+long_words = st.lists(st.integers(1, 6), max_size=40).map(tuple)
 
 
 class TestIsRow:
@@ -106,6 +115,19 @@ class TestInsertionTableau:
     @given(words)
     def test_always_valid(self, w):
         insertion_tableau(w)  # construction validates all invariants
+
+    @given(long_words)
+    def test_matches_plain_list_reference(self, w):
+        assert insertion_tableau(w).rows == schensted_rows(w)
+
+    @given(long_words)
+    def test_steps_match_reference_on_prefixes(self, w):
+        steps = insertion_steps(w)
+        assert [t.rows for t in steps] == [schensted_rows(w[: i + 1]) for i in range(len(w))]
+
+    @given(long_words, st.integers(1, 6))
+    def test_tableau_insert_matches_reference(self, w, a):
+        assert tableau_insert(insertion_tableau(w), a).rows == schensted_rows(w + (a,))
 
 
 class TestReadingWordAndShape:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from timed_plactic.cli import main
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
@@ -187,6 +189,26 @@ class TestRandom:
         _, direct, _ = run_cli(capsys, "random", "--seed", "123")
         assert with_env == direct
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--letters", "0"), ("--runs", "-1"), ("--max-den", "0"), ("--max-num", "0")],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "random", flag, value, "--json")
+        assert code == 2
+        assert out == ""
+        assert flag in json.loads(err)["error"]["message"]
+
+    def test_zero_letters_exits_2_without_traceback(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "timed_plactic", "random", "--letters", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:")
+
 
 class TestCheck:
     def test_passes_and_is_reproducible(self, capsys):
@@ -204,6 +226,12 @@ class TestCheck:
         }
         _, out2, _ = run_cli(capsys, "check", "--iters", "3", "--seed", "5", "--json")
         assert out1 == out2
+
+    def test_negative_iters_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--iters", "-2", "--json")
+        assert code == 2
+        assert out == ""
+        assert "--iters" in json.loads(err)["error"]["message"]
 
 
 class TestErrors:

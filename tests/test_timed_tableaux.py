@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -6,10 +7,13 @@ from hypothesis import given
 from timed_plactic import (
     InvalidTableauError,
     NotARowError,
+    Run,
     TimedTableau,
     TimedWord,
+    concat,
     embed_classical,
     embed_classical_tableau,
+    expand_to_classical,
     insertion_tableau,
     scale,
     shape,
@@ -36,10 +40,21 @@ from conftest import (
     durations,
     letters,
     nonempty_timed_words,
+    schensted_rows,
     timed_words,
     tw,
     words,
 )
+
+
+def grid_reference(w: TimedWord) -> tuple[TimedWord, ...]:
+    """Timed insertion tableau rows from the plain-list reference: expand w on
+    its 1/q grid, insert classically, run-length encode, divide by q."""
+    word, q = expand_to_classical(w)
+    return tuple(
+        TimedWord(tuple(Run(c, Fraction(len(list(g)), q)) for c, g in groupby(row)))
+        for row in schensted_rows(word)
+    )
 
 
 class TestTimedTableauInvariants:
@@ -148,6 +163,12 @@ class TestTimedTableauInsert:
         result = timed_tableau_insert(t, row)  # constructor revalidates
         assert sum(timed_shape(result), Fraction(0)) == base.length + row.length
 
+    @given(timed_words, nonempty_timed_words)
+    def test_matches_grid_reference(self, base, extra):
+        row = grid_reference(extra)[0]
+        result = timed_tableau_insert(timed_insertion_tableau(base), row)
+        assert result.rows == grid_reference(concat(base, row))
+
 
 class TestTimedInsertionTableau:
     def test_empty(self):
@@ -166,6 +187,16 @@ class TestTimedInsertionTableau:
         w = (3, 4, 2, 1, 1, 5, 3)
         timed = timed_insertion_tableau(embed_classical(w))
         assert timed == embed_classical_tableau(insertion_tableau(w))
+
+    @given(timed_words)
+    def test_matches_grid_reference(self, w):
+        assert timed_insertion_tableau(w).rows == grid_reference(w)
+
+    @given(timed_words)
+    def test_steps_match_grid_reference_on_prefixes(self, w):
+        steps = timed_insertion_steps(w)
+        prefixes = (TimedWord(w.runs[: i + 1]) for i in range(len(w.runs)))
+        assert [t.rows for t in steps] == [grid_reference(p) for p in prefixes]
 
     @given(words)
     def test_classical_compatibility(self, w):
