@@ -214,9 +214,11 @@ def _move_result_text(payload: dict) -> str:
 
 def _cmd_render(args) -> int:
     text = args.input.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         data = json.loads(text)
-        rows = data.get("rows", [])
+        rows = data.get("rows", []) if isinstance(data, dict) else None
+        if not isinstance(rows, list):
+            raise NotationError('tableau JSON must be an object with a "rows" list')
         if rows and not isinstance(rows[0], dict):
             obj: TimedWord | TimedTableau = embed_classical_tableau(
                 tableau_from_dict(data)

@@ -19,6 +19,11 @@ from .timed_words import TimedWord
 from .timed_tableaux import timed_insertion_tableau, timed_shape
 
 
+# Over an alphabet of k letters the search has at most C(r + k, r) states,
+# so this admits every word over 9 letters with r <= 9 (C(18, 9) = 48,620).
+_STATE_BUDGET = 50_000
+
+
 def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> int:
     """Exact maximum total size of r pairwise disjoint weakly increasing
     subwords of w, by exhaustive search.
@@ -27,6 +32,7 @@ def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> i
     least the chain's current last letter) or left unused. Chains are
     interchangeable, so a search state is just the sorted tuple of chain last
     letters (0 meaning empty); states explored once, best use count kept.
+    More than 50,000 states raise OracleSizeError.
     """
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
@@ -55,6 +61,10 @@ def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> i
         for cand, score in updates.items():
             if states.get(cand, -1) < score:
                 states[cand] = score
+        if len(states) > _STATE_BUDGET:
+            raise OracleSizeError(
+                f"oracle search for r={r} exceeds the budget of {_STATE_BUDGET} states"
+            )
     return max(states.values())
 
 

@@ -5,7 +5,11 @@ Text grammar:
     (``3421153``), or comma-separated integers (``12,3,11``);
   - timed word: ``<letter>^<duration>`` tokens, whitespace optional between
     them, where a duration is a decimal numeral (``12``, ``0.45``, ``3.25``)
-    or a fraction ``p/q``.
+    or a fraction ``p/q``. Without whitespace, a token's duration is the
+    longest numeral after which the rest of the text is empty, whitespace,
+    or starts a new ``<letter>^`` token: ``1^1/23^2`` reads as
+    ``1^1/2 3^2``, ``1^12^3`` as ``1^1 2^3`` and ``3^0.825^0.08`` as
+    ``3^0.82 5^0.08``.
 
 JSON schemas:
   - classical tableau: ``{"rows": [[1,1,3],[2,4,5],[3]]}``;
@@ -15,7 +19,10 @@ JSON schemas:
     "z_len": "...", "reverse": false}`` with rational strings.
 
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
-binary float.
+binary float. ``parse_duration`` and ``parse_timed_word`` build each
+``Fraction`` once, straight from the digits the numeral pattern matched.
+JSON letters must be JSON integers and a move's ``reverse`` a JSON boolean;
+anything else is a ``NotationError``.
 """
 
 from __future__ import annotations
@@ -29,23 +36,33 @@ from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, normalize
 from .timed_tableaux import TimedTableau
 
-_DURATION_RE = re.compile(r"^(?:\d+/\d+|\d+(?:\.\d+)?)$")
+# A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
+# p, q, a, b and the integer.
+_NUMERAL = r"(?:(\d+)/(\d+)|(\d+)\.(\d+)|(\d+))"
+_DURATION_RE = re.compile(_NUMERAL)
 # The lookahead lets adjacent runs like 3^0.825^0.08 split unambiguously:
 # the numeral backtracks until the rest starts a new <letter>^ token.
-_RUN_RE = re.compile(r"(\d+)\^(\d+/\d+|\d+\.\d+|\d+)(?=\s|\d+\^|$)")
+_RUN_RE = re.compile(rf"(\d+)\^{_NUMERAL}(?=\s|\d+\^|$)")
+
+
+def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
+    """The exact value of a numeral, built from its matched digit groups."""
+    if p is not None:
+        den = int(q)
+        if not den:
+            raise NotationError(f"zero denominator in {text!r}")
+        return Fraction(int(p), den)
+    if whole is not None:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(int(integer))
 
 
 def parse_duration(text: str) -> Fraction:
     """Parse a decimal numeral or p/q fraction into an exact Fraction."""
-    s = text.strip()
-    if not _DURATION_RE.match(s):
+    m = _DURATION_RE.fullmatch(text.strip())
+    if not m:
         raise NotationError(f"not a duration: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise NotationError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(s)
+    return _numeral_fraction(*m.groups(), text)
 
 
 def format_duration(d: Fraction) -> str:
@@ -94,9 +111,10 @@ def parse_timed_word(text: str) -> TimedWord:
         letter = int(m.group(1))
         if letter < 1:
             raise NotationError("letters must be at least 1", pos)
-        dur = parse_duration(m.group(2))
-        if dur <= 0:
-            raise NotationError("durations must be positive", m.start(2))
+        at = m.end(1) + 1
+        dur = _numeral_fraction(*m.group(2, 3, 4, 5, 6), text[at : m.end()])
+        if not dur.numerator:
+            raise NotationError("durations must be positive", at)
         runs.append((letter, dur))
         pos = m.end()
     return normalize(runs)
@@ -148,15 +166,22 @@ def timed_word_to_dict(w: TimedWord) -> dict:
     return {"runs": [{"letter": c, "dur": str(d)} for c, d in w.runs]}
 
 
+def _json_letter(value) -> int:
+    # JSON integers only: int() would read 1.5 as 1 and true as 1.
+    if type(value) is not int:
+        raise NotationError(f"letters must be JSON integers, got {value!r}")
+    return value
+
+
 def timed_word_from_dict(data: dict) -> TimedWord:
     try:
         raw = data["runs"]
         runs = []
         for entry in raw:
             dur = parse_duration(str(entry["dur"]))
-            if dur <= 0:
+            if not dur.numerator:
                 raise NotationError(f"durations must be positive, got {entry['dur']!r}")
-            runs.append((int(entry["letter"]), dur))
+            runs.append((_json_letter(entry["letter"]), dur))
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad timed-word JSON: {exc}") from exc
     return normalize(runs)
@@ -168,8 +193,8 @@ def tableau_to_dict(t: Tableau) -> dict:
 
 def tableau_from_dict(data: dict) -> Tableau:
     try:
-        rows = tuple(tuple(int(x) for x in row) for row in data["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = tuple(tuple(_json_letter(x) for x in row) for row in data["rows"])
+    except (KeyError, TypeError) as exc:
         raise NotationError(f"bad tableau JSON: {exc}") from exc
     return Tableau(rows)
 
@@ -180,10 +205,10 @@ def timed_tableau_to_dict(t: TimedTableau) -> dict:
 
 def timed_tableau_from_dict(data: dict) -> TimedTableau:
     try:
-        rows = data["rows"]
+        rows = tuple(timed_word_from_dict(row) for row in data["rows"])
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad timed-tableau JSON: {exc}") from exc
-    return TimedTableau(tuple(timed_word_from_dict(row) for row in rows))
+    return TimedTableau(rows)
 
 
 def format_timed_tableau(t: TimedTableau) -> str:
@@ -208,7 +233,7 @@ def move_to_dict(m: TimedKnuthMove) -> dict:
 def move_from_dict(data: dict) -> TimedKnuthMove:
     try:
         kind = data["kind"]
-        reverse = bool(data.get("reverse", False))
+        reverse = data.get("reverse", False)
         u_len = parse_duration(str(data["u_len"]))
         lens = {
             role: parse_duration(str(data[f"{role}_len"])) for role in ("x", "y", "z")
@@ -217,6 +242,8 @@ def move_from_dict(data: dict) -> TimedKnuthMove:
         raise NotationError(f"bad move JSON: {exc}") from exc
     if kind not in ("k1", "k2"):
         raise NotationError(f"move kind must be 'k1' or 'k2', got {kind!r}")
+    if not isinstance(reverse, bool):
+        raise NotationError(f"move reverse must be true or false, got {reverse!r}")
     order = SOURCE_ORDER[kind, reverse]
     cuts = tuple(lens[role] for role in order)
     try:

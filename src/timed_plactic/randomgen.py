@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .classical import Word
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import Run, TimedWord, concat, restrict
+from .timed_words import Run, TimedWord, _cut, concat
 
 
 def random_word(
@@ -95,17 +95,13 @@ def random_kappa_instance(
             if not candidates:
                 continue
             s = rng.choice(candidates)
-            x = restrict(row, 0, s)
-            y = restrict(row, s, 2 * s)
-            z = restrict(row, 2 * s, total)
+            x, y, z = _cut(row, (0, s, 2 * s, total))
         else:
             candidates = [b for b in interior if 2 * b > total]
             if not candidates:
                 continue
             b = rng.choice(candidates)
-            x = restrict(row, 0, 2 * b - total)
-            y = restrict(row, 2 * b - total, b)
-            z = restrict(row, b, total)
+            x, y, z = _cut(row, (0, 2 * b - total, b, total))
         factors = {"x": x, "y": y, "z": z}
         u = random_timed_word(
             rng, max_runs=max_context_runs, max_letter=max_letter,

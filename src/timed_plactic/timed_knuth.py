@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InvalidMoveError
 from .greene import greene_timed, greene_timed_oracle, profile_value
-from .timed_words import TimedWord, as_duration, concat, is_timed_row, restrict
+from .timed_words import TimedWord, _cut, as_duration, concat, is_timed_row
 from .timed_tableaux import timed_insertion_tableau
 
 # Factor roles in their order of appearance, per (kind, reverse).
@@ -69,17 +69,15 @@ class TimedKnuthMove:
 
 def _split(w: TimedWord, m: TimedKnuthMove):
     start = m.position
-    end = start + m.cut1 + m.cut2 + m.cut3
+    a = start + m.cut1
+    b = a + m.cut2
+    end = b + m.cut3
     if end > w.length:
         raise InvalidMoveError(
             "cuts-out-of-range",
             f"move region [{start}, {end}) exceeds word length {w.length}",
         )
-    u = restrict(w, 0, start)
-    a = start + m.cut1
-    b = a + m.cut2
-    factors = (restrict(w, start, a), restrict(w, a, b), restrict(w, b, end))
-    v = restrict(w, end, w.length)
+    u, *factors, v = _cut(w, (0, start, a, b, end, w.length))
     return u, factors, v
 
 

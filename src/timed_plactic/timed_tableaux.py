@@ -2,22 +2,22 @@
 
 A timed tableau is a stack of timed rows (top row first) with weakly
 decreasing lengths in which, at every time t covered by both, a lower row's
-value strictly exceeds the row above. The strictness check is exact: both
-rows are step functions, so comparing them on the merged run boundaries
-settles every t.
+value strictly exceeds the row above. The checks run on integer counts: with
+q the lcm of every run denominator, each row becomes ``[letter, count]`` runs
+on the grid 1/q, and lengths and column strictness are integer comparisons.
+Both rows are step functions, so this settles every t exactly.
 
-Timed insertion clears denominators once per call: with q the lcm of the
-input's run denominators, every duration becomes an integer count on the
-grid 1/q, the integer-run kernel of :mod:`.classical` inserts them (classical
-insertion is its unit-duration case), and the counts go back to exact
-``Fraction(n, q)`` durations. Each returned tableau is validated once.
+Timed insertion clears denominators once per call the same way: the
+integer-run kernel of :mod:`.classical` inserts the counts (classical
+insertion is its unit-duration case), and they go back to exact
+``Fraction(n, q)`` durations once, in the returned tableau. Each returned
+tableau is validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .classical import Tableau, _bump_runs, _insert_runs
 from .errors import InvalidTableauError, NotARowError
@@ -25,6 +25,8 @@ from .timed_words import (
     DurationLike,
     Run,
     TimedWord,
+    _grid,
+    _to_grid,
     as_duration,
     concat,
     embed_classical,
@@ -32,27 +34,20 @@ from .timed_words import (
 )
 
 
-def _column_strict(upper: TimedWord, lower: TimedWord) -> bool:
-    # Walk both run lists over [0, l(lower)); each segment between merged
-    # boundaries has constant values, so one comparison per segment is exact.
-    limit = lower.length
-    ui = li = 0
-    u_end = upper.runs[0].duration
-    l_end = lower.runs[0].duration
-    pos = Fraction(0)
-    while pos < limit:
-        if upper.runs[ui].letter >= lower.runs[li].letter:
+def _column_strict(upper: list[list[int]], lower: list[list[int]]) -> bool:
+    # Grid rows of timed rows, upper at least as long as lower. Rows increase
+    # left to right, so over each run of lower the upper row is largest at
+    # the run's last grid cell: one comparison per run of lower is exact.
+    k = 0
+    u_end = upper[0][1]
+    l_end = 0
+    for letter, n in lower:
+        l_end += n
+        while u_end < l_end:
+            k += 1
+            u_end += upper[k][1]
+        if upper[k][0] >= letter:
             return False
-        nxt = min(u_end, l_end)
-        pos = nxt
-        if pos >= limit:
-            break
-        if u_end == nxt:
-            ui += 1
-            u_end += upper.runs[ui].duration
-        if l_end == nxt:
-            li += 1
-            l_end += lower.runs[li].duration
     return True
 
 
@@ -68,14 +63,17 @@ class TimedTableau:
                 raise InvalidTableauError(f"row {i} is empty")
             if not is_timed_row(row):
                 raise InvalidTableauError(f"row {i} is not a timed row: {row!r}")
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if upper.length < lower.length:
+        q = _grid(*self.rows)
+        grid = [_to_grid(row, q) for row in self.rows]
+        lengths = [sum(n for _, n in row) for row in grid]
+        for i in range(len(grid) - 1):
+            if lengths[i] < lengths[i + 1]:
+                upper, lower = self.rows[i], self.rows[i + 1]
                 raise InvalidTableauError(
                     f"row {i + 1} is longer than row {i} "
                     f"({lower.length} > {upper.length})"
                 )
-            if not _column_strict(upper, lower):
+            if not _column_strict(grid[i], grid[i + 1]):
                 raise InvalidTableauError(
                     f"rows {i} and {i + 1} are not strictly increasing downward"
                 )
@@ -98,15 +96,6 @@ def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
 def timed_reading_word(t: TimedTableau) -> TimedWord:
     """Rows concatenated bottom row first."""
     return concat(*reversed(t.rows))
-
-
-def _grid(*words: TimedWord) -> int:
-    """The grid denominator q: the lcm of every run denominator."""
-    return lcm(*(d.denominator for w in words for _, d in w.runs))
-
-
-def _to_grid(w: TimedWord, q: int) -> list[list[int]]:
-    return [[c, d.numerator * (q // d.denominator)] for c, d in w.runs]
 
 
 def _from_grid(rows: list[list[list[int]]], q: int) -> tuple[TimedWord, ...]:

@@ -6,8 +6,12 @@ function on [0, length) whose value at t is the letter of the run covering t;
 ``value_at`` evaluates that function. Timed words form a monoid under
 ``concat`` with the empty word as identity.
 
-Durations are ``fractions.Fraction`` throughout, which keeps every operation
-(addition, comparison, min, splitting) exact and equality decidable.
+Durations are ``fractions.Fraction`` values, which keeps every result exact
+and equality decidable. Each one is made once, where a value is produced;
+the work in between runs on integer counts. Lengths and cuts clear
+denominators first: with q the lcm of the denominators involved, every
+duration is an integer count on the grid 1/q (``_grid``, ``_to_grid``), and
+only the durations a cut creates become new ``Fraction(n, q)`` values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Word
 
@@ -29,6 +34,8 @@ def as_duration(x: DurationLike) -> Fraction:
             f"durations must be exact (int, str, or Fraction), got {x!r}; "
             f"write the value as a string such as '0.82' or '41/50'"
         )
+    if type(x) is Fraction:
+        return x
     return Fraction(x)
 
 
@@ -52,7 +59,7 @@ class TimedWord:
             letter, dur = run
             if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
                 raise ValueError(f"letters must be integers >= 1, got {letter!r}")
-            if not isinstance(dur, Fraction) or dur <= 0:
+            if not isinstance(dur, Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {dur!r}")
         for a, b in zip(self.runs, self.runs[1:]):
             if a.letter == b.letter:
@@ -62,7 +69,8 @@ class TimedWord:
 
     @cached_property
     def length(self) -> Fraction:
-        return sum((dur for _, dur in self.runs), Fraction(0))
+        q = _grid(self)
+        return Fraction(sum(n for _, n in _to_grid(self, q)), q)
 
     def breakpoints(self) -> list[Fraction]:
         """Prefix sums of run durations, including 0 and the total length."""
@@ -92,9 +100,9 @@ def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
     out: list[Run] = []
     for letter, raw in runs:
         dur = as_duration(raw)
-        if dur < 0:
+        if dur.numerator < 0:
             raise ValueError(f"run durations must be nonnegative, got {dur}")
-        if dur == 0:
+        if not dur.numerator:
             continue
         if out and out[-1].letter == letter:
             out[-1] = Run(letter, out[-1].duration + dur)
@@ -129,6 +137,46 @@ def value_at(w: TimedWord, t: DurationLike) -> int:
     raise AssertionError("unreachable: t < length but no run covers it")
 
 
+def _grid(*words: TimedWord) -> int:
+    """The grid denominator q: the lcm of every run denominator."""
+    return lcm(*(d.denominator for w in words for _, d in w.runs))
+
+
+def _to_grid(w: TimedWord, q: int) -> list[list[int]]:
+    """The runs of w as mutable ``[letter, count]`` pairs on the grid 1/q."""
+    return [[c, d.numerator * (q // d.denominator)] for c, d in w.runs]
+
+
+def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
+    """The pieces of w between consecutive points, for
+    0 <= p0 <= p1 <= ... <= length, in one pass on the grid 1/q (q also
+    clears the points' denominators). A run wholly inside a piece is kept as
+    it is; only a run that a point splits gets new durations."""
+    q = lcm(_grid(w), *(p.denominator for p in points))
+    ticks = [p.numerator * (q // p.denominator) for p in points]
+    runs = w.runs
+    counts = _to_grid(w, q)
+    pieces = []
+    i = start = 0  # run i covers [start, start + its count)
+    for a, b in zip(ticks, ticks[1:]):
+        piece = []
+        while start < b:
+            n = counts[i][1]
+            end = start + n
+            if end > a:
+                span = min(end, b) - max(start, a)
+                if span == n:
+                    piece.append(runs[i])
+                elif span:
+                    piece.append(Run(runs[i].letter, Fraction(span, q)))
+                if end > b:
+                    break
+            i += 1
+            start = end
+        pieces.append(TimedWord(tuple(piece)))
+    return pieces
+
+
 def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     """The timed word of length b - a whose value at t is w's value at a + t.
 
@@ -137,18 +185,7 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     a, b = as_duration(a), as_duration(b)
     if not (0 <= a <= b <= w.length):
         raise ValueError(f"window [{a}, {b}) outside [0, {w.length}]")
-    runs: list[Run] = []
-    start = Fraction(0)
-    for letter, dur in w.runs:
-        end = start + dur
-        if end > a and start < b:
-            overlap = min(end, b) - max(start, a)
-            if overlap > 0:
-                runs.append(Run(letter, overlap))
-        start = end
-        if start >= b:
-            break
-    return TimedWord(tuple(runs))
+    return _cut(w, (a, b))[0]
 
 
 @dataclass(frozen=True)
@@ -210,7 +247,7 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
         raise ValueError(
             f"sample reaches {sample.intervals[-1][1]}, beyond word length {w.length}"
         )
-    return concat(*(restrict(w, a, b) for a, b in sample.intervals))
+    return concat(*_cut(w, [p for interval in sample.intervals for p in interval])[::2])
 
 
 def is_timed_row(w: TimedWord) -> bool:

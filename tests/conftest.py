@@ -106,6 +106,68 @@ def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def fraction_length(word) -> Fraction:
+    return sum((d for _, d in word.runs), Fraction(0))
+
+
+def fraction_cut(word, a, b) -> tuple[tuple[int, Fraction], ...]:
+    """The runs of word over [a, b), by a Fraction walk over every run: a
+    reference for the library's grid cutter."""
+    runs = []
+    start = Fraction(0)
+    for c, d in word.runs:
+        end = start + d
+        overlap = min(end, b) - max(start, a)
+        if overlap > 0:
+            runs.append((c, overlap))
+        start = end
+    return tuple(runs)
+
+
+def _fraction_value(word, t) -> int:
+    acc = Fraction(0)
+    for c, d in word.runs:
+        acc += d
+        if t < acc:
+            return c
+    raise ValueError(f"time {t} outside the word")
+
+
+def fraction_column_strict(upper, lower) -> bool:
+    """Compare the rows at the start of every segment between their merged
+    run boundaries, up to lower's length, walking Fraction prefix sums."""
+    limit = fraction_length(lower)
+    bounds = {Fraction(0)}
+    for word in (upper, lower):
+        acc = Fraction(0)
+        for _, d in word.runs:
+            acc += d
+            bounds.add(acc)
+    return all(
+        _fraction_value(upper, t) < _fraction_value(lower, t)
+        for t in sorted(bounds)
+        if t < limit
+    )
+
+
+def timed_tableau_error(rows) -> str | None:
+    """The error a stack of timed words must raise as a TimedTableau, checked
+    with Fraction arithmetic in the library's order, or None if valid."""
+    for i, row in enumerate(rows):
+        if not row.runs:
+            return f"row {i} is empty"
+        if any(a.letter >= b.letter for a, b in zip(row.runs, row.runs[1:])):
+            return f"row {i} is not a timed row: {row!r}"
+    for i in range(len(rows) - 1):
+        upper, lower = rows[i], rows[i + 1]
+        lu, ll = fraction_length(upper), fraction_length(lower)
+        if lu < ll:
+            return f"row {i + 1} is longer than row {i} ({ll} > {lu})"
+        if not fraction_column_strict(upper, lower):
+            return f"rows {i} and {i + 1} are not strictly increasing downward"
+    return None
+
+
 # hypothesis strategies
 
 letters = st.integers(min_value=1, max_value=4)

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -74,6 +75,21 @@ class TestGreene:
         assert data["agreement"] is None
         assert "note" in data
 
+    def test_oracle_state_budget_gives_note(self):
+        rng = random.Random(1)
+        word = ",".join(str(rng.randint(1, 40)) for _ in range(30))
+        result = subprocess.run(
+            [sys.executable, "-m", "timed_plactic", "greene", word, "--oracle", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0
+        data = json.loads(result.stdout)
+        assert data["mode"] == "fast"
+        assert data["agreement"] is None
+        assert "budget" in data["note"]
+
     def test_human_text_marks_inexact(self, capsys):
         code, out, _ = run_cli(capsys, "greene", "1^1/3")
         assert code == 0
@@ -122,6 +138,17 @@ class TestEquiv:
         assert data["equivalent"] is True
         assert data["move_reaches_right"] is True
 
+    def test_non_boolean_reverse_is_parse_error(self, capsys):
+        move = json.dumps(
+            {"kind": "k2", "u_len": "0", "x_len": "1", "y_len": "1", "z_len": "1",
+             "reverse": "false"}
+        )
+        code, _, err = run_cli(
+            capsys, "equiv", "2^1 1^1 3^1", "2^1 3^1 1^1", "--move", move, "--json"
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "NotationError"
+
     def test_invalid_move_is_usage_error(self, capsys):
         move = json.dumps(
             {"kind": "k1", "u_len": "0", "x_len": "1", "y_len": "1", "z_len": "1"}
@@ -134,6 +161,30 @@ class TestEquiv:
 
 
 class TestRender:
+    @pytest.mark.parametrize("text", ['{"rows": 5}', "[[1, 2]]", '{"rows": null}'])
+    def test_malformed_json_exits_2_without_traceback(self, text, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "timed_plactic", "render", text,
+             "--svg", str(tmp_path / "x.svg")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"rows": [[1.7, 2]]}', '{"rows": [{"runs": [{"letter": 1.5, "dur": "1"}]}]}'],
+    )
+    def test_non_integer_letters_are_parse_errors(self, capsys, text, tmp_path):
+        code, _, err = run_cli(
+            capsys, "render", text, "--svg", str(tmp_path / "x.svg"), "--json"
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "NotationError"
+
     def test_ribbon_file(self, capsys, tmp_path):
         path = tmp_path / "ribbon.svg"
         code, out, _ = run_cli(capsys, "render", "3^1 1^1", "--svg", str(path))

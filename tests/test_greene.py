@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,21 @@ class TestClassicalOracle:
     def test_size_bound(self):
         with pytest.raises(OracleSizeError):
             greene_classical_oracle((1, 2, 3), 1, max_len=2)
+
+    def test_state_budget(self):
+        # 30 letters over 40 symbols: about 100,000 states at r = 6, far
+        # beyond the default budget, so the search stops early.
+        rng = random.Random(1)
+        w = tuple(rng.randint(1, 40) for _ in range(30))
+        assert greene_classical_oracle(w, 3) == greene_classical(w)[2]
+        with pytest.raises(OracleSizeError, match="budget of 50000 states"):
+            greene_classical_oracle(w, 6)
+
+    def test_state_budget_admits_nine_letter_alphabets(self):
+        # C(r + 9, r) <= C(18, 9) = 48,620 states for r <= 9.
+        w = (9, 8, 7, 6, 5, 4, 3, 2, 1) * 3
+        profile = greene_classical(w)
+        assert tuple(greene_classical_oracle(w, r) for r in range(1, 10)) == profile
 
 
 class TestClassicalProfile:

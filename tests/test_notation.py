@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from timed_plactic import (
     NotationError,
@@ -106,6 +108,68 @@ class TestParseTimedWord:
         assert parse_timed_word(format_timed_word(w)) == w
 
 
+# Numerals of the timed grammar, with leading and trailing zeros, zero
+# values and zero denominators.
+_digits = st.text("0123456789", min_size=1, max_size=4)
+numerals = st.one_of(
+    _digits,
+    st.builds("{}.{}".format, _digits, _digits),
+    st.builds("{}/{}".format, _digits, _digits),
+)
+
+
+class TestUnspacedText:
+    """Without whitespace, a token's duration is the longest numeral after
+    which the rest of the text starts a new <letter>^ token."""
+
+    @pytest.mark.parametrize(
+        "text, runs",
+        [
+            ("1^1/23^2", ((1, Fraction(1, 2)), (3, Fraction(2)))),
+            ("1^12^3", ((1, Fraction(1)), (2, Fraction(3)))),
+            ("3^0.825^0.08", ((3, Fraction(41, 50)), (5, Fraction(2, 25)))),
+        ],
+    )
+    def test_reading(self, text, runs):
+        assert parse_timed_word(text).runs == runs
+        assert format_timed_word(parse_timed_word(text)) == " ".join(
+            f"{c}^{format_duration(d)}" for c, d in runs
+        )
+
+    @given(numerals, st.sampled_from(["", "1^1 ", "2^3/4", "1^0.5"]))
+    @example("007", "")
+    @example("0.10", "")
+    @example("12/08", "")
+    @example("0.00", "1^1 ")
+    @example("0/7", "2^3/4")
+    @example("3/0", "")
+    def test_durations_match_fraction_of_the_numeral(self, numeral, prefix):
+        text = f"{prefix}5^{numeral}"
+        at = len(prefix) + 2
+        try:
+            expected = Fraction(numeral)
+        except ZeroDivisionError:
+            message = re.escape(f"zero denominator in {numeral!r}")
+            with pytest.raises(NotationError, match=message):
+                parse_duration(numeral)
+            with pytest.raises(NotationError, match=message):
+                parse_timed_word(text)
+            return
+        assert parse_duration(numeral) == expected
+        if expected:
+            assert parse_timed_word(text).runs[-1] == (5, expected)
+        else:
+            with pytest.raises(NotationError, match="durations must be positive") as info:
+                parse_timed_word(text)
+            assert info.value.position == at
+
+    @given(numerals, st.sampled_from(["", "1^1 "]))
+    def test_negative_durations_rejected_at_the_token(self, numeral, prefix):
+        with pytest.raises(NotationError, match="expected <letter>") as info:
+            parse_timed_word(f"{prefix}5^-{numeral}")
+        assert info.value.position == len(prefix)
+
+
 class TestParseWord:
     def test_digit_string(self):
         assert parse_word("3421153") == (3, 4, 2, 1, 1, 5, 3)
@@ -160,6 +224,28 @@ class TestJson:
             timed_word_from_dict({"oops": []})
         with pytest.raises(NotationError):
             timed_word_from_dict({"runs": [{"letter": 3, "dur": "0"}]})
+
+    @pytest.mark.parametrize("letter", [1.5, 2.0, True, "3", None])
+    def test_timed_word_dict_rejects_non_integer_letters(self, letter):
+        with pytest.raises(NotationError, match="JSON integers"):
+            timed_word_from_dict({"runs": [{"letter": letter, "dur": "1"}]})
+
+    @pytest.mark.parametrize("rows", [[[1.7, 2]], [[1, 2.0]], [[False]], [["1"]]])
+    def test_tableau_dict_rejects_non_integer_letters(self, rows):
+        with pytest.raises(NotationError, match="JSON integers"):
+            tableau_from_dict({"rows": rows})
+
+    @pytest.mark.parametrize("rows", [None, 5, [5]])
+    def test_timed_tableau_dict_rejects_bad_rows(self, rows):
+        with pytest.raises(NotationError):
+            timed_tableau_from_dict({"rows": rows})
+
+    @pytest.mark.parametrize("reverse", ["false", "true", 0, 1, None])
+    def test_move_dict_requires_boolean_reverse(self, reverse):
+        data = {"kind": "k1", "u_len": "0", "x_len": "1", "y_len": "1", "z_len": "1"}
+        with pytest.raises(NotationError, match="reverse"):
+            move_from_dict({**data, "reverse": reverse})
+        assert move_from_dict({**data, "reverse": False}).reverse is False
 
     def test_tableau_dict(self):
         t = Tableau(((1, 1, 3), (2, 4, 5), (3,)))

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timed_plactic import (
     InvalidMoveError,
     TimedKnuthMove,
+    TimedWord,
     apply_kappa1,
     apply_kappa2,
     apply_move,
@@ -15,18 +18,55 @@ from timed_plactic import (
     invert_move,
     knuth_neighbors,
     letter_durations,
+    normalize,
+    scale,
     timed_insertion_tableau,
     timed_knuth_equivalent,
 )
 from timed_plactic.randomgen import random_kappa_instance, random_timed_word
+from timed_plactic.timed_knuth import SOURCE_ORDER, TARGET_ORDER
 
 from conftest import (
+    fraction_cut,
+    fraction_length,
+    nonempty_timed_words,
     KAPPA2_MOVE_KWARGS,
     KAPPA2_RESULT_TEXT,
     KAPPA2_SOURCE_TEXT,
     tw,
     words,
 )
+
+
+def fraction_move(w, m):
+    """apply_move by the Fraction reference cutter: the rewritten runs, or
+    the name of the side condition the move fails."""
+    a = m.position + m.cut1
+    b = a + m.cut2
+    end = b + m.cut3
+    if end > fraction_length(w):
+        return "cuts-out-of-range"
+    bounds = (0, m.position, a, b, end, fraction_length(w))
+    u, *factors, v = (fraction_cut(w, s, e) for s, e in zip(bounds, bounds[1:]))
+    named = dict(zip(SOURCE_ORDER[m.kind, m.reverse], factors))
+    x, y, z = named["x"], named["y"], named["z"]
+    xyz = normalize(x + y + z).runs
+    if any(p.letter >= q.letter for p, q in zip(xyz, xyz[1:])):
+        return "xyz-not-a-row"
+    first, second = (y, z) if m.kind == "k1" else (x, y)
+    if sum(d for _, d in first) != sum(d for _, d in second):
+        return "length-mismatch"
+    if not first[-1][0] < second[0][0]:
+        return "limit-condition"
+    target = [named[role] for role in TARGET_ORDER[m.kind, m.reverse]]
+    return normalize(run for piece in (u, *target, v) for run in piece).runs
+
+
+def move_outcome(w, m):
+    try:
+        return apply_move(w, m).runs
+    except InvalidMoveError as exc:
+        return exc.condition
 
 
 class TestMoveValidation:
@@ -189,3 +229,37 @@ class TestRandomInstances:
             total = concat(u, w, v).length
             for r in range(1, 4):
                 assert profile_value(a, r, total) == profile_value(b, r, total)
+
+
+class TestMoveMatchesFractionReference:
+    """apply_move cuts with the grid cutter; a Fraction walk must agree."""
+
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["k1", "k2"]),
+           st.sampled_from([1, Fraction(1, 7), Fraction(3, 11), Fraction(13, 5)]))
+    def test_valid_moves_both_directions(self, seed, kind, factor):
+        # A rescaled valid instance keeps its validity, with cuts whose
+        # denominators are coprime to the word's.
+        w, m = random_kappa_instance(random.Random(seed), kind, max_den=8)
+        w = scale(w, factor)
+        m = TimedKnuthMove(kind, m.position * factor, *(c * factor for c in m.cuts))
+        moved = move_outcome(w, m)
+        assert not isinstance(moved, str)
+        assert moved == fraction_move(w, m)
+        moved, back = TimedWord(moved), invert_move(m)
+        assert move_outcome(moved, back) == fraction_move(moved, back) == w.runs
+
+    @given(nonempty_timed_words, st.sampled_from(["k1", "k2"]), st.booleans(), st.data())
+    def test_arbitrary_cuts(self, w, kind, reverse, data):
+        # Cut points on run boundaries, or multiples of 1/7, 1/11 or 1/13
+        # (coprime to the word's denominators) up to just past its end.
+        p = data.draw(st.sampled_from([7, 11, 13]))
+        point = st.one_of(
+            st.sampled_from(w.breakpoints()),
+            st.integers(min_value=0, max_value=int(w.length * p) + 1).map(
+                lambda k: Fraction(k, p)
+            ),
+        )
+        points = sorted(data.draw(st.lists(point, min_size=4, max_size=4, unique=True)))
+        cuts = [b - a for a, b in zip(points, points[1:])]
+        m = TimedKnuthMove(kind, points[0], *cuts, reverse=reverse)
+        assert move_outcome(w, m) == fraction_move(w, m)

@@ -3,6 +3,7 @@ from itertools import groupby
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from timed_plactic import (
     InvalidTableauError,
@@ -15,6 +16,7 @@ from timed_plactic import (
     embed_classical_tableau,
     expand_to_classical,
     insertion_tableau,
+    normalize,
     scale,
     shape,
     timed_insertion_steps,
@@ -41,6 +43,7 @@ from conftest import (
     letters,
     nonempty_timed_words,
     schensted_rows,
+    timed_tableau_error,
     timed_words,
     tw,
     words,
@@ -77,6 +80,93 @@ class TestTimedTableauInvariants:
 
     def test_accepts_interleaved_breakpoints(self):
         TimedTableau((tw("1^0.5 2^0.5"), tw("2^0.25 3^0.5")))
+
+
+def timed_rows_with(durations):
+    return st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), durations),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda run: run[0],
+    ).map(lambda runs: TimedWord(tuple(Run(c, d) for c, d in sorted(runs))))
+
+
+# Denominators up to 12, so that run boundaries seldom meet those of the
+# insertion tableaux below (denominators up to 8).
+timed_rows = timed_rows_with(
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(2), max_denominator=12)
+)
+# All on the grid 1/4, so that boundaries often meet or lie one cell apart.
+quarter_rows = timed_rows_with(
+    st.integers(min_value=1, max_value=4).map(lambda k: Fraction(k, 4))
+)
+
+
+@st.composite
+def near_tableaux(draw):
+    """The rows of an insertion tableau, valid, or with one change that may
+    break it: a row replaced, two rows swapped, a row rescaled, or one run's
+    letter moved by one."""
+    rows = list(timed_insertion_tableau(draw(timed_words)).rows)
+    change = draw(st.sampled_from(["none", "replace", "swap", "scale", "relabel"]))
+    if not rows or change == "none":
+        return tuple(rows)
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    if change == "replace":
+        rows[i] = draw(timed_rows)
+    elif change == "swap" and i + 1 < len(rows):
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif change == "scale":
+        factor = draw(st.sampled_from([Fraction(1, 2), Fraction(6, 7), Fraction(12, 11), 2]))
+        rows[i] = scale(rows[i], factor)
+    elif change == "relabel":
+        runs = list(rows[i].runs)
+        j = draw(st.integers(min_value=0, max_value=len(runs) - 1))
+        step = draw(st.sampled_from([-1, 1]))
+        runs[j] = (max(1, runs[j].letter + step), runs[j].duration)
+        rows[i] = normalize(runs)
+    return tuple(rows)
+
+
+class TestTimedTableauMatchesFractionReference:
+    """The grid validator accepts and rejects exactly what a Fraction walk
+    over the rows does, with the same message."""
+
+    @staticmethod
+    def check(rows):
+        expected = timed_tableau_error(rows)
+        if expected is None:
+            assert TimedTableau(rows).rows == rows
+        else:
+            with pytest.raises(InvalidTableauError) as info:
+                TimedTableau(rows)
+            assert str(info.value) == expected
+
+    @given(st.lists(st.one_of(timed_rows, timed_words), max_size=4).map(tuple))
+    def test_random_stacks(self, rows):
+        self.check(rows)
+
+    @given(near_tableaux())
+    def test_changed_insertion_tableaux(self, rows):
+        self.check(rows)
+
+    @given(st.lists(quarter_rows, max_size=4).map(tuple))
+    def test_stacks_on_a_coarse_grid(self, rows):
+        self.check(rows)
+
+    def test_both_verdicts_occur(self):
+        valid = (tw("1^1/3 2^1/2"), tw("2^1/3 3^1/4"))
+        self.check(valid)
+        assert timed_tableau_error(valid) is None
+        weak = (tw("1^1/3 2^1/2"), tw("2^2/5 3^1/4"))
+        self.check(weak)
+        assert "strictly increasing downward" in timed_tableau_error(weak)
+        last_cell = (tw("1^3/4 3^1/4"), tw("2^1"))
+        self.check(last_cell)
+        assert "strictly increasing downward" in timed_tableau_error(last_cell)
+        longer = (tw("1^1/3"), tw("2^2/5"))
+        self.check(longer)
+        assert "longer" in timed_tableau_error(longer)
 
 
 class TestTimedRowInsert:

@@ -20,7 +20,20 @@ from timed_plactic import (
     value_at,
 )
 
-from conftest import durations, timed_words, tw, words
+from conftest import durations, fraction_cut, timed_words, tw, words
+
+
+def cut_points(w: TimedWord):
+    """Points in [0, l(w)]: run boundaries, scaled fractions of the length,
+    and multiples of 1/7, 1/11 or 1/13, coprime to the word's denominators
+    (at most 8)."""
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+    coprime = st.builds(
+        lambda p, u: Fraction(int(u * w.length * p), p), st.sampled_from([7, 11, 13]), unit
+    )
+    return st.one_of(
+        st.sampled_from(w.breakpoints()), unit.map(lambda u: u * w.length), coprime
+    )
 
 
 class TestAsDuration:
@@ -150,6 +163,20 @@ class TestRestrict:
         inner = restrict(w, a, b)
         c, d = sorted(data.draw(unit) * (b - a) for _ in range(2))
         assert restrict(inner, c, d) == restrict(w, a + c, a + d)
+
+
+class TestCutMatchesFractionReference:
+    @given(timed_words, st.data())
+    def test_restrict(self, w, data):
+        a, b = sorted(data.draw(cut_points(w)) for _ in range(2))
+        assert restrict(w, a, b).runs == fraction_cut(w, a, b)
+
+    @given(timed_words, st.data())
+    def test_subword(self, w, data):
+        points = data.draw(st.lists(cut_points(w), max_size=6))
+        sample = TimeSample.from_intervals(map(sorted, zip(points[::2], points[1::2])))
+        pieces = (fraction_cut(w, a, b) for a, b in sample.intervals)
+        assert subword(w, sample) == normalize(run for piece in pieces for run in piece)
 
 
 class TestTimeSample:
