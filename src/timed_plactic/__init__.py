@@ -53,8 +53,6 @@ from .notation import (
 from .render import PALETTE, RenderSpec, letter_color, render_svg
 from .timed_knuth import (
     TimedKnuthMove,
-    apply_kappa1,
-    apply_kappa2,
     apply_move,
     check_move_invariance,
     invert_move,

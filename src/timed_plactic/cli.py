@@ -17,17 +17,10 @@ import json
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .classical import Tableau, insertion_steps, insertion_tableau
-from .errors import (
-    BudgetExceededError,
-    InvalidMoveError,
-    InvalidTableauError,
-    NotARowError,
-    NotationError,
-    OracleSizeError,
-)
+from .classical import insertion_steps, insertion_tableau
+from .errors import BudgetExceededError, NotationError, OracleSizeError
 from .greene import (
     greene_classical,
     greene_classical_oracle,
@@ -35,7 +28,6 @@ from .greene import (
     greene_timed_oracle,
 )
 from .notation import (
-    format_timed_tableau,
     format_timed_word,
     format_word,
     human_rational,
@@ -75,90 +67,93 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise NotationError(f"bad JSON input: {exc}") from exc
+    except RecursionError:
+        raise NotationError("bad JSON input: nested too deeply") from None
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-def _tableau_text(t: Tableau) -> str:
-    return "\n".join(format_word(row) for row in t.rows) if t.rows else "(empty)"
+class _Kind(NamedTuple):
+    """What the commands do differently for classical and timed words."""
+
+    insert: Callable
+    steps: Callable
+    to_dict: Callable
+    row_text: Callable
+    step: str  # what one insertion step inserts
+    greene: Callable
+    oracle: Callable
+    value_json: Callable  # a profile entry in JSON
+    value_text: Callable  # a profile entry in text
 
 
-def _timed_tableau_text(t: TimedTableau) -> str:
-    return format_timed_tableau(t) if t.rows else "(empty)"
+def _kind(timed: bool) -> _Kind:
+    # Built on every call, so each library function is read from this
+    # module's namespace when it is used; tracers rebind them there.
+    if timed:
+        return _Kind(
+            timed_insertion_tableau, timed_insertion_steps, timed_tableau_to_dict,
+            format_timed_word, "run", greene_timed, greene_timed_oracle,
+            str, human_rational,
+        )
+    return _Kind(
+        insertion_tableau, insertion_steps, tableau_to_dict,
+        format_word, "letter", greene_classical, greene_classical_oracle,
+        int, str,
+    )
+
+
+def _tableau_text(t, kind: _Kind) -> str:
+    return "\n".join(kind.row_text(row) for row in t.rows) if t.rows else "(empty)"
 
 
 def _cmd_insert(args) -> int:
-    obj = parse_word_or_timed(args.input)
-    if isinstance(obj, TimedWord):
-        steps = timed_insertion_steps(obj) if args.steps else None
-        final = timed_insertion_tableau(obj)
-        payload = timed_tableau_to_dict(final)
-        if steps is not None:
-            payload["steps"] = [timed_tableau_to_dict(s) for s in steps]
-        blocks = (
-            []
-            if steps is None
-            else [f"after run {i + 1}:\n{_timed_tableau_text(s)}" for i, s in enumerate(steps)]
-        )
-        text_final = _timed_tableau_text(final)
-    else:
-        steps = insertion_steps(obj) if args.steps else None
-        final = insertion_tableau(obj)
-        payload = tableau_to_dict(final)
-        if steps is not None:
-            payload["steps"] = [tableau_to_dict(s) for s in steps]
-        blocks = (
-            []
-            if steps is None
-            else [f"after letter {i + 1}:\n{_tableau_text(s)}" for i, s in enumerate(steps)]
-        )
-        text_final = _tableau_text(final)
+    word = parse_word_or_timed(args.input)
+    kind = _kind(isinstance(word, TimedWord))
+    steps = kind.steps(word) if args.steps else None
+    final = kind.insert(word)
     if args.json:
+        payload = kind.to_dict(final)
+        if steps is not None:
+            payload["steps"] = [kind.to_dict(s) for s in steps]
         _print_json(payload)
     else:
-        for block in blocks:
-            print(block)
+        for i, s in enumerate(steps or ()):
+            print(f"after {kind.step} {i + 1}:\n{_tableau_text(s, kind)}")
             print()
-        print(text_final)
+        print(_tableau_text(final, kind))
     return 0
 
 
 def _cmd_greene(args) -> int:
-    obj = parse_word_or_timed(args.input)
-    note = None
-    if isinstance(obj, TimedWord):
-        profile = greene_timed(obj)
-        mode, agreement = "fast", None
-        if args.oracle:
-            try:
-                oracle = tuple(
-                    greene_timed_oracle(obj, r) for r in range(1, len(profile) + 1)
-                )
-                mode, agreement = "both", oracle == profile
-            except OracleSizeError as exc:
-                note = str(exc)
-        payload_profile = [str(x) for x in profile]
-        display = " ".join(human_rational(x) for x in profile) or "(empty)"
-    else:
-        profile = greene_classical(obj)
-        mode, agreement = "fast", None
-        if args.oracle:
-            try:
-                oracle = tuple(
-                    greene_classical_oracle(obj, r) for r in range(1, len(profile) + 1)
-                )
-                mode, agreement = "both", oracle == profile
-            except OracleSizeError as exc:
-                note = str(exc)
-        payload_profile = list(profile)
-        display = " ".join(map(str, profile)) or "(empty)"
-    payload = {"profile": payload_profile, "mode": mode, "agreement": agreement}
+    word = parse_word_or_timed(args.input)
+    kind = _kind(isinstance(word, TimedWord))
+    profile = kind.greene(word)
+    mode, agreement, note = "fast", None, None
+    if args.oracle:
+        try:
+            oracle = tuple(kind.oracle(word, r) for r in range(1, len(profile) + 1))
+            mode, agreement = "both", oracle == profile
+        except OracleSizeError as exc:
+            note = str(exc)
+    payload = {
+        "profile": [kind.value_json(x) for x in profile],
+        "mode": mode,
+        "agreement": agreement,
+    }
     if note:
         payload["note"] = note
     if args.json:
         _print_json(payload)
     else:
-        print(f"profile: {display}")
+        print(f"profile: {' '.join(map(kind.value_text, profile)) or '(empty)'}")
         print(f"mode: {mode}" + (f" (oracle skipped: {note})" if note else ""))
         if agreement is not None:
             print(f"agreement: {str(agreement).lower()}")
@@ -166,56 +161,36 @@ def _cmd_greene(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    left = parse_word_or_timed(args.left)
-    right = parse_word_or_timed(args.right)
-    classical = (
-        not isinstance(left, TimedWord)
-        and not isinstance(right, TimedWord)
-        and args.move is None
-    )
-    payload: dict = {}
-    if classical:
-        ta, tb = insertion_tableau(left), insertion_tableau(right)
-        equivalent = ta == tb
-        payload["left_tableau"] = tableau_to_dict(ta)
-        payload["right_tableau"] = tableau_to_dict(tb)
-        texts = (_tableau_text(ta), _tableau_text(tb))
-    else:
-        wa = embed_classical(left) if not isinstance(left, TimedWord) else left
-        wb = embed_classical(right) if not isinstance(right, TimedWord) else right
-        ta, tb = timed_insertion_tableau(wa), timed_insertion_tableau(wb)
-        equivalent = ta == tb
-        payload["left_tableau"] = timed_tableau_to_dict(ta)
-        payload["right_tableau"] = timed_tableau_to_dict(tb)
-        texts = (_timed_tableau_text(ta), _timed_tableau_text(tb))
-        if args.move is not None:
-            move = move_from_dict(json.loads(args.move))
-            moved = apply_move(wa, move)
-            payload["move_result"] = timed_word_to_dict(moved)
-            payload["move_reaches_right"] = moved == wb
+    words = [parse_word_or_timed(args.left), parse_word_or_timed(args.right)]
+    timed = args.move is not None or any(isinstance(w, TimedWord) for w in words)
+    if timed:
+        words = [w if isinstance(w, TimedWord) else embed_classical(w) for w in words]
+    kind = _kind(timed)
+    ta, tb = (kind.insert(w) for w in words)
+    equivalent = ta == tb
+    payload: dict = {"left_tableau": kind.to_dict(ta), "right_tableau": kind.to_dict(tb)}
+    if args.move is not None:
+        moved = apply_move(words[0], move_from_dict(_load_json(args.move)))
+        payload["move_result"] = timed_word_to_dict(moved)
+        payload["move_reaches_right"] = moved == words[1]
     payload["equivalent"] = equivalent
     ok = equivalent and payload.get("move_reaches_right", True)
     if args.json:
         _print_json(payload)
     else:
         print(f"equivalent: {str(equivalent).lower()}")
-        print(f"left insertion tableau:\n{texts[0]}")
-        print(f"right insertion tableau:\n{texts[1]}")
-        if "move_reaches_right" in payload:
-            print(f"move result: {_move_result_text(payload)}")
+        print(f"left insertion tableau:\n{_tableau_text(ta, kind)}")
+        print(f"right insertion tableau:\n{_tableau_text(tb, kind)}")
+        if args.move is not None:
+            print(f"move result: {str(moved) or '(empty)'}")
             print(f"move reaches right word: {str(payload['move_reaches_right']).lower()}")
     return 0 if ok else 1
-
-
-def _move_result_text(payload: dict) -> str:
-    runs = payload["move_result"]["runs"]
-    return " ".join(f"{r['letter']}^{r['dur']}" for r in runs) or "(empty)"
 
 
 def _cmd_render(args) -> int:
     text = args.input.strip()
     if text.startswith(("{", "[")):
-        data = json.loads(text)
+        data = _load_json(text)
         rows = data.get("rows", []) if isinstance(data, dict) else None
         if not isinstance(rows, list):
             raise NotationError('tableau JSON must be an object with a "rows" list')
@@ -363,13 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except json.JSONDecodeError as exc:
-        return _fail(args, NotationError(f"bad JSON input: {exc}"), 2)
-    except (NotationError, InvalidMoveError, InvalidTableauError, NotARowError) as exc:
-        return _fail(args, exc, 2)
-    except (OracleSizeError, BudgetExceededError) as exc:
-        return _fail(args, exc, 2)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleSizeError, BudgetExceededError) as exc:
         return _fail(args, exc, 2)
 
 

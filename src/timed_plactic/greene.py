@@ -74,14 +74,17 @@ def greene_classical(w: Word) -> tuple[int, ...]:
     return tuple(accumulate(shape(insertion_tableau(w))))
 
 
+def _grid(w: TimedWord, refine: int) -> int:
+    if refine < 1:
+        raise ValueError(f"refine must be a positive integer, got {refine}")
+    return lcm(*(run.duration.denominator for run in w.runs)) * refine
+
+
 def expand_to_classical(w: TimedWord, refine: int = 1) -> tuple[Word, int]:
     """Clear denominators: on the 1/q grid (q a multiple of every run
     denominator) each run becomes its letter repeated duration*q times.
     Returns the classical word and the grid denominator q."""
-    if refine < 1:
-        raise ValueError(f"refine must be a positive integer, got {refine}")
-    q = lcm(*(run.duration.denominator for run in w.runs)) if w.runs else 1
-    q *= refine
+    q = _grid(w, refine)
     letters: list[int] = []
     for c, d in w.runs:
         letters.extend([c] * int(d * q))
@@ -97,11 +100,13 @@ def greene_timed_oracle(
     ``refine`` multiplies the grid denominator; the result must not change
     under refinement (checked by the discretization-stability suite).
     """
-    word, q = expand_to_classical(w, refine)
-    if max_letters is not None and len(word) > max_letters:
+    # The expansion has length(w) * q letters; check that before building it.
+    size = int(w.length * _grid(w, refine))
+    if max_letters is not None and size > max_letters:
         raise OracleSizeError(
-            f"expansion of {len(word)} letters exceeds the bound of {max_letters}"
+            f"expansion of {size} letters exceeds the bound of {max_letters}"
         )
+    word, q = expand_to_classical(w, refine)
     return Fraction(greene_classical_oracle(word, r, max_len=None), q)
 
 

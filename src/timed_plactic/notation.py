@@ -21,8 +21,9 @@ JSON schemas:
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
 binary float. ``parse_duration`` and ``parse_timed_word`` build each
 ``Fraction`` once, straight from the digits the numeral pattern matched.
-JSON letters must be JSON integers and a move's ``reverse`` a JSON boolean;
-anything else is a ``NotationError``.
+JSON letters must be JSON integers, durations JSON strings or integers, and
+a move's ``reverse`` a JSON boolean; anything else is a ``NotationError``.
+Digits are ASCII digits only.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .timed_words import TimedWord, normalize
 from .timed_tableaux import TimedTableau
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
-# p, q, a, b and the integer.
-_NUMERAL = r"(?:(\d+)/(\d+)|(\d+)\.(\d+)|(\d+))"
+# p, q, a, b and the integer. Digits are ASCII only: \d would also match
+# other scripts' digits, and re.ASCII would narrow \s as well.
+_NUMERAL = r"(?:([0-9]+)/([0-9]+)|([0-9]+)\.([0-9]+)|([0-9]+))"
 _DURATION_RE = re.compile(_NUMERAL)
 # The lookahead lets adjacent runs like 3^0.825^0.08 split unambiguously:
 # the numeral backtracks until the rest starts a new <letter>^ token.
-_RUN_RE = re.compile(rf"(\d+)\^{_NUMERAL}(?=\s|\d+\^|$)")
+_RUN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)")
 
 
 def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
@@ -133,14 +135,14 @@ def parse_word(text: str) -> Word:
         letters = []
         for part in s.split(","):
             part = part.strip()
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise NotationError(f"not a letter: {part!r}")
             value = int(part)
             if value < 1:
                 raise NotationError(f"letters must be at least 1, got {part!r}")
             letters.append(value)
         return tuple(letters)
-    if s.isdigit():
+    if s.isascii() and s.isdigit():
         if "0" in s:
             raise NotationError("digit-string words cannot contain the letter 0")
         return tuple(int(ch) for ch in s)
@@ -173,12 +175,20 @@ def _json_letter(value) -> int:
     return value
 
 
+def _json_duration(value) -> Fraction:
+    # JSON strings and integers only: a JSON number with a fraction part is
+    # already a rounded float, so 0.10000000000000001 would read as 1/10.
+    if type(value) not in (str, int):
+        raise NotationError(f"durations must be JSON strings or integers, got {value!r}")
+    return parse_duration(str(value))
+
+
 def timed_word_from_dict(data: dict) -> TimedWord:
     try:
         raw = data["runs"]
         runs = []
         for entry in raw:
-            dur = parse_duration(str(entry["dur"]))
+            dur = _json_duration(entry["dur"])
             if not dur.numerator:
                 raise NotationError(f"durations must be positive, got {entry['dur']!r}")
             runs.append((_json_letter(entry["letter"]), dur))
@@ -234,10 +244,8 @@ def move_from_dict(data: dict) -> TimedKnuthMove:
     try:
         kind = data["kind"]
         reverse = data.get("reverse", False)
-        u_len = parse_duration(str(data["u_len"]))
-        lens = {
-            role: parse_duration(str(data[f"{role}_len"])) for role in ("x", "y", "z")
-        }
+        u_len = _json_duration(data["u_len"])
+        lens = {role: _json_duration(data[f"{role}_len"]) for role in ("x", "y", "z")}
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad move JSON: {exc}") from exc
     if kind not in ("k1", "k2"):

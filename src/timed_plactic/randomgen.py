@@ -43,8 +43,12 @@ def random_timed_word(
         count = min(count, 1)
     letters: list[int] = []
     for _ in range(count):
-        choices = [c for c in range(1, max_letter + 1) if not letters or c != letters[-1]]
-        letters.append(rng.choice(choices))
+        # Uniform over 1..max_letter without the previous letter; draws as
+        # rng.choice over that list would, without building it.
+        c = rng.randrange(max_letter - bool(letters)) + 1
+        if letters and c >= letters[-1]:
+            c += 1
+        letters.append(c)
     return TimedWord(
         tuple(Run(c, random_duration(rng, max_num=max_num, max_den=max_den)) for c in letters)
     )

@@ -21,6 +21,7 @@ PALETTE: tuple[str, ...] = (
     "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295",
 )
 
+_ROW_HEIGHT = 40  # px per ribbon or tableau row
 _MIN_LABEL_WIDTH = 16  # px below which run labels are omitted
 
 
@@ -28,22 +29,16 @@ _MIN_LABEL_WIDTH = 16  # px below which run labels are omitted
 class RenderSpec:
     target: str = "ribbon"  # "ribbon" | "tableau"
     unit_scale: int = 100  # pixels per unit duration
-    row_height: int = 40
-    palette: tuple[str, ...] = PALETTE
 
     def __post_init__(self):
         if self.target not in ("ribbon", "tableau"):
             raise ValueError(f"target must be 'ribbon' or 'tableau', got {self.target!r}")
         if self.unit_scale <= 0:
             raise ValueError(f"unit_scale must be positive, got {self.unit_scale}")
-        if self.row_height <= 0:
-            raise ValueError(f"row_height must be positive, got {self.row_height}")
-        if not self.palette:
-            raise ValueError("palette must not be empty")
 
 
-def letter_color(letter: int, palette: tuple[str, ...] = PALETTE) -> str:
-    return palette[(letter - 1) % len(palette)]
+def letter_color(letter: int) -> str:
+    return PALETTE[(letter - 1) % len(PALETTE)]
 
 
 def _px(value: Fraction) -> str:
@@ -71,7 +66,7 @@ def render_svg(obj: TimedWord | TimedTableau, spec: RenderSpec | None = None) ->
         raise ValueError(f"spec targets {spec.target!r} but object is a {expected}")
 
     scale = Fraction(spec.unit_scale)
-    rh = spec.row_height
+    rh = _ROW_HEIGHT
     width = max((row.length for row in rows), default=Fraction(0)) * scale
     height = len(rows) * rh
     parts = [
@@ -85,7 +80,7 @@ def render_svg(obj: TimedWord | TimedTableau, spec: RenderSpec | None = None) ->
             w_px = dur * scale
             parts.append(
                 f'<rect x="{_px(x * scale)}" y="{y}" width="{_px(w_px)}" '
-                f'height="{rh}" fill="{letter_color(letter, spec.palette)}" '
+                f'height="{rh}" fill="{letter_color(letter)}" '
                 f'stroke="#333333" stroke-width="1"/>'
             )
             if w_px >= _MIN_LABEL_WIDTH:

@@ -22,18 +22,13 @@ from .greene import greene_timed, greene_timed_oracle, profile_value
 from .timed_words import TimedWord, _cut, as_duration, concat, is_timed_row
 from .timed_tableaux import timed_insertion_tableau
 
-# Factor roles in their order of appearance, per (kind, reverse).
+# Factor roles in their order of appearance, per (kind, reverse). A move
+# rewrites its source order into the order of the opposite direction.
 SOURCE_ORDER: dict[tuple[str, bool], str] = {
     ("k1", False): "xzy",
     ("k1", True): "zxy",
     ("k2", False): "yxz",
     ("k2", True): "yzx",
-}
-TARGET_ORDER: dict[tuple[str, bool], str] = {
-    ("k1", False): "zxy",
-    ("k1", True): "xzy",
-    ("k2", False): "yzx",
-    ("k2", True): "yxz",
 }
 
 
@@ -115,20 +110,8 @@ def apply_move(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
     u, factors, v = _split(w, m)
     named = dict(zip(SOURCE_ORDER[m.kind, m.reverse], factors))
     _validate(m.kind, named["x"], named["y"], named["z"])
-    rearranged = (named[role] for role in TARGET_ORDER[m.kind, m.reverse])
+    rearranged = (named[role] for role in SOURCE_ORDER[m.kind, not m.reverse])
     return concat(u, *rearranged, v)
-
-
-def apply_kappa1(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
-    if m.kind != "k1":
-        raise InvalidMoveError("kind-mismatch", f"expected a k1 move, got {m.kind}")
-    return apply_move(w, m)
-
-
-def apply_kappa2(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
-    if m.kind != "k2":
-        raise InvalidMoveError("kind-mismatch", f"expected a k2 move, got {m.kind}")
-    return apply_move(w, m)
 
 
 def invert_move(m: TimedKnuthMove) -> TimedKnuthMove:

@@ -106,6 +106,19 @@ def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def random_timed_word_runs(rng, *, runs, max_letter, max_den, max_num):
+    """The runs of randomgen.random_timed_word drawn the list-based way:
+    rng.choice over every letter but the previous one."""
+    count = min(runs, 1) if max_letter < 2 else runs
+    letters: list[int] = []
+    for _ in range(count):
+        choices = [c for c in range(1, max_letter + 1) if not letters or c != letters[-1]]
+        letters.append(rng.choice(choices))
+    return tuple(
+        (c, Fraction(rng.randint(1, max_num), rng.randint(1, max_den))) for c in letters
+    )
+
+
 def fraction_length(word) -> Fraction:
     return sum((d for _, d in word.runs), Fraction(0))
 

@@ -286,6 +286,22 @@ class TestCheck:
 
 
 class TestErrors:
+    # Nested past the parser's recursion limit, yet within one argv string.
+    DEEP = "[" * 50_000 + "]" * 50_000
+
+    @pytest.mark.parametrize("command", ["equiv", "render"])
+    def test_deeply_nested_json_exits_2_without_traceback(self, command, tmp_path):
+        if command == "equiv":
+            argv = ["equiv", "1^1", "1^1", "--move", self.DEEP]
+        else:
+            argv = ["render", self.DEEP, "--svg", str(tmp_path / "x.svg")]
+        result = subprocess.run(
+            [sys.executable, "-m", "timed_plactic", *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: bad JSON input: nested too deeply\n"
+
     def test_parse_error_exit_2_with_json_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "insert", "3^oops", "--json")
         assert code == 2

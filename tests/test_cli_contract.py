@@ -1,0 +1,167 @@
+"""The CLI's exit-code contract, fuzzed over argv drawn from its grammar.
+
+For every argv, ``main`` returns 0, 1 or 2 and lets no exception escape.
+A handler's error exits 2 with nothing on stdout; under ``--json`` it is one
+JSON object on stderr, otherwise one ``error:`` line. Argparse's own usage
+errors are a ``SystemExit(2)`` with plain-text usage on stderr.
+
+Values that size real work (``--runs``, ``--iters``, word length) stay
+small: the test is about the contract, not load.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timed_plactic.cli import main
+
+_digits = st.text("0123456789", min_size=1, max_size=3)
+_numerals = st.one_of(
+    _digits,
+    st.builds("{}.{}".format, _digits, _digits),
+    st.builds("{}/{}".format, _digits, _digits),
+)
+_timed_words = st.lists(
+    st.builds("{}^{}".format, st.integers(1, 5), _numerals), max_size=4
+).map(" ".join)
+_classical_words = st.one_of(
+    st.text("123456789", max_size=10),
+    st.lists(st.integers(1, 30), max_size=8).map(lambda w: ",".join(map(str, w))),
+)
+_words = st.one_of(
+    _classical_words,
+    _timed_words,
+    st.text(max_size=12),
+    st.text("0123456789^/., -", max_size=12),
+)
+
+# Integer arguments: zero, negative and huge, plus text argparse refuses.
+_numbers = st.integers(-3, 5).map(str) | st.sampled_from(
+    [str(10**9), str(10**18), str(10**40), str(-(10**40)), "", "x", "1.5", "1e3"]
+)
+_small = st.integers(-3, 50).map(str)
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _numerals,
+    st.text(max_size=4),
+)
+_json_keys = st.sampled_from(
+    ["rows", "runs", "letter", "dur", "kind", "u_len", "x_len", "y_len", "z_len", "reverse"]
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_json_keys | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_moves = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["k1", "k2", "k3"]),
+        "u_len": _numerals | st.integers(-1, 3),
+        "x_len": _numerals | st.integers(-1, 3),
+        "y_len": _numerals | st.integers(-1, 3),
+        "z_len": _numerals | st.integers(-1, 3),
+    },
+    optional={"reverse": st.booleans() | _json_scalars},
+)
+_tableaux = st.one_of(
+    st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=3).map(
+        lambda rows: {"rows": rows}
+    ),
+    st.lists(
+        st.lists(
+            st.fixed_dictionaries({"letter": st.integers(-1, 6), "dur": _numerals}),
+            max_size=3,
+        ).map(lambda runs: {"runs": runs}),
+        max_size=3,
+    ).map(lambda rows: {"rows": rows}),
+)
+_json_texts = st.one_of(
+    st.one_of(_json_values, _moves, _tableaux).map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.integers(1, 3000).map(lambda depth: '{"rows": ' * depth),
+    st.text("{}[]\":,0123456789 ", max_size=20),
+)
+
+# Relative to a fresh temporary directory; all but the first two fail.
+_svg_paths = st.just("out.svg") | st.sampled_from(
+    ["ünï cödé.svg", "no such dir/x.svg", "", ".", "a\x00b.svg"]
+)
+
+
+def _flag(name, values):
+    """Either nothing or [name, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_argvs = st.one_of(
+    _command(st.just(["insert"]), _words.map(lambda w: [w]), _switch("--steps")),
+    _command(st.just(["greene"]), _words.map(lambda w: [w]), _switch("--oracle")),
+    _command(
+        st.just(["equiv"]),
+        st.tuples(_words, _words).map(list),
+        _flag("--move", _json_texts),
+    ),
+    _command(
+        st.just(["render"]),
+        (_words | _json_texts).map(lambda w: [w]),
+        _svg_paths.map(lambda p: ["--svg", p]),
+        _switch("--tableau"),
+        _flag("--scale", _numbers),
+    ),
+    _command(
+        st.just(["random"]),
+        _flag("--runs", _small),
+        _flag("--letters", _numbers),
+        _flag("--max-den", _numbers),
+        _flag("--max-num", _numbers),
+        _flag("--seed", _numbers),
+    ),
+    _command(st.just(["check"]), _flag("--iters", _small), _flag("--seed", _numbers)),
+)
+
+
+@settings(max_examples=300)
+@given(argv=_argvs, as_json=st.booleans(), bogus=st.integers(0, 9))
+def test_exit_code_contract(argv, as_json, bogus):
+    argv = argv + (["--json"] if as_json else []) + (["--bogus"] if bogus == 0 else [])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            os.path.join(tmp, a) if i and argv[i - 1] == "--svg" else a
+            for i, a in enumerate(argv)
+        ]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                assert exc.code == 2
+                assert err.getvalue().startswith("usage:")
+                return
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    if as_json:
+        error = json.loads(err.getvalue())["error"]
+        assert isinstance(error["type"], str) and isinstance(error["message"], str)
+    else:
+        assert err.getvalue().startswith("error: ")

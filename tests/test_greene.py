@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,18 @@ class TestTimedOracle:
     def test_size_bound(self):
         with pytest.raises(OracleSizeError):
             greene_timed_oracle(tw("1^1 2^1 1^1"), 1, max_letters=2)
+
+    def test_size_bound_is_checked_before_expanding(self):
+        # the expansion would hold 10,000,020 letters
+        w = tw("1^1/10000019 2^1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match="expansion of 10000020 letters"):
+                greene_timed_oracle(w, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_fractional_value(self):
         # the 2-run alone beats the 1-run; no nondecreasing sample spans both

@@ -103,6 +103,16 @@ class TestParseTimedWord:
         with pytest.raises(NotationError):
             parse_timed_word("0^1")
 
+    @pytest.mark.parametrize("text", ["١^٠.٥", "1^٠.٥", "1^1/٢", "1^²", "²^1", "1^1 ٢^1"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(NotationError):
+            parse_timed_word(text)
+
+    @pytest.mark.parametrize("text", ["٠.٥", "1/٢", "²", "١"])
+    def test_durations_take_only_ascii_digits(self, text):
+        with pytest.raises(NotationError):
+            parse_duration(text)
+
     @given(timed_words)
     def test_format_parse_roundtrip(self, w):
         assert parse_timed_word(format_timed_word(w)) == w
@@ -190,6 +200,12 @@ class TestParseWord:
         with pytest.raises(NotationError):
             parse_word("1a2")
 
+    @pytest.mark.parametrize("text", ["²", "١٢", "1,²", "1,١٢"])
+    def test_only_ascii_digits(self, text):
+        # str.isdigit accepts these, and int() reads the Arabic-Indic ones
+        with pytest.raises(NotationError):
+            parse_word(text)
+
     @given(words)
     def test_format_parse_roundtrip(self, w):
         assert parse_word(format_word(w)) == w
@@ -229,6 +245,22 @@ class TestJson:
     def test_timed_word_dict_rejects_non_integer_letters(self, letter):
         with pytest.raises(NotationError, match="JSON integers"):
             timed_word_from_dict({"runs": [{"letter": letter, "dur": "1"}]})
+
+    @pytest.mark.parametrize("dur", [0.10000000000000001, 0.5, 2.0, True, None, [1]])
+    def test_json_durations_are_strings_or_integers(self, dur):
+        with pytest.raises(NotationError, match="JSON strings or integers"):
+            timed_word_from_dict({"runs": [{"letter": 1, "dur": dur}]})
+        move = {"kind": "k1", "u_len": "0", "x_len": "1", "y_len": "1", "z_len": "1"}
+        for key in ("u_len", "x_len", "y_len", "z_len"):
+            with pytest.raises(NotationError, match="JSON strings or integers"):
+                move_from_dict({**move, key: dur})
+
+    def test_json_integer_durations(self):
+        assert timed_word_from_dict({"runs": [{"letter": 1, "dur": 2}]}) == tw("1^2")
+        move = {"kind": "k1", "u_len": 0, "x_len": 1, "y_len": 1, "z_len": 1}
+        assert move_from_dict(move) == TimedKnuthMove("k1", 0, 1, 1, 1)
+        with pytest.raises(NotationError, match="not a duration"):
+            timed_word_from_dict({"runs": [{"letter": 1, "dur": -1}]})
 
     @pytest.mark.parametrize("rows", [[[1.7, 2]], [[1, 2.0]], [[False]], [["1"]]])
     def test_tableau_dict_rejects_non_integer_letters(self, rows):

@@ -9,8 +9,6 @@ from timed_plactic import (
     InvalidMoveError,
     TimedKnuthMove,
     TimedWord,
-    apply_kappa1,
-    apply_kappa2,
     apply_move,
     check_move_invariance,
     embed_classical,
@@ -24,7 +22,7 @@ from timed_plactic import (
     timed_knuth_equivalent,
 )
 from timed_plactic.randomgen import random_kappa_instance, random_timed_word
-from timed_plactic.timed_knuth import SOURCE_ORDER, TARGET_ORDER
+from timed_plactic.timed_knuth import SOURCE_ORDER
 
 from conftest import (
     fraction_cut,
@@ -58,7 +56,7 @@ def fraction_move(w, m):
         return "length-mismatch"
     if not first[-1][0] < second[0][0]:
         return "limit-condition"
-    target = [named[role] for role in TARGET_ORDER[m.kind, m.reverse]]
+    target = [named[role] for role in SOURCE_ORDER[m.kind, not m.reverse]]
     return normalize(run for piece in (u, *target, v) for run in piece).runs
 
 
@@ -81,26 +79,26 @@ class TestMoveValidation:
     def test_region_must_fit(self):
         move = TimedKnuthMove("k1", 0, 1, 1, 1)
         with pytest.raises(InvalidMoveError) as err:
-            apply_kappa1(tw("1^1 3^1"), move)
+            apply_move(tw("1^1 3^1"), move)
         assert err.value.condition == "cuts-out-of-range"
 
     def test_xyz_must_be_row(self):
         # factors x=2^1, z=3^1, y=1^1: x y z = 2,1,3 descends
         move = TimedKnuthMove("k1", 0, 1, 1, 1)
         with pytest.raises(InvalidMoveError) as err:
-            apply_kappa1(tw("2^1 3^1 1^1"), move)
+            apply_move(tw("2^1 3^1 1^1"), move)
         assert err.value.condition == "xyz-not-a-row"
 
     def test_equal_boundary_letters_merge_into_a_row(self):
         # x=2, z=3, y=2 embeds the classical move 232 -> 322 (x <= y < z)
         move = TimedKnuthMove("k1", 0, 1, 1, 1)
-        assert apply_kappa1(tw("2^1 3^1 2^1"), move) == tw("3^1 2^2")
+        assert apply_move(tw("2^1 3^1 2^1"), move) == tw("3^1 2^2")
 
     def test_length_condition(self):
         # k1 needs l(z) = l(y)
         move = TimedKnuthMove("k1", 0, 1, 1, "1/2")
         with pytest.raises(InvalidMoveError) as err:
-            apply_kappa1(tw("1^1 3^1 2^0.5"), move)
+            apply_move(tw("1^1 3^1 2^0.5"), move)
         assert err.value.condition == "length-mismatch"
 
     def test_limit_condition(self):
@@ -108,7 +106,7 @@ class TestMoveValidation:
         # but swap x so the boundary letters coincide
         move = TimedKnuthMove("k2", 0, 1, 1, 1)
         with pytest.raises(InvalidMoveError) as err:
-            apply_kappa2(tw("2^1 2^0.5 1^0.5 2^0.5 3^0.5"), move)
+            apply_move(tw("2^1 2^0.5 1^0.5 2^0.5 3^0.5"), move)
         # x = 2^0.5 1^0.5 is not even part of a row here; the first failing
         # condition reported is the row condition
         assert err.value.condition == "xyz-not-a-row"
@@ -118,30 +116,25 @@ class TestMoveValidation:
         # by merging, so only the limit condition fails
         move = TimedKnuthMove("k1", 0, "1/2", "1/2", "1/2")
         with pytest.raises(InvalidMoveError) as err:
-            apply_kappa1(tw("1^0.5 2^1"), move)
+            apply_move(tw("1^0.5 2^1"), move)
         assert err.value.condition == "limit-condition"
-
-    def test_kind_dispatch(self):
-        move = TimedKnuthMove("k1", 0, 1, 1, 1)
-        with pytest.raises(InvalidMoveError):
-            apply_kappa2(tw("1^1 3^1 2^1"), move)
 
 
 class TestKappa1:
     def test_unit_duration_classical_case(self):
         move = TimedKnuthMove("k1", 0, 1, 1, 1)
-        assert apply_kappa1(tw("1^1 3^1 2^1"), move) == tw("3^1 1^1 2^1")
+        assert apply_move(tw("1^1 3^1 2^1"), move) == tw("3^1 1^1 2^1")
 
     def test_inverse_recovers(self):
         move = TimedKnuthMove("k1", 0, 1, 1, 1)
         w = tw("1^1 3^1 2^1")
-        assert apply_move(apply_kappa1(w, move), invert_move(move)) == w
+        assert apply_move(apply_move(w, move), invert_move(move)) == w
 
 
 class TestKappa2:
     def test_worked_example(self):
         move = TimedKnuthMove(**KAPPA2_MOVE_KWARGS)
-        assert apply_kappa2(tw(KAPPA2_SOURCE_TEXT), move) == tw(KAPPA2_RESULT_TEXT)
+        assert apply_move(tw(KAPPA2_SOURCE_TEXT), move) == tw(KAPPA2_RESULT_TEXT)
 
     def test_worked_example_preserves_tableau_and_profile(self):
         w, w2 = tw(KAPPA2_SOURCE_TEXT), tw(KAPPA2_RESULT_TEXT)
@@ -154,7 +147,7 @@ class TestKappa2:
 
     def test_unit_duration_classical_case(self):
         move = TimedKnuthMove("k2", 0, 1, 1, 1)
-        assert apply_kappa2(tw("2^1 1^1 3^1"), move) == tw("2^1 3^1 1^1")
+        assert apply_move(tw("2^1 1^1 3^1"), move) == tw("2^1 3^1 1^1")
 
     def test_invariance_checker_on_worked_example(self):
         move = TimedKnuthMove(**KAPPA2_MOVE_KWARGS)
