@@ -5,10 +5,15 @@ Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
 
 Insertion, classical and timed, runs through one kernel (``_insert_runs``)
-on mutable rows of ``[letter, count]`` runs with integer counts: timed
-insertion works on the grid 1/q of its durations' common denominator q, and
-classical insertion is the case where every count is 1. Each returned
-tableau is built, and so validated, once.
+on runs with integer counts. A row is two parallel lists, ``letters``
+(strictly increasing) and ``counts`` (positive), and so is the stream of
+runs passed down from row to row. Timed insertion works on the grid 1/q of
+its durations' common denominator q; classical insertion is the case where
+every inserted count is 1. The insertion point is a plain bisect on the
+row's letters. A unit run that lands inside a row is a swap: one unit of
+the run it hits is bumped, and that run is shortened, overwritten, or
+merged into an equal left neighbour in place. Each returned tableau is
+built, and so validated, once.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError
 
 Word = tuple[int, ...]
-_LETTER = itemgetter(0)
+# Runs with integer counts as two parallel lists, letters and counts: the
+# kernel's row and stream form, and every grid word's.
+Grid = tuple[list[int], list[int]]
 
 
 def _check_letters(letters) -> None:
@@ -100,57 +106,107 @@ def reading_word(t: Tableau) -> Word:
     return tuple(out)
 
 
-def _bump_runs(row: list[list[int]], stream) -> list[list[int]]:
-    """Insert the integer runs ``(a, d)`` of stream into row, in order, and
-    return the bumped runs. Each a^d goes in after the last entry <= a and
-    bumps the next d units of the row (fewer if the row ends first)."""
-    out: list[list[int]] = []
-    for a, d in stream:
-        j = k = bisect_right(row, a, key=_LETTER)
+def _bump_runs(
+    letters: list[int], counts: list[int], stream_letters, stream_counts
+) -> Grid:
+    """Insert the integer runs a^d of the stream into the row, in order, and
+    return the bumped runs in the same parallel-list form. Each a^d goes in
+    after the last entry <= a and bumps the next d units of the row (fewer
+    if the row ends first)."""
+    out_letters: list[int] = []
+    out_counts: list[int] = []
+    last = 0  # the last bumped letter; letters are >= 1
+    for a, d in zip(stream_letters, stream_counts):
+        j = bisect_right(letters, a)
+        merge = j and letters[j - 1] == a
+        if j == len(letters):
+            if merge:
+                counts[j - 1] += d
+            else:
+                letters.append(a)
+                counts.append(d)
+            continue
+        if d == 1:
+            # One unit bumps one unit of run j: a swap inside the row.
+            c = letters[j]
+            if c == last:
+                out_counts[-1] += 1
+            else:
+                out_letters.append(c)
+                out_counts.append(1)
+                last = c
+            if counts[j] > 1:
+                counts[j] -= 1
+                if merge:
+                    counts[j - 1] += 1
+                else:
+                    letters.insert(j, a)
+                    counts.insert(j, 1)
+            elif merge:
+                counts[j - 1] += 1
+                del letters[j], counts[j]
+            else:
+                letters[j] = a
+            continue
+        k = j
         rest = d
-        while rest and k < len(row):
-            c, n = run = row[k]
+        end = len(letters)
+        while rest and k < end:
+            c = letters[k]
+            n = counts[k]
             if n > rest:
-                run[1] = n - rest
+                counts[k] = n - rest
                 n = rest
             else:
                 k += 1
             rest -= n
-            if out and out[-1][0] == c:
-                out[-1][1] += n
+            if c == last:
+                out_counts[-1] += n
             else:
-                out.append([c, n])
-        del row[j:k]
-        if j and row[j - 1][0] == a:
-            row[j - 1][1] += d
+                out_letters.append(c)
+                out_counts.append(n)
+                last = c
+        if merge:
+            counts[j - 1] += d
+            del letters[j:k], counts[j:k]
+        elif k == j + 1:
+            letters[j] = a
+            counts[j] = d
         else:
-            row.insert(j, [a, d])
-    return out
+            letters[j:k] = (a,)
+            counts[j:k] = (d,)
+    return out_letters, out_counts
 
 
-def _insert_runs(rows: list[list[list[int]]], stream) -> None:
-    """The insertion kernel: pass stream through rows top to bottom, each
-    row's bumped runs feeding the next, and open a row for any residue.
-    Row by row equals run by run: each row sees the same stream in order."""
+def _insert_runs(rows: list[Grid], letters, counts) -> None:
+    """The insertion kernel: pass the stream of runs (letters, counts)
+    through rows top to bottom, each row's bumped runs feeding the next, and
+    open a row for any residue. Row by row equals run by run: each row sees
+    the same stream in order."""
     i = 0
-    while stream:
+    while letters:
         if i == len(rows):
-            rows.append([])
-        stream = _bump_runs(rows[i], stream)
+            rows.append(([], []))
+        letters, counts = _bump_runs(*rows[i], letters, counts)
         i += 1
 
 
-def _tableau(rows: list[list[list[int]]]) -> Tableau:
+def _tableau(rows: list[Grid]) -> Tableau:
     # tuple() of a list comprehension has exact size; tuple() of a generator
     # resizes as it grows, which fragmented the heap over long runs.
-    return Tableau(tuple([tuple([c for c, n in row for _ in range(n)]) for row in rows]))
+    return Tableau(
+        tuple([tuple([c for c, n in zip(*row) for _ in range(n)]) for row in rows])
+    )
 
 
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
     _check_letters((a,))
-    rows = [[[c, len(list(g))] for c, g in groupby(row)] for row in t.rows]
-    _insert_runs(rows, [(a, 1)])
+    rows = []
+    for row in t.rows:
+        runs = [(c, len(list(g))) for c, g in groupby(row)]
+        rows.append(([c for c, _ in runs], [n for _, n in runs]))
+    _insert_runs(rows, [a], [1])
     return _tableau(rows)
 
 
@@ -158,18 +214,18 @@ def insertion_tableau(w: Word) -> Tableau:
     """Schensted insertion of the letters of w, left to right, into the
     empty tableau."""
     _check_letters(w)
-    rows: list[list[list[int]]] = []
-    _insert_runs(rows, [(a, 1) for a in w])
+    rows: list[Grid] = []
+    _insert_runs(rows, w, [1] * len(w))
     return _tableau(rows)
 
 
 def insertion_steps(w: Word) -> list[Tableau]:
     """The tableau after each successive letter of w (len(w) entries)."""
     _check_letters(w)
-    rows: list[list[list[int]]] = []
+    rows: list[Grid] = []
     steps: list[Tableau] = []
     for a in w:
-        _insert_runs(rows, [(a, 1)])
+        _insert_runs(rows, [a], [1])
         steps.append(_tableau(rows))
     return steps
 

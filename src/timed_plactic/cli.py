@@ -51,6 +51,9 @@ from .timed_tableaux import (
     timed_insertion_tableau,
 )
 
+# `random` builds its whole word before printing it, so its size is capped.
+_MAX_RUNS = 10_000
+
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("TIMED_PLACTIC_SEED")
@@ -222,6 +225,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_random(args) -> int:
     _at_least("--runs", args.runs, 0)
+    if args.runs > _MAX_RUNS:
+        raise ValueError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
     _at_least("--letters", args.letters, 1)
     _at_least("--max-den", args.max_den, 1)
     _at_least("--max-num", args.max_num, 1)

@@ -45,6 +45,17 @@ _DURATION_RE = re.compile(_NUMERAL)
 # The lookahead lets adjacent runs like 3^0.825^0.08 split unambiguously:
 # the numeral backtracks until the rest starts a new <letter>^ token.
 _RUN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)")
+# Error messages quote the offending input at most this many characters long.
+_QUOTE_LIMIT = 60
+
+
+def _quote(value) -> str:
+    """The repr of value for an error message, clipped with an ellipsis so
+    that a huge or deeply nested input gives a short message."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return text[: _QUOTE_LIMIT - 3] + "..."
 
 
 def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
@@ -52,7 +63,7 @@ def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
     if p is not None:
         den = int(q)
         if not den:
-            raise NotationError(f"zero denominator in {text!r}")
+            raise NotationError(f"zero denominator in {_quote(text)}")
         return Fraction(int(p), den)
     if whole is not None:
         return Fraction(int(whole + frac), 10 ** len(frac))
@@ -63,7 +74,7 @@ def parse_duration(text: str) -> Fraction:
     """Parse a decimal numeral or p/q fraction into an exact Fraction."""
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
-        raise NotationError(f"not a duration: {text!r}")
+        raise NotationError(f"not a duration: {_quote(text)}")
     return _numeral_fraction(*m.groups(), text)
 
 
@@ -136,17 +147,17 @@ def parse_word(text: str) -> Word:
         for part in s.split(","):
             part = part.strip()
             if not (part.isascii() and part.isdigit()):
-                raise NotationError(f"not a letter: {part!r}")
+                raise NotationError(f"not a letter: {_quote(part)}")
             value = int(part)
             if value < 1:
-                raise NotationError(f"letters must be at least 1, got {part!r}")
+                raise NotationError(f"letters must be at least 1, got {_quote(part)}")
             letters.append(value)
         return tuple(letters)
     if s.isascii() and s.isdigit():
         if "0" in s:
             raise NotationError("digit-string words cannot contain the letter 0")
         return tuple(int(ch) for ch in s)
-    raise NotationError(f"not a word: {text!r}")
+    raise NotationError(f"not a word: {_quote(text)}")
 
 
 def format_word(w: Word) -> str:
@@ -171,7 +182,7 @@ def timed_word_to_dict(w: TimedWord) -> dict:
 def _json_letter(value) -> int:
     # JSON integers only: int() would read 1.5 as 1 and true as 1.
     if type(value) is not int:
-        raise NotationError(f"letters must be JSON integers, got {value!r}")
+        raise NotationError(f"letters must be JSON integers, got {_quote(value)}")
     return value
 
 
@@ -179,7 +190,7 @@ def _json_duration(value) -> Fraction:
     # JSON strings and integers only: a JSON number with a fraction part is
     # already a rounded float, so 0.10000000000000001 would read as 1/10.
     if type(value) not in (str, int):
-        raise NotationError(f"durations must be JSON strings or integers, got {value!r}")
+        raise NotationError(f"durations must be JSON strings or integers, got {_quote(value)}")
     return parse_duration(str(value))
 
 
@@ -190,7 +201,7 @@ def timed_word_from_dict(data: dict) -> TimedWord:
         for entry in raw:
             dur = _json_duration(entry["dur"])
             if not dur.numerator:
-                raise NotationError(f"durations must be positive, got {entry['dur']!r}")
+                raise NotationError(f"durations must be positive, got {_quote(entry['dur'])}")
             runs.append((_json_letter(entry["letter"]), dur))
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad timed-word JSON: {exc}") from exc
@@ -249,9 +260,9 @@ def move_from_dict(data: dict) -> TimedKnuthMove:
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad move JSON: {exc}") from exc
     if kind not in ("k1", "k2"):
-        raise NotationError(f"move kind must be 'k1' or 'k2', got {kind!r}")
+        raise NotationError(f"move kind must be 'k1' or 'k2', got {_quote(kind)}")
     if not isinstance(reverse, bool):
-        raise NotationError(f"move reverse must be true or false, got {reverse!r}")
+        raise NotationError(f"move reverse must be true or false, got {_quote(reverse)}")
     order = SOURCE_ORDER[kind, reverse]
     cuts = tuple(lens[role] for role in order)
     try:

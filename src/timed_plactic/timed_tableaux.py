@@ -3,15 +3,16 @@
 A timed tableau is a stack of timed rows (top row first) with weakly
 decreasing lengths in which, at every time t covered by both, a lower row's
 value strictly exceeds the row above. The checks run on integer counts: with
-q the lcm of every run denominator, each row becomes ``[letter, count]`` runs
-on the grid 1/q, and lengths and column strictness are integer comparisons.
-Both rows are step functions, so this settles every t exactly.
+q the lcm of every run denominator, each row becomes its letters and their
+counts on the grid 1/q, two parallel lists, and lengths and column
+strictness are integer comparisons. Both rows are step functions, so this
+settles every t exactly.
 
 Timed insertion clears denominators once per call the same way: the
-integer-run kernel of :mod:`.classical` inserts the counts (classical
-insertion is its unit-duration case), and they go back to exact
-``Fraction(n, q)`` durations once, in the returned tableau. Each returned
-tableau is validated once.
+integer-run kernel of :mod:`.classical` inserts the counts, in the same
+parallel-list form (classical insertion is its unit-duration case), and
+they go back to exact ``Fraction(n, q)`` durations once, in the returned
+tableau. Each returned tableau is validated once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import Tableau, _bump_runs, _insert_runs
+from .classical import Grid, Tableau, _bump_runs, _insert_runs
 from .errors import InvalidTableauError, NotARowError
 from .timed_words import (
     DurationLike,
@@ -34,19 +35,20 @@ from .timed_words import (
 )
 
 
-def _column_strict(upper: list[list[int]], lower: list[list[int]]) -> bool:
+def _column_strict(upper: Grid, lower: Grid) -> bool:
     # Grid rows of timed rows, upper at least as long as lower. Rows increase
     # left to right, so over each run of lower the upper row is largest at
     # the run's last grid cell: one comparison per run of lower is exact.
+    u_letters, u_counts = upper
     k = 0
-    u_end = upper[0][1]
+    u_end = u_counts[0]
     l_end = 0
-    for letter, n in lower:
+    for letter, n in zip(*lower):
         l_end += n
         while u_end < l_end:
             k += 1
-            u_end += upper[k][1]
-        if upper[k][0] >= letter:
+            u_end += u_counts[k]
+        if u_letters[k] >= letter:
             return False
     return True
 
@@ -65,7 +67,7 @@ class TimedTableau:
                 raise InvalidTableauError(f"row {i} is not a timed row: {row!r}")
         q = _grid(*self.rows)
         grid = [_to_grid(row, q) for row in self.rows]
-        lengths = [sum(n for _, n in row) for row in grid]
+        lengths = [sum(counts) for _, counts in grid]
         for i in range(len(grid) - 1):
             if lengths[i] < lengths[i + 1]:
                 upper, lower = self.rows[i], self.rows[i + 1]
@@ -98,8 +100,10 @@ def timed_reading_word(t: TimedTableau) -> TimedWord:
     return concat(*reversed(t.rows))
 
 
-def _from_grid(rows: list[list[list[int]]], q: int) -> tuple[TimedWord, ...]:
-    return tuple([TimedWord(tuple([Run(c, Fraction(n, q)) for c, n in row])) for row in rows])
+def _from_grid(rows: list[Grid], q: int) -> tuple[TimedWord, ...]:
+    return tuple(
+        [TimedWord(tuple([Run(c, Fraction(n, q)) for c, n in zip(*row)])) for row in rows]
+    )
 
 
 def timed_row_insert(
@@ -129,7 +133,7 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
         raise NotARowError(f"timed_row_insert_word needs a timed row, got {w!r}")
     q = _grid(w, u)
     row = _to_grid(w, q)
-    bumped = _bump_runs(row, _to_grid(u, q))
+    bumped = _bump_runs(*row, *_to_grid(u, q))
     return _from_grid([bumped, row], q)
 
 
@@ -140,7 +144,7 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
         raise NotARowError(f"timed_tableau_insert needs a timed row, got {v!r}")
     q = _grid(v, *t.rows)
     rows = [_to_grid(row, q) for row in t.rows]
-    _insert_runs(rows, _to_grid(v, q))
+    _insert_runs(rows, *_to_grid(v, q))
     return TimedTableau(_from_grid(rows, q))
 
 
@@ -148,18 +152,18 @@ def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
     """Timed insertion of the runs of w, left to right, into the empty
     tableau."""
     q = _grid(w)
-    rows: list[list[list[int]]] = []
-    _insert_runs(rows, _to_grid(w, q))
+    rows: list[Grid] = []
+    _insert_runs(rows, *_to_grid(w, q))
     return TimedTableau(_from_grid(rows, q))
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     """The tableau after each successive run of w (len(w.runs) entries)."""
     q = _grid(w)
-    rows: list[list[list[int]]] = []
+    rows: list[Grid] = []
     steps: list[TimedTableau] = []
-    for run in _to_grid(w, q):
-        _insert_runs(rows, [run])
+    for c, n in zip(*_to_grid(w, q)):
+        _insert_runs(rows, [c], [n])
         steps.append(TimedTableau(_from_grid(rows, q)))
     return steps
 

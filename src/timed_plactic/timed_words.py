@@ -10,8 +10,11 @@ Durations are ``fractions.Fraction`` values, which keeps every result exact
 and equality decidable. Each one is made once, where a value is produced;
 the work in between runs on integer counts. Lengths and cuts clear
 denominators first: with q the lcm of the denominators involved, every
-duration is an integer count on the grid 1/q (``_grid``, ``_to_grid``), and
-only the durations a cut creates become new ``Fraction(n, q)`` values.
+duration is an integer count on the grid 1/q (``_grid``). ``_to_grid`` gives
+a word on the grid in one layout everywhere: two parallel lists, the run
+letters and their counts, which is also the row form of the insertion
+kernel. Only the durations a cut creates become new ``Fraction(n, q)``
+values.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classical import Word
+from .classical import Grid, Word
 
 DurationLike = Union[Fraction, int, str]
 
@@ -70,7 +73,7 @@ class TimedWord:
     @cached_property
     def length(self) -> Fraction:
         q = _grid(self)
-        return Fraction(sum(n for _, n in _to_grid(self, q)), q)
+        return Fraction(sum(_to_grid(self, q)[1]), q)
 
     def breakpoints(self) -> list[Fraction]:
         """Prefix sums of run durations, including 0 and the total length."""
@@ -142,9 +145,10 @@ def _grid(*words: TimedWord) -> int:
     return lcm(*(d.denominator for w in words for _, d in w.runs))
 
 
-def _to_grid(w: TimedWord, q: int) -> list[list[int]]:
-    """The runs of w as mutable ``[letter, count]`` pairs on the grid 1/q."""
-    return [[c, d.numerator * (q // d.denominator)] for c, d in w.runs]
+def _to_grid(w: TimedWord, q: int) -> Grid:
+    """The runs of w on the grid 1/q as two parallel lists, the letters and
+    their integer counts: the row form of the insertion kernel."""
+    return [c for c, _ in w.runs], [d.numerator * (q // d.denominator) for _, d in w.runs]
 
 
 def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
@@ -155,13 +159,13 @@ def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
     q = lcm(_grid(w), *(p.denominator for p in points))
     ticks = [p.numerator * (q // p.denominator) for p in points]
     runs = w.runs
-    counts = _to_grid(w, q)
+    counts = _to_grid(w, q)[1]
     pieces = []
     i = start = 0  # run i covers [start, start + its count)
     for a, b in zip(ticks, ticks[1:]):
         piece = []
         while start < b:
-            n = counts[i][1]
+            n = counts[i]
             end = start + n
             if end > a:
                 span = min(end, b) - max(start, a)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import groupby
+from math import lcm
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from timed_plactic import TimedWord, normalize, parse_timed_word
+from timed_plactic import Run, TimedWord, normalize, parse_timed_word
 
 # Exact rational arithmetic makes per-example cost vary widely; the wall-clock
 # deadline would only add flakiness.
@@ -104,6 +106,40 @@ def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
         else:
             rows.append([a])
     return tuple(tuple(row) for row in rows)
+
+
+def expand_on_grid(*words) -> tuple[list[list[int]], int]:
+    """Each timed word as a classical word on the grid 1/q, q the lcm of all
+    their run denominators: a run a^d becomes d*q copies of a."""
+    q = lcm(*(d.denominator for w in words for _, d in w.runs))
+    return [[c for c, d in w.runs for _ in range(int(d * q))] for w in words], q
+
+
+def runs_on_grid(cells, q) -> TimedWord:
+    """The timed word whose run a^(n/q) stands for n equal cells a."""
+    return TimedWord(tuple(Run(c, Fraction(len(list(g)), q)) for c, g in groupby(cells)))
+
+
+def grid_reference(w) -> tuple[TimedWord, ...]:
+    """Timed insertion tableau rows from the plain-list reference: expand w on
+    its 1/q grid, insert classically, run-length encode, divide by q."""
+    (word,), q = expand_on_grid(w)
+    return tuple(runs_on_grid(row, q) for row in schensted_rows(word))
+
+
+def grid_row_insert(row, u) -> tuple[TimedWord, TimedWord]:
+    """(bumped, new row) of inserting the timed word u into the timed row, by
+    plain-list row insertion of u's cells into the row's cells."""
+    (cells, inserted), q = expand_on_grid(row, u)
+    bumped = []
+    for a in inserted:
+        j = bisect_right(cells, a)
+        if j == len(cells):
+            cells.append(a)
+        else:
+            bumped.append(cells[j])
+            cells[j] = a
+    return runs_on_grid(bumped, q), runs_on_grid(cells, q)
 
 
 def random_timed_word_runs(rng, *, runs, max_letter, max_den, max_num):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from timed_plactic.cli import main
+from timed_plactic.cli import _MAX_RUNS, main
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
 
@@ -233,6 +233,11 @@ class TestRandom:
 
         assert all(parse_duration(r["dur"]).denominator <= 3 for r in runs)
 
+    def test_runs_up_to_the_ceiling(self, capsys):
+        code, out, _ = run_cli(capsys, "random", "--runs", str(_MAX_RUNS), "--json")
+        assert code == 0
+        assert len(json.loads(out)["runs"]) == _MAX_RUNS
+
     def test_env_seed_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("TIMED_PLACTIC_SEED", "123")
         _, with_env, _ = run_cli(capsys, "random", "--seed", "7")
@@ -242,7 +247,13 @@ class TestRandom:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--letters", "0"), ("--runs", "-1"), ("--max-den", "0"), ("--max-num", "0")],
+        [
+            ("--letters", "0"),
+            ("--runs", "-1"),
+            ("--runs", str(_MAX_RUNS + 1)),
+            ("--max-den", "0"),
+            ("--max-num", "0"),
+        ],
     )
     def test_out_of_range_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "random", flag, value, "--json")
@@ -288,6 +299,7 @@ class TestCheck:
 class TestErrors:
     # Nested past the parser's recursion limit, yet within one argv string.
     DEEP = "[" * 50_000 + "]" * 50_000
+    MOVE = {"kind": "k1", "u_len": 0, "x_len": 1, "y_len": 1, "z_len": 1}
 
     @pytest.mark.parametrize("command", ["equiv", "render"])
     def test_deeply_nested_json_exits_2_without_traceback(self, command, tmp_path):
@@ -301,6 +313,26 @@ class TestErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr == "error: bad JSON input: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", '{"rows": ' + "[" * 300 + "]" * 300 + "}"],
+            ["render", '{"rows": [{"runs": [{"letter": 1, "dur": "%s"}]}]}' % ("9" * 5000 + "x")],
+            ["equiv", "1^1", "1^1", "--move", json.dumps({**MOVE, "kind": "k" * 5000})],
+            ["equiv", "1^1", "1^1", "--move", json.dumps({**MOVE, "reverse": ["x" * 5000]})],
+            ["insert", "1," + "x" * 5000],
+        ],
+    )
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_quoted_input_is_clipped(self, capsys, tmp_path, argv, as_json):
+        if argv[0] == "render":
+            argv = argv + ["--svg", str(tmp_path / "x.svg")]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "..." in err
 
     def test_parse_error_exit_2_with_json_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "insert", "3^oops", "--json")

@@ -6,7 +6,8 @@ JSON object on stderr, otherwise one ``error:`` line. Argparse's own usage
 errors are a ``SystemExit(2)`` with plain-text usage on stderr.
 
 Values that size real work (``--runs``, ``--iters``, word length) stay
-small: the test is about the contract, not load.
+small: the test is about the contract, not load. ``--runs`` is also drawn
+above its ceiling, where it is refused before any work.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timed_plactic.cli import main
+from timed_plactic.cli import _MAX_RUNS, main
 
 _digits = st.text("0123456789", min_size=1, max_size=3)
 _numerals = st.one_of(
@@ -45,6 +46,9 @@ _numbers = st.integers(-3, 5).map(str) | st.sampled_from(
     [str(10**9), str(10**18), str(10**40), str(-(10**40)), "", "x", "1.5", "1e3"]
 )
 _small = st.integers(-3, 50).map(str)
+# --runs also above its ceiling, where it is a usage error. The values stay
+# within ten times the ceiling, so that a lost check costs under a second.
+_runs = _small | st.sampled_from([_MAX_RUNS + 1, 10 * _MAX_RUNS]).map(str)
 
 _json_scalars = st.one_of(
     st.none(),
@@ -128,7 +132,7 @@ _argvs = st.one_of(
     ),
     _command(
         st.just(["random"]),
-        _flag("--runs", _small),
+        _flag("--runs", _runs),
         _flag("--letters", _numbers),
         _flag("--max-den", _numbers),
         _flag("--max-num", _numbers),

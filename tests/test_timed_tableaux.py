@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -14,7 +13,6 @@ from timed_plactic import (
     concat,
     embed_classical,
     embed_classical_tableau,
-    expand_to_classical,
     insertion_tableau,
     normalize,
     scale,
@@ -40,24 +38,14 @@ from conftest import (
     RINS_RESULT_TEXT,
     RINS_ROW_TEXT,
     durations,
+    grid_reference,
     letters,
     nonempty_timed_words,
-    schensted_rows,
     timed_tableau_error,
     timed_words,
     tw,
     words,
 )
-
-
-def grid_reference(w: TimedWord) -> tuple[TimedWord, ...]:
-    """Timed insertion tableau rows from the plain-list reference: expand w on
-    its 1/q grid, insert classically, run-length encode, divide by q."""
-    word, q = expand_to_classical(w)
-    return tuple(
-        TimedWord(tuple(Run(c, Fraction(len(list(g)), q)) for c, g in groupby(row)))
-        for row in schensted_rows(word)
-    )
 
 
 class TestTimedTableauInvariants:
