@@ -25,7 +25,6 @@ from .errors import (
     OracleSizeError,
 )
 from .greene import (
-    expand_to_classical,
     greene_classical,
     greene_classical_oracle,
     greene_timed,

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 
-from .errors import BudgetExceededError, InvalidTableauError, NotARowError
+from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
@@ -49,7 +49,7 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     greater than a is replaced by a and returned as the bumped letter.
     """
     if not is_row(u):
-        raise NotARowError(f"row_insert needs a weakly increasing word, got {u}")
+        raise NotARowError(f"row_insert needs a weakly increasing word, got {_quote(u)}")
     _check_letters((a,))
     j = bisect_right(u, a)
     if j == len(u):
@@ -73,7 +73,7 @@ class Tableau:
                 raise InvalidTableauError(f"row {i} is empty")
             _check_letters(row)
             if not is_row(row):
-                raise InvalidTableauError(f"row {i} is not weakly increasing: {row}")
+                raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
         for i in range(len(self.rows) - 1):
             upper, lower = self.rows[i], self.rows[i + 1]
             if len(upper) < len(lower):
@@ -268,7 +268,7 @@ def knuth_equivalent_bfs(w: Word, w2: Word, budget: int = 100_000) -> bool:
                 seen.add(nxt)
                 if len(seen) > budget:
                     raise BudgetExceededError(
-                        f"equivalence class of {w} exceeds budget of {budget} words"
+                        f"equivalence class of {_quote(w)} exceeds budget of {budget} words"
                     )
                 frontier.append(nxt)
     return False

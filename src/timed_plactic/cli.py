@@ -28,6 +28,7 @@ from .greene import (
     greene_timed_oracle,
 )
 from .notation import (
+    _json_integer,
     format_timed_word,
     format_word,
     human_rational,
@@ -72,7 +73,7 @@ def _at_least(flag: str, value: int, low: int) -> None:
 
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise NotationError(f"bad JSON input: {exc}") from exc
     except RecursionError:

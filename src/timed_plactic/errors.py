@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+# Error messages quote the offending input at most this many characters long.
+_QUOTE_LIMIT = 60
+
+
+def _quote(value) -> str:
+    """The repr of value for an error message, clipped with an ellipsis so
+    that a huge word, row or nested input gives a short message."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
+
 
 class NotARowError(ValueError):
     """An operation that requires a (timed) row was given something else."""

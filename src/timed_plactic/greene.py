@@ -1,16 +1,18 @@
-"""Greene invariants: brute-force oracles and insertion-tableau fast paths.
+"""Greene invariants: an exact search oracle and insertion-tableau fast paths.
 
 The r-th Greene invariant of a word is the maximum total size of r pairwise
 disjoint weakly increasing subwords; for timed words, sizes become measures
-of time samples whose selected subwords are timed rows. The oracles here
-never touch the insertion machinery, so they can cross-check it.
+of time samples whose selected subwords are timed rows. Where two chains
+share a run, swapping their tails moves the whole run into one chain, so the
+oracle searches over whole runs (blocks of equal letters, or timed runs on the
+grid 1/q) and never touches insertion, which it can therefore cross-check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import lcm
 
 from .classical import Word, insertion_tableau, shape
@@ -22,26 +24,20 @@ from .timed_tableaux import timed_insertion_tableau, timed_shape
 # Over an alphabet of k letters the search has at most C(r + k, r) states,
 # so this admits every word over 9 letters with r <= 9 (C(18, 9) = 48,620).
 _STATE_BUDGET = 50_000
+_MAX_LEN = 2000  # classical letters
 
 
-def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> int:
-    """Exact maximum total size of r pairwise disjoint weakly increasing
-    subwords of w, by exhaustive search.
+def _greene_runs(letters, counts, r: int) -> int:
+    """Maximum total count of r disjoint weakly increasing chains of whole
+    runs, run i being counts[i] copies of letters[i].
 
-    Every position is assigned to one of the r chains (if its letter is at
-    least the chain's current last letter) or left unused. Chains are
-    interchangeable, so a search state is just the sorted tuple of chain last
-    letters (0 meaning empty); states explored once, best use count kept.
-    More than 50,000 states raise OracleSizeError.
+    Each run joins a chain whose last letter is at most its own, or is left
+    unused. Chains are interchangeable, so a state is the sorted tuple of chain
+    last letters (0: empty), kept with its best count. More than 50,000 states
+    raise OracleSizeError.
     """
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if max_len is not None and len(w) > max_len:
-        raise OracleSizeError(
-            f"word of length {len(w)} exceeds the oracle bound of {max_len}"
-        )
     states: dict[tuple[int, ...], int] = {(0,) * r: 0}
-    for c in w:
+    for c, n in zip(letters, counts):
         updates: dict[tuple[int, ...], int] = {}
         for lasts, used in states.items():
             prev = -1
@@ -55,7 +51,7 @@ def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> i
                 rest = lasts[:k] + lasts[k + 1 :]
                 j = bisect_right(rest, c)
                 cand = rest[:j] + (c,) + rest[j:]
-                score = used + 1
+                score = used + n
                 if updates.get(cand, -1) < score:
                     updates[cand] = score
         for cand, score in updates.items():
@@ -68,46 +64,40 @@ def greene_classical_oracle(w: Word, r: int, *, max_len: int | None = 2000) -> i
     return max(states.values())
 
 
+def greene_classical_oracle(w: Word, r: int) -> int:
+    """Exact maximum total size of r pairwise disjoint weakly increasing
+    subwords of w, by the state search over w's blocks of equal letters.
+    Words longer than 2,000 letters raise OracleSizeError."""
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if len(w) > _MAX_LEN:
+        raise OracleSizeError(
+            f"word of length {len(w)} exceeds the oracle bound of {_MAX_LEN}"
+        )
+    runs = [(c, len(list(block))) for c, block in groupby(w)]
+    return _greene_runs([c for c, _ in runs], [n for _, n in runs], r)
+
+
 def greene_classical(w: Word) -> tuple[int, ...]:
     """Greene profile (a_1, ..., a_l) via partial sums of the insertion
     tableau's shape; the fast path the oracle validates."""
     return tuple(accumulate(shape(insertion_tableau(w))))
 
 
-def _grid(w: TimedWord, refine: int) -> int:
-    if refine < 1:
-        raise ValueError(f"refine must be a positive integer, got {refine}")
-    return lcm(*(run.duration.denominator for run in w.runs)) * refine
-
-
-def expand_to_classical(w: TimedWord, refine: int = 1) -> tuple[Word, int]:
-    """Clear denominators: on the 1/q grid (q a multiple of every run
-    denominator) each run becomes its letter repeated duration*q times.
-    Returns the classical word and the grid denominator q."""
-    q = _grid(w, refine)
-    letters: list[int] = []
-    for c, d in w.runs:
-        letters.extend([c] * int(d * q))
-    return tuple(letters), q
-
-
-def greene_timed_oracle(
-    w: TimedWord, r: int, *, refine: int = 1, max_letters: int | None = 500
-) -> Fraction:
-    """Timed Greene invariant via the scaling reduction: expand w on the
-    common grid, run the classical oracle, divide by the grid denominator.
-
-    ``refine`` multiplies the grid denominator; the result must not change
-    under refinement (checked by the discretization-stability suite).
-    """
-    # The expansion has length(w) * q letters; check that before building it.
-    size = int(w.length * _grid(w, refine))
+def greene_timed_oracle(w: TimedWord, r: int, *, max_letters: int | None = 500) -> Fraction:
+    """Exact timed Greene invariant a_r: the state search over w's runs with
+    their counts on the grid 1/q, divided by q. More than ``max_letters`` grid
+    letters (length(w) * q) raise OracleSizeError."""
+    q = lcm(*(d.denominator for _, d in w.runs))
+    counts = [d.numerator * (q // d.denominator) for _, d in w.runs]
+    size = sum(counts)
     if max_letters is not None and size > max_letters:
         raise OracleSizeError(
             f"expansion of {size} letters exceeds the bound of {max_letters}"
         )
-    word, q = expand_to_classical(w, refine)
-    return Fraction(greene_classical_oracle(word, r, max_len=None), q)
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    return Fraction(_greene_runs([c for c, _ in w.runs], counts, r), q)
 
 
 def greene_timed(w: TimedWord) -> tuple[Fraction, ...]:

@@ -23,7 +23,7 @@ binary float. ``parse_duration`` and ``parse_timed_word`` build each
 ``Fraction`` once, straight from the digits the numeral pattern matched.
 JSON letters must be JSON integers, durations JSON strings or integers, and
 a move's ``reverse`` a JSON boolean; anything else is a ``NotationError``.
-Digits are ASCII digits only.
+Digits are ASCII digits only, and no numeral may run past 4,300 digits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 
 from .classical import Tableau, Word
-from .errors import NotationError
+from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, normalize
 from .timed_tableaux import TimedTableau
@@ -45,17 +45,25 @@ _DURATION_RE = re.compile(_NUMERAL)
 # The lookahead lets adjacent runs like 3^0.825^0.08 split unambiguously:
 # the numeral backtracks until the rest starts a new <letter>^ token.
 _RUN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)")
-# Error messages quote the offending input at most this many characters long.
-_QUOTE_LIMIT = 60
+# int() refuses more than 4,300 digits by default, a limit that varies with
+# the interpreter. Refusing every longer run of digits and decimal points
+# before anything is converted gives one verdict everywhere.
+_MAX_DIGITS = 4300
+_LONG_DIGITS_RE = re.compile(rf"[0-9.]{{{_MAX_DIGITS + 1}}}")
 
 
-def _quote(value) -> str:
-    """The repr of value for an error message, clipped with an ellipsis so
-    that a huge or deeply nested input gives a short message."""
-    text = repr(value)
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    return text[: _QUOTE_LIMIT - 3] + "..."
+def _check_digits(text: str, at: int | None = 0) -> None:
+    """Refuse a run past the digit bound; text starts at ``at`` in the input."""
+    m = _LONG_DIGITS_RE.search(text)
+    if m:
+        position = None if at is None else at + m.start()
+        raise NotationError(f"numeral of more than {_MAX_DIGITS} digits", position)
+
+
+def _json_integer(digits: str) -> int:
+    """A JSON integer, within the digit bound."""
+    _check_digits(digits, None)
+    return int(digits)
 
 
 def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
@@ -75,6 +83,7 @@ def parse_duration(text: str) -> Fraction:
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
         raise NotationError(f"not a duration: {_quote(text)}")
+    _check_digits(m.group(), None)
     return _numeral_fraction(*m.groups(), text)
 
 
@@ -111,6 +120,7 @@ def human_rational(d: Fraction) -> str:
 
 def parse_timed_word(text: str) -> TimedWord:
     """Parse the timed-word grammar; errors carry the offending position."""
+    _check_digits(text)
     runs: list[tuple[int, Fraction]] = []
     pos = 0
     n = len(text)
@@ -143,6 +153,7 @@ def parse_word(text: str) -> Word:
     if not s:
         return ()
     if "," in s:
+        _check_digits(text)
         letters = []
         for part in s.split(","):
             part = part.strip()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import Grid, Tableau, _bump_runs, _insert_runs
-from .errors import InvalidTableauError, NotARowError
+from .errors import InvalidTableauError, NotARowError, _quote
 from .timed_words import (
     DurationLike,
     Run,
@@ -64,7 +64,7 @@ class TimedTableau:
             if not row:
                 raise InvalidTableauError(f"row {i} is empty")
             if not is_timed_row(row):
-                raise InvalidTableauError(f"row {i} is not a timed row: {row!r}")
+                raise InvalidTableauError(f"row {i} is not a timed row: {_quote(row)}")
         q = _grid(*self.rows)
         grid = [_to_grid(row, q) for row in self.rows]
         lengths = [sum(counts) for _, counts in grid]
@@ -119,7 +119,7 @@ def timed_row_insert(
     l(bumped) + l(new_row) = l(w) + duration.
     """
     if not is_timed_row(w):
-        raise NotARowError(f"timed_row_insert needs a timed row, got {w!r}")
+        raise NotARowError(f"timed_row_insert needs a timed row, got {_quote(w)}")
     dur = as_duration(duration)
     if dur <= 0:
         raise ValueError(f"inserted duration must be positive, got {dur}")
@@ -130,7 +130,7 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
     """Insert the runs of u into the timed row w, left to right, concatenating
     the bumped pieces in order. l(bumped) + l(new_row) = l(w) + l(u)."""
     if not is_timed_row(w):
-        raise NotARowError(f"timed_row_insert_word needs a timed row, got {w!r}")
+        raise NotARowError(f"timed_row_insert_word needs a timed row, got {_quote(w)}")
     q = _grid(w, u)
     row = _to_grid(w, q)
     bumped = _bump_runs(*row, *_to_grid(u, q))
@@ -141,7 +141,7 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     """Insert the timed row v into t, cascading bumps downward; a nonempty
     residue below the last row becomes a new row."""
     if not is_timed_row(v):
-        raise NotARowError(f"timed_tableau_insert needs a timed row, got {v!r}")
+        raise NotARowError(f"timed_tableau_insert needs a timed row, got {_quote(v)}")
     q = _grid(v, *t.rows)
     rows = [_to_grid(row, q) for row in t.rows]
     _insert_runs(rows, *_to_grid(v, q))

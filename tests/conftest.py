@@ -142,6 +142,32 @@ def grid_row_insert(row, u) -> tuple[TimedWord, TimedWord]:
     return runs_on_grid(bumped, q), runs_on_grid(cells, q)
 
 
+def greene_reference(word, r) -> int:
+    """The largest total size of r disjoint weakly increasing subwords of a
+    classical word, by a search over its letters one at a time: each letter
+    joins a chain whose last letter is at most it, or is left out. A state
+    is the sorted tuple of chain last letters (0 for an empty chain). It is
+    exhaustive and has no state budget, so keep the words small."""
+    states = {(0,) * r: 0}
+    for c in word:
+        updates = {}
+        for lasts, used in states.items():
+            for k in range(r):
+                if lasts[k] <= c and (k == 0 or lasts[k] != lasts[k - 1]):
+                    cand = tuple(sorted(lasts[:k] + lasts[k + 1 :] + (c,)))
+                    updates[cand] = max(updates.get(cand, -1), used + 1)
+        for cand, score in updates.items():
+            states[cand] = max(states.get(cand, -1), score)
+    return max(states.values())
+
+
+def timed_greene_reference(w, r, refine=1) -> Fraction:
+    """a_r of a timed word by the per-letter search on its expansion on the
+    grid 1/(refine * q), divided back by the grid denominator."""
+    (word,), q = expand_on_grid(w)
+    return Fraction(greene_reference([c for c in word for _ in range(refine)], r), refine * q)
+
+
 def random_timed_word_runs(rng, *, runs, max_letter, max_den, max_num):
     """The runs of randomgen.random_timed_word drawn the list-based way:
     rng.choice over every letter but the previous one."""
@@ -233,7 +259,7 @@ nonempty_timed_words = st.lists(
     st.tuples(letters, durations), min_size=1, max_size=6
 ).map(normalize)
 
-# Small common denominators keep the scaling-oracle grid tractable.
+# Small common denominators keep the per-letter reference's grid tractable.
 small_durations = st.fractions(
     min_value=Fraction(1, 4), max_value=Fraction(2), max_denominator=4
 )

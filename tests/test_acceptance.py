@@ -54,6 +54,7 @@ from conftest import (
     STEPS_3421153,
     TABLEAU_3421153,
     WORD_3421153,
+    timed_greene_reference,
     tw,
 )
 
@@ -233,9 +234,9 @@ def test_10_discretization_stability():
             w = random_timed_word(rng, max_runs=4, max_letter=4, max_den=4, max_num=2)
             rows = len(greene_timed(w))
             for r in range(1, rows + 1):
-                coarse = greene_timed_oracle(w, r, max_letters=None)
-                fine = greene_timed_oracle(w, r, refine=2, max_letters=None)
-                assert coarse == fine, (format_timed_word(w), r)
+                oracle = greene_timed_oracle(w, r, max_letters=None)
+                fine = timed_greene_reference(w, r, refine=2)
+                assert oracle == fine, (format_timed_word(w), r)
 
 
 def test_11_determinism_and_roundtrips():

@@ -5,6 +5,17 @@ import sys
 
 import pytest
 
+from timed_plactic import (
+    BudgetExceededError,
+    NotARowError,
+    TimedTableau,
+    knuth_equivalent_bfs,
+    parse_timed_word,
+    row_insert,
+    timed_row_insert,
+    timed_row_insert_word,
+    timed_tableau_insert,
+)
 from timed_plactic.cli import _MAX_RUNS, main
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
@@ -300,6 +311,8 @@ class TestErrors:
     # Nested past the parser's recursion limit, yet within one argv string.
     DEEP = "[" * 50_000 + "]" * 50_000
     MOVE = {"kind": "k1", "u_len": 0, "x_len": 1, "y_len": 1, "z_len": 1}
+    # 300 unit runs, each letter below the one before.
+    DESCENDING = " ".join(f"{300 - i}^1" for i in range(300))
 
     @pytest.mark.parametrize("command", ["equiv", "render"])
     def test_deeply_nested_json_exits_2_without_traceback(self, command, tmp_path):
@@ -322,6 +335,15 @@ class TestErrors:
             ["equiv", "1^1", "1^1", "--move", json.dumps({**MOVE, "kind": "k" * 5000})],
             ["equiv", "1^1", "1^1", "--move", json.dumps({**MOVE, "reverse": ["x" * 5000]})],
             ["insert", "1," + "x" * 5000],
+            ["render", json.dumps({"rows": [[3] * 300 + [1]]})],
+            [
+                "render",
+                json.dumps({"rows": [{"runs": [{"letter": 300 - i, "dur": "1"} for i in range(300)]}]}),
+            ],
+            [
+                "equiv", DESCENDING, DESCENDING, "--move",
+                json.dumps({**MOVE, "x_len": 100, "y_len": 100, "z_len": 100}),
+            ],
         ],
     )
     @pytest.mark.parametrize("as_json", [False, True])
@@ -333,6 +355,51 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1 and len(err) < 200
         assert "..." in err
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: row_insert(tuple(range(300, 0, -1)), 1),
+            lambda: timed_row_insert(parse_timed_word(TestErrors.DESCENDING), 1, 1),
+            lambda: timed_row_insert_word(
+                parse_timed_word(TestErrors.DESCENDING), parse_timed_word("1^1")
+            ),
+            lambda: timed_tableau_insert(TimedTableau(), parse_timed_word(TestErrors.DESCENDING)),
+            lambda: knuth_equivalent_bfs((2, 1, 3) * 100, (1,), budget=1),
+        ],
+    )
+    def test_library_messages_are_clipped(self, call):
+        # These words reach error messages only through the library.
+        with pytest.raises((NotARowError, BudgetExceededError)) as info:
+            call()
+        assert len(str(info.value)) < 200 and "..." in str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (["insert", "9" * 5000 + "^1"], 0),
+            (["insert", "1^" + "9" * 5000], 2),
+            (["insert", "1^1 2^1/" + "9" * 5000], 8),
+            (["insert", "1^" + "1" * 2500 + "." + "1" * 2500], 2),
+            (["insert", "1," + "9" * 5000], 2),
+            (["render", '{"rows": [[%s]]}' % ("9" * 5000)], None),
+            (["render", '{"rows": [{"runs": [{"letter": 1, "dur": "1.%s"}]}]}' % ("1" * 5000)], None),
+        ],
+    )
+    def test_long_numerals_are_notation_errors(self, capsys, tmp_path, argv, position):
+        if argv[0] == "render":
+            argv = argv + ["--svg", str(tmp_path / "x.svg")]
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "NotationError"
+        assert error.get("position") == position
+        assert "numeral of more than 4300 digits" in error["message"]
+
+    def test_numerals_up_to_the_digit_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "insert", "1," + "9" * 4300, "--json")
+        assert code == 0
+        assert json.loads(out)["rows"] == [[1, int("9" * 4300)]]
 
     def test_parse_error_exit_2_with_json_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "insert", "3^oops", "--json")

@@ -7,7 +7,8 @@ errors are a ``SystemExit(2)`` with plain-text usage on stderr.
 
 Values that size real work (``--runs``, ``--iters``, word length) stay
 small: the test is about the contract, not load. ``--runs`` is also drawn
-above its ceiling, where it is refused before any work.
+above its ceiling, where it is refused before any work, and numerals past
+the digit bound, which are refused as notation errors.
 """
 
 import contextlib
@@ -34,11 +35,14 @@ _classical_words = st.one_of(
     st.text("123456789", max_size=10),
     st.lists(st.integers(1, 30), max_size=8).map(lambda w: ",".join(map(str, w))),
 )
+# Numerals past the digit bound, where int() itself would refuse them.
+_LONG = "9" * 5000
 _words = st.one_of(
     _classical_words,
     _timed_words,
     st.text(max_size=12),
     st.text("0123456789^/., -", max_size=12),
+    st.sampled_from([f"1^{_LONG}", f"{_LONG}^1", f"1^1/{_LONG}", f"1,{_LONG}"]),
 )
 
 # Integer arguments: zero, negative and huge, plus text argparse refuses.
@@ -94,6 +98,9 @@ _json_texts = st.one_of(
     st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
     st.integers(1, 3000).map(lambda depth: '{"rows": ' * depth),
     st.text("{}[]\":,0123456789 ", max_size=20),
+    st.sampled_from(
+        [f'{{"rows": [[{_LONG}]]}}', f'{{"rows": [{{"runs": [{{"letter": 1, "dur": "1.{_LONG}"}}]}}]}}']
+    ),
 )
 
 # Relative to a fresh temporary directory; all but the first two fail.
@@ -167,5 +174,7 @@ def test_exit_code_contract(argv, as_json, bogus):
     if as_json:
         error = json.loads(err.getvalue())["error"]
         assert isinstance(error["type"], str) and isinstance(error["message"], str)
+        if any(_LONG in a for a in argv):
+            assert error["type"] == "NotationError"
     else:
         assert err.getvalue().startswith("error: ")

@@ -10,16 +10,24 @@ from hypothesis import strategies as st
 from timed_plactic import (
     OracleSizeError,
     embed_classical,
-    expand_to_classical,
     greene_classical,
     greene_classical_oracle,
     greene_timed,
     greene_timed_oracle,
+    normalize,
     profile_value,
     scale,
 )
 
-from conftest import WORD_3421153, small_timed_words, timed_words, tw, words
+from conftest import (
+    WORD_3421153,
+    greene_reference,
+    small_timed_words,
+    timed_greene_reference,
+    timed_words,
+    tw,
+    words,
+)
 
 
 class TestClassicalOracle:
@@ -36,8 +44,9 @@ class TestClassicalOracle:
             greene_classical_oracle((1,), 0)
 
     def test_size_bound(self):
-        with pytest.raises(OracleSizeError):
-            greene_classical_oracle((1, 2, 3), 1, max_len=2)
+        assert greene_classical_oracle((1,) * 2000, 1) == 2000
+        with pytest.raises(OracleSizeError, match="word of length 2001"):
+            greene_classical_oracle((1,) * 2001, 1)
 
     def test_state_budget(self):
         # 30 letters over 40 symbols: about 100,000 states at r = 6, far
@@ -87,21 +96,6 @@ class TestClassicalProfile:
             b - a for a, b in zip((0,) + profile, profile)
         ]
         assert increments == sorted(increments, reverse=True)
-
-
-class TestExpansion:
-    def test_grid(self):
-        word, q = expand_to_classical(tw("3^0.5 1^1.5"))
-        assert q == 2
-        assert word == (3, 1, 1, 1)
-
-    def test_refine_doubles(self):
-        word, q = expand_to_classical(tw("3^0.5 1^1.5"), refine=2)
-        assert q == 4
-        assert word == (3, 3, 1, 1, 1, 1, 1, 1)
-
-    def test_empty(self):
-        assert expand_to_classical(tw("")) == ((), 1)
 
 
 class TestTimedOracle:
@@ -171,11 +165,56 @@ class TestTimedProfile:
 
     @given(small_timed_words)
     def test_discretization_stability(self, w):
+        # The reference expands w on the grid 1/(2q), twice as fine as the
+        # oracle's.
         rows = len(greene_timed(w))
         for r in range(1, rows + 1):
-            assert greene_timed_oracle(w, r, max_letters=None) == greene_timed_oracle(
-                w, r, refine=2, max_letters=None
+            assert greene_timed_oracle(w, r, max_letters=None) == timed_greene_reference(
+                w, r, refine=2
             )
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+class TestWholeRunSearch:
+    """The oracles search over whole runs; the reference goes letter by
+    letter, on the grid expansion for timed words."""
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6))
+    def test_classical_words_with_repeats(self, blocks):
+        w = tuple(c for c, n in blocks for _ in range(n))
+        for r in range(1, 5):
+            assert greene_classical_oracle(w, r) == greene_reference(w, r)
+
+    @given(small_timed_words)
+    def test_small_timed_words(self, w):
+        for r in range(1, 5):
+            assert greene_timed_oracle(w, r, max_letters=None) == timed_greene_reference(w, r)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coprime_denominators_at_benchmark_scale(self, seed):
+        # 150 runs with distinct prime denominators: the grid 1/q is far
+        # beyond any expansion, so the oracle is checked against insertion.
+        rng = random.Random(seed)
+        runs, prev = [], None
+        for p in rng.sample(_primes_below(1000), 150):
+            prev = rng.choice([c for c in range(1, 6) if c != prev])
+            runs.append((prev, Fraction(rng.randint(1, max(p - 1, 1)), p)))
+        w = normalize(runs)
+        assert len(w.runs) == 150 and w.length.denominator.bit_length() > 1000
+        profile = greene_timed(w)
+        assert tuple(
+            greene_timed_oracle(w, r, max_letters=None) for r in range(1, len(profile) + 1)
+        ) == profile
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classical_words_at_benchmark_scale(self, seed):
+        rng = random.Random(seed)
+        w = tuple(rng.randint(1, 4) for _ in range(1000))
+        profile = greene_classical(w)
+        assert tuple(greene_classical_oracle(w, r) for r in range(1, len(profile) + 1)) == profile
 
 
 class TestProfileValue:

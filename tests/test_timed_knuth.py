@@ -151,10 +151,7 @@ class TestKappa2:
 
     def test_invariance_checker_on_worked_example(self):
         move = TimedKnuthMove(**KAPPA2_MOVE_KWARGS)
-        assert check_move_invariance(tw(KAPPA2_SOURCE_TEXT), move, 3, max_letters=None)
-        assert check_move_invariance(
-            tw(KAPPA2_SOURCE_TEXT), move, 3, use_oracle=False
-        )
+        assert check_move_invariance(tw(KAPPA2_SOURCE_TEXT), move, 3)
 
 
 class TestClassicalEmbedding:
