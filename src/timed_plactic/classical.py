@@ -51,10 +51,10 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     if not is_row(u):
         raise NotARowError(f"row_insert needs a weakly increasing word, got {_quote(u)}")
     _check_letters((a,))
-    j = bisect_right(u, a)
-    if j == len(u):
-        return None, u + (a,)
-    return u[j], u[:j] + (a,) + u[j + 1 :]
+    row = _runs(u)
+    bumped, _ = _bump_runs(*row, [a], [1])
+    (new_row,) = _tableau([row]).rows
+    return (bumped[0] if bumped else None), new_row
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,12 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
         i += 1
 
 
+def _runs(row: Word) -> Grid:
+    """A row of letters as runs: its distinct letters and their counts."""
+    runs = [(c, len(list(g))) for c, g in groupby(row)]
+    return [c for c, _ in runs], [n for _, n in runs]
+
+
 def _tableau(rows: list[Grid]) -> Tableau:
     # tuple() of a list comprehension has exact size; tuple() of a generator
     # resizes as it grows, which fragmented the heap over long runs.
@@ -202,10 +208,7 @@ def _tableau(rows: list[Grid]) -> Tableau:
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
     _check_letters((a,))
-    rows = []
-    for row in t.rows:
-        runs = [(c, len(list(g))) for c, g in groupby(row)]
-        rows.append(([c for c, _ in runs], [n for _, n in runs]))
+    rows = [_runs(row) for row in t.rows]
     _insert_runs(rows, [a], [1])
     return _tableau(rows)
 

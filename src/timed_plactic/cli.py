@@ -29,6 +29,7 @@ from .greene import (
 )
 from .notation import (
     _json_integer,
+    _rational_text,
     format_timed_word,
     format_word,
     human_rational,
@@ -105,7 +106,7 @@ def _kind(timed: bool) -> _Kind:
         return _Kind(
             timed_insertion_tableau, timed_insertion_steps, timed_tableau_to_dict,
             format_timed_word, "run", greene_timed, greene_timed_oracle,
-            str, human_rational,
+            _rational_text, human_rational,
         )
     return _Kind(
         insertion_tableau, insertion_steps, tableau_to_dict,

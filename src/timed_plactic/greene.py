@@ -22,8 +22,14 @@ from .timed_tableaux import timed_insertion_tableau, timed_shape
 
 
 # Over an alphabet of k letters the search has at most C(r + k, r) states,
-# so this admits every word over 9 letters with r <= 9 (C(18, 9) = 48,620).
+# so this admits every word over 9 letters with r <= 9 (C(18, 9) = 48,620),
+# though the work budget below may still stop a long one.
 _STATE_BUDGET = 50_000
+# The search's work: state updates (the states each run is tried against)
+# summed over the runs. A search can stay under the state budget at every
+# run and still run for minutes over many runs; this bound stops one call
+# after about a second on a 2-vCPU host.
+_WORK_BUDGET = 250_000
 _MAX_LEN = 2000  # classical letters
 
 
@@ -33,11 +39,18 @@ def _greene_runs(letters, counts, r: int) -> int:
 
     Each run joins a chain whose last letter is at most its own, or is left
     unused. Chains are interchangeable, so a state is the sorted tuple of chain
-    last letters (0: empty), kept with its best count. More than 50,000 states
-    raise OracleSizeError.
+    last letters (0: empty), kept with its best count. More than 50,000 states,
+    or more than 250,000 state updates summed over the runs, raise
+    OracleSizeError.
     """
     states: dict[tuple[int, ...], int] = {(0,) * r: 0}
+    work = 0
     for c, n in zip(letters, counts):
+        work += len(states)
+        if work > _WORK_BUDGET:
+            raise OracleSizeError(
+                f"oracle search for r={r} exceeds the budget of {_WORK_BUDGET} state updates"
+            )
         updates: dict[tuple[int, ...], int] = {}
         for lasts, used in states.items():
             prev = -1

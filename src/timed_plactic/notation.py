@@ -21,9 +21,14 @@ JSON schemas:
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
 binary float. ``parse_duration`` and ``parse_timed_word`` build each
 ``Fraction`` once, straight from the digits the numeral pattern matched.
-JSON letters must be JSON integers, durations JSON strings or integers, and
-a move's ``reverse`` a JSON boolean; anything else is a ``NotationError``.
-Digits are ASCII digits only, and no numeral may run past 4,300 digits.
+``parse_timed_word`` checks each run with its position, merges it into an
+equal left neighbour in the same pass, and builds the word without a second
+check. JSON letters must be JSON integers, durations JSON strings or
+integers, and a move's ``reverse`` a JSON boolean; anything else is a
+``NotationError``. Digits are ASCII digits only, and no numeral may run past
+4,300 digits (``_MAX_DIGITS``), in input or in output: an exact result that
+would need a longer numeral is a ``NotationError`` too, whatever limit the
+interpreter puts on ``str()`` of an integer.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from .classical import Tableau, Word
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import TimedWord, normalize
+from .timed_words import Run, TimedWord, _word, normalize
 from .timed_tableaux import TimedTableau
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
@@ -50,6 +55,9 @@ _RUN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)")
 # before anything is converted gives one verdict everywhere.
 _MAX_DIGITS = 4300
 _LONG_DIGITS_RE = re.compile(rf"[0-9.]{{{_MAX_DIGITS + 1}}}")
+# The same bound on output: a value whose numerator or denominator reaches
+# this has more than _MAX_DIGITS digits, which str() may refuse to write.
+_TOO_LONG = 10**_MAX_DIGITS
 
 
 def _check_digits(text: str, at: int | None = 0) -> None:
@@ -78,6 +86,18 @@ def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
     return Fraction(int(integer))
 
 
+def _refuse_long_result():
+    raise NotationError(f"exact result needs a numeral of more than {_MAX_DIGITS} digits")
+
+
+def _rational_text(d: Fraction) -> str:
+    """``str(d)``, refused past the digit bound with the same verdict on
+    every interpreter."""
+    if not -_TOO_LONG < d.numerator < _TOO_LONG > d.denominator:
+        _refuse_long_result()
+    return str(d)
+
+
 def parse_duration(text: str) -> Fraction:
     """Parse a decimal numeral or p/q fraction into an exact Fraction."""
     m = _DURATION_RE.fullmatch(text.strip())
@@ -99,9 +119,11 @@ def format_duration(d: Fraction) -> str:
         rest //= 5
         e5 += 1
     if rest != 1:
-        return f"{d.numerator}/{d.denominator}"
+        return _rational_text(d)
     digits = max(e2, e5)
     scaled = abs(d.numerator) * 10**digits // d.denominator
+    if scaled >= _TOO_LONG:
+        _refuse_long_result()
     sign = "-" if d.numerator < 0 else ""
     if digits == 0:
         return f"{sign}{scaled}"
@@ -113,15 +135,27 @@ def human_rational(d: Fraction) -> str:
     """Human-readable rendering: exact decimal when one exists, otherwise the
     fraction with an approximation marked inexact."""
     text = format_duration(d)
-    if "/" in text:
-        return f"{text} (≈{float(d):.6g})"
-    return text
+    if "/" not in text:
+        return text
+    try:
+        approx = f"{float(d):.6g}"
+    except OverflowError:
+        # Beyond the float range: divide in decimal instead.
+        from decimal import Decimal
+
+        approx = f"{Decimal(d.numerator) / d.denominator:.6g}"
+    return f"{text} (≈{approx})"
 
 
 def parse_timed_word(text: str) -> TimedWord:
-    """Parse the timed-word grammar; errors carry the offending position."""
+    """Parse the timed-word grammar; errors carry the offending position.
+
+    One pass checks each run where it is read and merges it into an equal
+    left neighbour (``1^1 1^1/2`` is ``1^3/2``), so the word is built in
+    normal form without a second check."""
     _check_digits(text)
-    runs: list[tuple[int, Fraction]] = []
+    runs: list[Run] = []
+    last = 0  # the letter of the last run; letters are >= 1
     pos = 0
     n = len(text)
     while pos < n:
@@ -138,9 +172,13 @@ def parse_timed_word(text: str) -> TimedWord:
         dur = _numeral_fraction(*m.group(2, 3, 4, 5, 6), text[at : m.end()])
         if not dur.numerator:
             raise NotationError("durations must be positive", at)
-        runs.append((letter, dur))
+        if letter == last:
+            runs[-1] = Run(letter, runs[-1].duration + dur)
+        else:
+            runs.append(Run(letter, dur))
+            last = letter
         pos = m.end()
-    return normalize(runs)
+    return _word(tuple(runs))
 
 
 def format_timed_word(w: TimedWord) -> str:
@@ -187,7 +225,14 @@ def parse_word_or_timed(text: str) -> Word | TimedWord:
 
 
 def timed_word_to_dict(w: TimedWord) -> dict:
-    return {"runs": [{"letter": c, "dur": str(d)} for c, d in w.runs]}
+    # Durations are positive: one chained comparison per run keeps each
+    # numeral within the digit bound.
+    return {"runs": [
+        {"letter": c, "dur": str(d)}
+        if d.denominator < _TOO_LONG > d.numerator
+        else _refuse_long_result()
+        for c, d in w.runs
+    ]}
 
 
 def _json_letter(value) -> int:
@@ -252,10 +297,10 @@ def move_to_dict(m: TimedKnuthMove) -> dict:
     lens = dict(zip(order, m.cuts))
     out = {
         "kind": m.kind,
-        "u_len": str(m.position),
-        "x_len": str(lens["x"]),
-        "y_len": str(lens["y"]),
-        "z_len": str(lens["z"]),
+        "u_len": _rational_text(m.position),
+        "x_len": _rational_text(lens["x"]),
+        "y_len": _rational_text(lens["y"]),
+        "z_len": _rational_text(lens["z"]),
     }
     if m.reverse:
         out["reverse"] = True

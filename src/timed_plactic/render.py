@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .notation import _TOO_LONG, _refuse_long_result
 from .timed_words import TimedWord
 from .timed_tableaux import TimedTableau
 
@@ -44,6 +45,8 @@ def letter_color(letter: int) -> str:
 def _px(value: Fraction) -> str:
     # Exact decimal with six fractional digits (trailing zeros trimmed).
     scaled = round(Fraction(value) * 10**6)
+    if abs(scaled) >= _TOO_LONG:
+        _refuse_long_result()
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(7, "0")
     whole, frac = digits[:-6], digits[-6:].rstrip("0")

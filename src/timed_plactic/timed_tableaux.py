@@ -12,7 +12,14 @@ Timed insertion clears denominators once per call the same way: the
 integer-run kernel of :mod:`.classical` inserts the counts, in the same
 parallel-list form (classical insertion is its unit-duration case), and
 they go back to exact ``Fraction(n, q)`` durations once, in the returned
-tableau. Each returned tableau is validated once.
+tableau.
+
+Each tableau is validated once, by one validator over grid rows
+(``_check_grid``). ``TimedTableau(rows)``, for user and JSON input, puts its
+rows on their grid and calls it. The insertion functions call it on the
+kernel's own rows and q, then build the tableau without a second check,
+each row's length ``Fraction(sum(counts), q)`` filled into its cache, so
+``timed_shape`` computes no lcm.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .timed_words import (
     TimedWord,
     _grid,
     _to_grid,
+    _word,
     as_duration,
     concat,
     embed_classical,
@@ -53,6 +61,31 @@ def _column_strict(upper: Grid, lower: Grid) -> bool:
     return True
 
 
+def _check_grid(grid: list[Grid], q: int) -> None:
+    """Validate timed-tableau rows given on the grid 1/q. Raises
+    InvalidTableauError naming the first violation: an empty row, a row that
+    is not a timed row, a row longer than the one above, or two rows not
+    strictly increasing downward."""
+    for i, (letters, counts) in enumerate(grid):
+        if not letters:
+            raise InvalidTableauError(f"row {i} is empty")
+        if min(counts) < 1 or any(a >= b for a, b in zip(letters, letters[1:])):
+            raise InvalidTableauError(
+                f"row {i} is not a timed row: {_quote(_row(grid[i], q))}"
+            )
+    lengths = [sum(counts) for _, counts in grid]
+    for i in range(len(grid) - 1):
+        if lengths[i] < lengths[i + 1]:
+            raise InvalidTableauError(
+                f"row {i + 1} is longer than row {i} "
+                f"({Fraction(lengths[i + 1], q)} > {Fraction(lengths[i], q)})"
+            )
+        if not _column_strict(grid[i], grid[i + 1]):
+            raise InvalidTableauError(
+                f"rows {i} and {i + 1} are not strictly increasing downward"
+            )
+
+
 @dataclass(frozen=True, repr=False)
 class TimedTableau:
     """Stack of timed rows, top row first; validated on construction."""
@@ -60,25 +93,8 @@ class TimedTableau:
     rows: tuple[TimedWord, ...] = ()
 
     def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if not row:
-                raise InvalidTableauError(f"row {i} is empty")
-            if not is_timed_row(row):
-                raise InvalidTableauError(f"row {i} is not a timed row: {_quote(row)}")
         q = _grid(*self.rows)
-        grid = [_to_grid(row, q) for row in self.rows]
-        lengths = [sum(counts) for _, counts in grid]
-        for i in range(len(grid) - 1):
-            if lengths[i] < lengths[i + 1]:
-                upper, lower = self.rows[i], self.rows[i + 1]
-                raise InvalidTableauError(
-                    f"row {i + 1} is longer than row {i} "
-                    f"({lower.length} > {upper.length})"
-                )
-            if not _column_strict(grid[i], grid[i + 1]):
-                raise InvalidTableauError(
-                    f"rows {i} and {i + 1} are not strictly increasing downward"
-                )
+        _check_grid([_to_grid(row, q) for row in self.rows], q)
 
     def __bool__(self) -> bool:
         return bool(self.rows)
@@ -90,6 +106,25 @@ class TimedTableau:
         return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in self.rows))
 
 
+def _row(row: Grid, q: int) -> TimedWord:
+    """A kernel row back as exact durations n/q, built without a second
+    check; its length fills the ``length`` cache."""
+    letters, counts = row
+    return _word(
+        tuple([Run(c, Fraction(n, q)) for c, n in zip(letters, counts)]),
+        Fraction(sum(counts), q),
+    )
+
+
+def _tableau(rows: list[Grid], q: int) -> TimedTableau:
+    """The tableau of the kernel's grid rows: validated once on the grid,
+    then built without a second check."""
+    _check_grid(rows, q)
+    t = object.__new__(TimedTableau)
+    t.__dict__["rows"] = tuple([_row(row, q) for row in rows])
+    return t
+
+
 def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
     """Row lengths as exact rationals, top row first."""
     return tuple(row.length for row in t.rows)
@@ -98,12 +133,6 @@ def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
 def timed_reading_word(t: TimedTableau) -> TimedWord:
     """Rows concatenated bottom row first."""
     return concat(*reversed(t.rows))
-
-
-def _from_grid(rows: list[Grid], q: int) -> tuple[TimedWord, ...]:
-    return tuple(
-        [TimedWord(tuple([Run(c, Fraction(n, q)) for c, n in zip(*row)])) for row in rows]
-    )
 
 
 def timed_row_insert(
@@ -134,7 +163,7 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
     q = _grid(w, u)
     row = _to_grid(w, q)
     bumped = _bump_runs(*row, *_to_grid(u, q))
-    return _from_grid([bumped, row], q)
+    return _row(bumped, q), _row(row, q)
 
 
 def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
@@ -145,7 +174,7 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     q = _grid(v, *t.rows)
     rows = [_to_grid(row, q) for row in t.rows]
     _insert_runs(rows, *_to_grid(v, q))
-    return TimedTableau(_from_grid(rows, q))
+    return _tableau(rows, q)
 
 
 def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
@@ -154,7 +183,7 @@ def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
     q = _grid(w)
     rows: list[Grid] = []
     _insert_runs(rows, *_to_grid(w, q))
-    return TimedTableau(_from_grid(rows, q))
+    return _tableau(rows, q)
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
@@ -164,7 +193,7 @@ def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     steps: list[TimedTableau] = []
     for c, n in zip(*_to_grid(w, q)):
         _insert_runs(rows, [c], [n])
-        steps.append(TimedTableau(_from_grid(rows, q)))
+        steps.append(_tableau(rows, q))
     return steps
 
 

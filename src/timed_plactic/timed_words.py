@@ -15,6 +15,12 @@ a word on the grid in one layout everywhere: two parallel lists, the run
 letters and their counts, which is also the row form of the insertion
 kernel. Only the durations a cut creates become new ``Fraction(n, q)``
 values.
+
+Each word is checked once, where it is made. A public ``TimedWord(...)``
+call validates its runs. The functions that produce words from runs they
+have already checked (``normalize``, ``concat``, ``scale``, the cutter
+behind ``restrict`` and ``subword``, the text parser and the insertion
+functions) build them with ``_word``, which skips that second check.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ def as_duration(x: DurationLike) -> Fraction:
     return Fraction(x)
 
 
+def _check_letter(letter) -> None:
+    if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
+        raise ValueError(f"letters must be integers >= 1, got {letter!r}")
+
+
 class Run(NamedTuple):
     letter: int
     duration: Fraction
@@ -60,8 +71,7 @@ class TimedWord:
     def __post_init__(self):
         for run in self.runs:
             letter, dur = run
-            if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
-                raise ValueError(f"letters must be integers >= 1, got {letter!r}")
+            _check_letter(letter)
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {dur!r}")
         for a, b in zip(self.runs, self.runs[1:]):
@@ -97,6 +107,17 @@ class TimedWord:
         return f"TimedWord('{self}')"
 
 
+def _word(runs: tuple[Run, ...], length: Fraction | None = None) -> TimedWord:
+    """A TimedWord from runs its caller has already checked to be in normal
+    form, built without the constructor's check. A known length fills the
+    ``length`` cache."""
+    w = object.__new__(TimedWord)
+    w.__dict__["runs"] = runs
+    if length is not None:
+        w.__dict__["length"] = length
+    return w
+
+
 def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
     """Build a TimedWord from raw runs: zero-duration runs are dropped and
     adjacent equal-letter runs merged. Negative durations are rejected."""
@@ -111,7 +132,11 @@ def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
             out[-1] = Run(letter, out[-1].duration + dur)
         else:
             out.append(Run(letter, dur))
-    return TimedWord(tuple(out))
+    # Letters are checked on the kept runs, after every duration, as the
+    # constructor would: a dropped zero-duration run's letter goes unchecked.
+    for letter, _ in out:
+        _check_letter(letter)
+    return _word(tuple(out))
 
 
 def concat(*words: TimedWord) -> TimedWord:
@@ -123,7 +148,7 @@ def concat(*words: TimedWord) -> TimedWord:
                 runs[-1] = Run(run.letter, runs[-1].duration + run.duration)
             else:
                 runs.append(run)
-    return TimedWord(tuple(runs))
+    return _word(tuple(runs))
 
 
 def value_at(w: TimedWord, t: DurationLike) -> int:
@@ -155,7 +180,8 @@ def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
     """The pieces of w between consecutive points, for
     0 <= p0 <= p1 <= ... <= length, in one pass on the grid 1/q (q also
     clears the points' denominators). A run wholly inside a piece is kept as
-    it is; only a run that a point splits gets new durations."""
+    it is; only a run that a point splits gets new durations. Each piece's
+    length is known, and fills its cache."""
     q = lcm(_grid(w), *(p.denominator for p in points))
     ticks = [p.numerator * (q // p.denominator) for p in points]
     runs = w.runs
@@ -177,7 +203,7 @@ def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
                     break
             i += 1
             start = end
-        pieces.append(TimedWord(tuple(piece)))
+        pieces.append(_word(tuple(piece), Fraction(b - a, q)))
     return pieces
 
 
@@ -270,7 +296,7 @@ def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
     factor = as_duration(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return TimedWord(tuple(Run(c, d * factor) for c, d in w.runs))
+    return _word(tuple([Run(c, d * factor) for c, d in w.runs]))
 
 
 def letter_durations(w: TimedWord) -> dict[int, Fraction]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import groupby
@@ -10,7 +11,8 @@ from math import lcm
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from timed_plactic import Run, TimedWord, normalize, parse_timed_word
+from timed_plactic import NotationError, Run, TimedWord, normalize, parse_timed_word
+from timed_plactic.errors import _quote
 
 # Exact rational arithmetic makes per-example cost vary widely; the wall-clock
 # deadline would only add flakiness.
@@ -90,6 +92,40 @@ KAPPA2_MOVE_KWARGS = dict(
 
 def tw(text: str) -> TimedWord:
     return parse_timed_word(text)
+
+
+# One <letter>^<duration> token. The duration is the longest numeral (p/q,
+# a.b or an integer) after which the rest is empty, whitespace or a new
+# <letter>^ token.
+_TOKEN = re.compile(r"([0-9]+)\^([0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+)(?=\s|[0-9]+\^|$)")
+
+
+def tokens_then_normalize(text: str) -> TimedWord:
+    """The timed-word text grammar read in two passes: tokens first, each
+    checked with its position and read by ``Fraction(str)``, then
+    ``normalize`` merges equal neighbours. A reference for the one-pass
+    parser; numerals past the digit bound are not covered."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise NotationError("expected <letter>^<duration>", pos)
+        if int(m.group(1)) < 1:
+            raise NotationError("letters must be at least 1", pos)
+        numeral = m.group(2)
+        _, slash, den = numeral.partition("/")
+        if slash and not int(den):
+            raise NotationError(f"zero denominator in {_quote(numeral)}")
+        dur = Fraction(numeral)
+        if not dur:
+            raise NotationError("durations must be positive", m.start(2))
+        tokens.append((int(m.group(1)), dur))
+        pos = m.end()
+    return normalize(tokens)
 
 
 def schensted_rows(word) -> tuple[tuple[int, ...], ...]:

@@ -16,6 +16,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
+from timed_plactic import notation
 from timed_plactic.cli import _MAX_RUNS, main
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
@@ -400,6 +401,42 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "insert", "1," + "9" * 4300, "--json")
         assert code == 0
         assert json.loads(out)["rows"] == [[1, int("9" * 4300)]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Durations with denominators (10^2500 + 1)(10^2500 + 3).
+            ["insert", f"1^1/{10**2500 + 1} 2^1 1^1/{10**2500 + 3}"],
+            ["greene", f"1^1/{10**2500 + 1} 2^1/{10**2500 + 3}"],
+        ],
+    )
+    def test_results_past_the_digit_bound(self, capsys, argv):
+        message = f"exact result needs a numeral of more than {notation._MAX_DIGITS} digits"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": {"type": "NotationError", "message": message}}
+
+    def test_svg_coordinates_past_the_digit_bound(self, capsys, tmp_path):
+        svg = tmp_path / "x.svg"
+        code, out, err = run_cli(capsys, "render", "1^" + "9" * 4300, "--svg", str(svg), "--json")
+        assert code == 2 and out == "" and not svg.exists()
+        assert json.loads(err)["error"]["type"] == "NotationError"
+
+    def test_decimal_text_past_the_digit_bound(self, capsys):
+        # 1/2^14000 has 14,000 decimal places, but its fraction is printable.
+        word = f"1^1/{2**14000}"
+        code, out, err = run_cli(capsys, "insert", word)
+        assert code == 2 and out == "" and "more than 4300 digits" in err
+        code, out, _ = run_cli(capsys, "insert", word, "--json")
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"runs": [{"letter": 1, "dur": f"1/{2**14000}"}]}]
+
+    def test_profile_beyond_the_float_range(self, capsys):
+        code, out, _ = run_cli(capsys, "greene", "1^" + "9" * 400 + "/7")
+        assert code == 0
+        assert out == f"profile: {'9' * 400}/7 (≈1.42857e+399)\nmode: fast\n"
 
     def test_parse_error_exit_2_with_json_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "insert", "3^oops", "--json")

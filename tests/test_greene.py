@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -56,6 +57,17 @@ class TestClassicalOracle:
         assert greene_classical_oracle(w, 3) == greene_classical(w)[2]
         with pytest.raises(OracleSizeError, match="budget of 50000 states"):
             greene_classical_oracle(w, 6)
+
+    @pytest.mark.parametrize("length", [60, 400])
+    def test_work_budget(self, length):
+        # Under 50,000 states at every letter, but over 250,000 state updates
+        # in all: unbounded, r = 9 took 4.6 s at 60 letters and 76 s at 400.
+        rng = random.Random(1)
+        w = tuple(rng.randint(1, 9) for _ in range(length))
+        start = time.perf_counter()
+        with pytest.raises(OracleSizeError, match="budget of 250000 state updates"):
+            greene_classical_oracle(w, 9)
+        assert time.perf_counter() - start < 20
 
     def test_state_budget_admits_nine_letter_alphabets(self):
         # C(r + 9, r) <= C(18, 9) = 48,620 states for r <= 9.

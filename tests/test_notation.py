@@ -28,7 +28,7 @@ from timed_plactic import (
     timed_word_to_dict,
 )
 
-from conftest import timed_words, tw, words
+from conftest import timed_words, tokens_then_normalize, tw, words
 
 
 class TestParseDuration:
@@ -178,6 +178,48 @@ class TestUnspacedText:
         with pytest.raises(NotationError, match="expected <letter>") as info:
             parse_timed_word(f"{prefix}5^-{numeral}")
         assert info.value.position == len(prefix)
+
+
+# Text near the timed grammar: tokens with letters from 0, numerals of every
+# form, optional whitespace, and stray characters.
+_token = st.builds(
+    "{}^{}{}".format,
+    st.sampled_from(["0", "1", "2", "3", "12"]),
+    numerals,
+    st.sampled_from(["", " ", "  ", "\t"]),
+)
+timed_texts = st.one_of(
+    st.lists(_token, max_size=8).map("".join),
+    st.text("0123456789^/. x", max_size=24),
+)
+
+
+class TestOnePassParser:
+    """The parser checks and merges runs in one pass; it must read every text
+    as tokens followed by ``normalize`` do, errors included."""
+
+    @given(timed_texts)
+    @example("1^1 1^1/2")
+    @example("2^1 2^0.5 2^1/4 3^1 3^1")
+    @example("1^1 1^0")
+    @example("1^1 0^1")
+    @example("1^1 1^1/0")
+    def test_matches_tokens_then_normalize(self, text):
+        try:
+            expected = tokens_then_normalize(text)
+        except NotationError as exc:
+            with pytest.raises(NotationError) as info:
+                parse_timed_word(text)
+            assert str(info.value) == str(exc)
+            assert info.value.position == exc.position
+            return
+        word = parse_timed_word(text)
+        assert word == expected
+        assert word.runs == expected.runs
+
+    def test_merges_equal_neighbours(self):
+        assert parse_timed_word("1^1 1^1/2").runs == ((1, Fraction(3, 2)),)
+        assert parse_timed_word("2^1 1^1 1^1 2^1") == tw("2^1 1^2 2^1")
 
 
 class TestParseWord:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,8 @@ from timed_plactic import (
     timed_shape,
     timed_tableau_insert,
 )
+from timed_plactic import timed_tableaux
+from timed_plactic.timed_words import _grid, _to_grid
 
 from conftest import (
     INSERT_EXAMPLE_RESULT_A,
@@ -38,6 +41,7 @@ from conftest import (
     RINS_RESULT_TEXT,
     RINS_ROW_TEXT,
     durations,
+    fraction_length,
     grid_reference,
     letters,
     nonempty_timed_words,
@@ -155,6 +159,97 @@ class TestTimedTableauMatchesFractionReference:
         longer = (tw("1^1/3"), tw("2^2/5"))
         self.check(longer)
         assert "longer" in timed_tableau_error(longer)
+
+
+def _constructor_error(rows) -> str | None:
+    try:
+        TimedTableau(rows)
+    except InvalidTableauError as exc:
+        return str(exc)
+    return None
+
+
+class TestInsertionChecksTheKernelsRows:
+    """Each insertion function checks the kernel's grid rows once, before it
+    builds the tableau: a kernel that emitted some stack of rows gets the
+    verdict and message that ``TimedTableau(rows)`` gives that stack."""
+
+    WRAPPERS = {
+        "timed_insertion_tableau": timed_insertion_tableau,
+        "timed_insertion_steps": lambda w: timed_insertion_steps(w)[-1],
+        "timed_tableau_insert": lambda w: timed_tableau_insert(TimedTableau(), w),
+    }
+
+    @classmethod
+    def check(cls, wrapper, rows):
+        # One run on the stack's grid 1/q, so the wrapper works on that grid
+        # too, and a kernel that replaces every row by the stack's.
+        q = _grid(*rows)
+        grid = [_to_grid(row, q) for row in rows]
+
+        def kernel(out, letters, counts):
+            out[:] = [(list(ls), list(cs)) for ls, cs in grid]
+
+        w = TimedWord((Run(1, Fraction(1, q)),))
+        expected = _constructor_error(rows)
+        with mock.patch.object(timed_tableaux, "_insert_runs", kernel):
+            if expected is None:
+                assert cls.WRAPPERS[wrapper](w) == TimedTableau(rows)
+            else:
+                with pytest.raises(InvalidTableauError) as info:
+                    cls.WRAPPERS[wrapper](w)
+                assert str(info.value) == expected
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ("1^1/3 2^1/2", "2^1/3 3^1/4"),  # valid
+            ("1^1", ""),  # empty row
+            ("2^1/10 1^1/10",),  # not a timed row
+            ("1^1/3", "2^2/5"),  # longer than the row above
+            ("1^1/3 2^1/2", "2^2/5 3^1/4"),  # equal values on [1/3, 2/5)
+            ("1^3/4 3^1/4", "2^1"),  # equal values at the last cell
+        ],
+    )
+    def test_bad_rows(self, wrapper, rows):
+        self.check(wrapper, tuple(tw(row) for row in rows))
+
+    @given(
+        st.sampled_from(sorted(WRAPPERS)),
+        st.one_of(
+            near_tableaux(),
+            st.lists(st.one_of(timed_rows, timed_words), max_size=4).map(tuple),
+        ),
+    )
+    def test_random_stacks(self, wrapper, rows):
+        self.check(wrapper, rows)
+
+    def test_zero_counts_are_refused(self):
+        def kernel(out, letters, counts):
+            out[:] = [([1, 2], [1, 0])]
+
+        with mock.patch.object(timed_tableaux, "_insert_runs", kernel):
+            with pytest.raises(InvalidTableauError, match="row 0 is not a timed row"):
+                timed_insertion_tableau(tw("1^1"))
+
+
+class TestCachedLengths:
+    """Insertion fills each row's length cache from the kernel's counts."""
+
+    @staticmethod
+    def check(t):
+        for row in t.rows:
+            assert row.__dict__["length"] == fraction_length(row)
+        assert timed_shape(t) == tuple(fraction_length(row) for row in t.rows)
+
+    @given(timed_words, timed_rows)
+    def test_equal_recomputed_lengths(self, w, v):
+        t = timed_insertion_tableau(w)
+        self.check(t)
+        for step in timed_insertion_steps(w):
+            self.check(step)
+        self.check(timed_tableau_insert(t, v))
 
 
 class TestTimedRowInsert:
