@@ -12,8 +12,16 @@ its durations' common denominator q; classical insertion is the case where
 every inserted count is 1. The insertion point is a plain bisect on the
 row's letters. A unit run that lands inside a row is a swap: one unit of
 the run it hits is bumped, and that run is shortened, overwritten, or
-merged into an equal left neighbour in place. Each returned tableau is
-built, and so validated, once.
+merged into an equal left neighbour in place.
+
+Tableaux of both kinds have one validator, ``_check_grid``, over rows in
+this run form on the grid 1/q: no empty row, strictly increasing letters
+with counts >= 1, weakly decreasing lengths, and columns that strictly
+increase downward, checked with one comparison per run. A classical tableau
+is its q = 1 case. ``Tableau(rows)`` checks each row's letters and order,
+then validates the rows' runs; the insertion functions validate the
+kernel's own runs (at most one run per letter in a row) and build the
+tableau without a second check.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
@@ -50,6 +59,7 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     """
     if not is_row(u):
         raise NotARowError(f"row_insert needs a weakly increasing word, got {_quote(u)}")
+    _check_letters(u)
     _check_letters((a,))
     row = _runs(u)
     bumped, _ = _bump_runs(*row, [a], [1])
@@ -71,20 +81,11 @@ class Tableau:
         for i, row in enumerate(self.rows):
             if not row:
                 raise InvalidTableauError(f"row {i} is empty")
+            # Letters first: groupby in _runs would merge 1 and True.
             _check_letters(row)
             if not is_row(row):
                 raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if len(upper) < len(lower):
-                raise InvalidTableauError(
-                    f"row {i + 1} is longer than row {i} ({len(lower)} > {len(upper)})"
-                )
-            for j, b in enumerate(lower):
-                if upper[j] >= b:
-                    raise InvalidTableauError(
-                        f"column {j} is not strictly increasing between rows {i} and {i + 1}"
-                    )
+        _check_grid([_runs(row) for row in self.rows], 1, self.rows)
 
     def __bool__(self) -> bool:
         return bool(self.rows)
@@ -197,12 +198,59 @@ def _runs(row: Word) -> Grid:
     return [c for c, _ in runs], [n for _, n in runs]
 
 
+def _column_strict(upper: Grid, lower: Grid) -> bool:
+    # Grid rows, upper at least as long as lower. Rows increase left to
+    # right, so over each run of lower the upper row is largest at the run's
+    # last grid cell: one comparison per run of lower is exact.
+    u_letters, u_counts = upper
+    k = 0
+    u_end = u_counts[0]
+    l_end = 0
+    for letter, n in zip(*lower):
+        l_end += n
+        while u_end < l_end:
+            k += 1
+            u_end += u_counts[k]
+        if u_letters[k] >= letter:
+            return False
+    return True
+
+
+def _check_grid(grid: list[Grid], q: int, rows) -> None:
+    """The one tableau validator, for both kinds: rows given on the grid
+    1/q (q = 1 for classical rows), with ``rows`` the caller's row objects,
+    used only to quote an offending row. Raises InvalidTableauError naming
+    the first violation: an empty row, a row that is not a timed row
+    (letters not strictly increasing, or a count below 1), a row longer than
+    the one above, or two rows not strictly increasing downward."""
+    for i, (letters, counts) in enumerate(grid):
+        if not letters:
+            raise InvalidTableauError(f"row {i} is empty")
+        if min(counts) < 1 or any(a >= b for a, b in zip(letters, letters[1:])):
+            raise InvalidTableauError(f"row {i} is not a timed row: {_quote(rows[i])}")
+    lengths = [sum(counts) for _, counts in grid]
+    for i in range(len(grid) - 1):
+        if lengths[i] < lengths[i + 1]:
+            raise InvalidTableauError(
+                f"row {i + 1} is longer than row {i} "
+                f"({Fraction(lengths[i + 1], q)} > {Fraction(lengths[i], q)})"
+            )
+        if not _column_strict(grid[i], grid[i + 1]):
+            raise InvalidTableauError(
+                f"rows {i} and {i + 1} are not strictly increasing downward"
+            )
+
+
 def _tableau(rows: list[Grid]) -> Tableau:
+    """The tableau of the kernel's runs, validated once on those runs with
+    q = 1 (the built rows serve only to quote a bad one)."""
     # tuple() of a list comprehension has exact size; tuple() of a generator
     # resizes as it grows, which fragmented the heap over long runs.
-    return Tableau(
-        tuple([tuple([c for c, n in zip(*row) for _ in range(n)]) for row in rows])
-    )
+    built = tuple([tuple([c for c, n in zip(*row) for _ in range(n)]) for row in rows])
+    _check_grid(rows, 1, built)
+    t = object.__new__(Tableau)
+    t.__dict__["rows"] = built
+    return t
 
 
 def tableau_insert(t: Tableau, a: int) -> Tableau:

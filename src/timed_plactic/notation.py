@@ -239,6 +239,8 @@ def _json_letter(value) -> int:
     # JSON integers only: int() would read 1.5 as 1 and true as 1.
     if type(value) is not int:
         raise NotationError(f"letters must be JSON integers, got {_quote(value)}")
+    if value < 1:
+        raise NotationError(f"letters must be at least 1, got {_quote(value)}")
     return value
 
 

@@ -76,40 +76,38 @@ def _split(w: TimedWord, m: TimedKnuthMove):
     return u, factors, v
 
 
-def _validate(kind: str, x: TimedWord, y: TimedWord, z: TimedWord) -> None:
-    if not is_timed_row(concat(x, y, z)):
+# Side conditions per kind: the two factors whose lengths must be equal,
+# and the two whose boundary letters must increase across the junction.
+SIDE_CONDITIONS: dict[str, tuple[str, str]] = {
+    "k1": ("zy", "yz"),
+    "k2": ("xy", "xy"),
+}
+
+
+def _validate(kind: str, named: dict[str, TimedWord]) -> None:
+    xyz = concat(named["x"], named["y"], named["z"])
+    if not is_timed_row(xyz):
+        raise InvalidMoveError("xyz-not-a-row", f"x y z = {_quote(xyz)} is not a timed row")
+    (a, b), (left, right) = SIDE_CONDITIONS[kind]
+    if named[a].length != named[b].length:
         raise InvalidMoveError(
-            "xyz-not-a-row", f"x y z = {_quote(concat(x, y, z))} is not a timed row"
+            "length-mismatch",
+            f"l({a}) = {named[a].length} differs from l({b}) = {named[b].length}",
         )
-    if kind == "k1":
-        if z.length != y.length:
-            raise InvalidMoveError(
-                "length-mismatch", f"l(z) = {z.length} differs from l(y) = {y.length}"
-            )
-        if not y.runs[-1].letter < z.runs[0].letter:
-            raise InvalidMoveError(
-                "limit-condition",
-                f"last letter of y ({y.runs[-1].letter}) must be below the "
-                f"first letter of z ({z.runs[0].letter})",
-            )
-    else:
-        if x.length != y.length:
-            raise InvalidMoveError(
-                "length-mismatch", f"l(x) = {x.length} differs from l(y) = {y.length}"
-            )
-        if not x.runs[-1].letter < y.runs[0].letter:
-            raise InvalidMoveError(
-                "limit-condition",
-                f"last letter of x ({x.runs[-1].letter}) must be below the "
-                f"first letter of y ({y.runs[0].letter})",
-            )
+    last, first = named[left].runs[-1].letter, named[right].runs[0].letter
+    if not last < first:
+        raise InvalidMoveError(
+            "limit-condition",
+            f"last letter of {left} ({last}) must be below the "
+            f"first letter of {right} ({first})",
+        )
 
 
 def apply_move(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
     """Validate and apply a move, returning the rewritten (normalized) word."""
     u, factors, v = _split(w, m)
     named = dict(zip(SOURCE_ORDER[m.kind, m.reverse], factors))
-    _validate(m.kind, named["x"], named["y"], named["z"])
+    _validate(m.kind, named)
     rearranged = (named[role] for role in SOURCE_ORDER[m.kind, not m.reverse])
     return concat(u, *rearranged, v)
 

@@ -14,12 +14,14 @@ parallel-list form (classical insertion is its unit-duration case), and
 they go back to exact ``Fraction(n, q)`` durations once, in the returned
 tableau.
 
-Each tableau is validated once, by one validator over grid rows
-(``_check_grid``). ``TimedTableau(rows)``, for user and JSON input, puts its
-rows on their grid and calls it. The insertion functions call it on the
-kernel's own rows and q, then build the tableau without a second check,
-each row's length ``Fraction(sum(counts), q)`` filled into its cache, so
-``timed_shape`` computes no lcm.
+Each tableau is validated once, by the grid validator that classical
+tableaux share as its q = 1 case (``classical._check_grid``).
+``TimedTableau(rows)``, for user and JSON input, puts its rows on their grid
+and calls it. The insertion functions call it on the kernel's own rows and
+q, then build the tableau without a second check, each row's length
+``Fraction(sum(counts), q)`` filled into its cache, so ``timed_shape``
+computes no lcm. ``embed_classical_tableau`` goes the same way from a
+classical tableau's runs with q = 1.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import Grid, Tableau, _bump_runs, _insert_runs
-from .errors import InvalidTableauError, NotARowError, _quote
+from .classical import Grid, Tableau, _bump_runs, _check_grid, _insert_runs, _runs
+from .errors import NotARowError, _quote
 from .timed_words import (
     DurationLike,
     Run,
@@ -38,52 +40,8 @@ from .timed_words import (
     _word,
     as_duration,
     concat,
-    embed_classical,
     is_timed_row,
 )
-
-
-def _column_strict(upper: Grid, lower: Grid) -> bool:
-    # Grid rows of timed rows, upper at least as long as lower. Rows increase
-    # left to right, so over each run of lower the upper row is largest at
-    # the run's last grid cell: one comparison per run of lower is exact.
-    u_letters, u_counts = upper
-    k = 0
-    u_end = u_counts[0]
-    l_end = 0
-    for letter, n in zip(*lower):
-        l_end += n
-        while u_end < l_end:
-            k += 1
-            u_end += u_counts[k]
-        if u_letters[k] >= letter:
-            return False
-    return True
-
-
-def _check_grid(grid: list[Grid], q: int) -> None:
-    """Validate timed-tableau rows given on the grid 1/q. Raises
-    InvalidTableauError naming the first violation: an empty row, a row that
-    is not a timed row, a row longer than the one above, or two rows not
-    strictly increasing downward."""
-    for i, (letters, counts) in enumerate(grid):
-        if not letters:
-            raise InvalidTableauError(f"row {i} is empty")
-        if min(counts) < 1 or any(a >= b for a, b in zip(letters, letters[1:])):
-            raise InvalidTableauError(
-                f"row {i} is not a timed row: {_quote(_row(grid[i], q))}"
-            )
-    lengths = [sum(counts) for _, counts in grid]
-    for i in range(len(grid) - 1):
-        if lengths[i] < lengths[i + 1]:
-            raise InvalidTableauError(
-                f"row {i + 1} is longer than row {i} "
-                f"({Fraction(lengths[i + 1], q)} > {Fraction(lengths[i], q)})"
-            )
-        if not _column_strict(grid[i], grid[i + 1]):
-            raise InvalidTableauError(
-                f"rows {i} and {i + 1} are not strictly increasing downward"
-            )
 
 
 @dataclass(frozen=True, repr=False)
@@ -94,7 +52,7 @@ class TimedTableau:
 
     def __post_init__(self):
         q = _grid(*self.rows)
-        _check_grid([_to_grid(row, q) for row in self.rows], q)
+        _check_grid([_to_grid(row, q) for row in self.rows], q, self.rows)
 
     def __bool__(self) -> bool:
         return bool(self.rows)
@@ -117,11 +75,12 @@ def _row(row: Grid, q: int) -> TimedWord:
 
 
 def _tableau(rows: list[Grid], q: int) -> TimedTableau:
-    """The tableau of the kernel's grid rows: validated once on the grid,
-    then built without a second check."""
-    _check_grid(rows, q)
+    """The tableau of the kernel's grid rows, validated once on the grid
+    (the built rows serve only to quote a bad one), without a second check."""
+    built = tuple([_row(row, q) for row in rows])
+    _check_grid(rows, q, built)
     t = object.__new__(TimedTableau)
-    t.__dict__["rows"] = tuple([_row(row, q) for row in rows])
+    t.__dict__["rows"] = built
     return t
 
 
@@ -198,5 +157,6 @@ def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
 
 
 def embed_classical_tableau(t: Tableau) -> TimedTableau:
-    """Reinterpret a classical tableau with every letter held for duration 1."""
-    return TimedTableau(tuple(embed_classical(row) for row in t.rows))
+    """Reinterpret a classical tableau with every letter held for duration 1:
+    its rows' runs are the grid rows for q = 1."""
+    return _tableau([_runs(row) for row in t.rows], 1)

@@ -31,7 +31,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classical import Grid, Word
+from .classical import Grid, Word, _check_letters
 
 DurationLike = Union[Fraction, int, str]
 
@@ -46,11 +46,6 @@ def as_duration(x: DurationLike) -> Fraction:
     if type(x) is Fraction:
         return x
     return Fraction(x)
-
-
-def _check_letter(letter) -> None:
-    if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
-        raise ValueError(f"letters must be integers >= 1, got {letter!r}")
 
 
 class Run(NamedTuple):
@@ -71,7 +66,7 @@ class TimedWord:
     def __post_init__(self):
         for run in self.runs:
             letter, dur = run
-            _check_letter(letter)
+            _check_letters((letter,))
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {dur!r}")
         for a, b in zip(self.runs, self.runs[1:]):
@@ -134,8 +129,7 @@ def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
             out.append(Run(letter, dur))
     # Letters are checked on the kept runs, after every duration, as the
     # constructor would: a dropped zero-duration run's letter goes unchecked.
-    for letter, _ in out:
-        _check_letter(letter)
+    _check_letters([letter for letter, _ in out])
     return _word(tuple(out))
 
 

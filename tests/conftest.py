@@ -261,6 +261,28 @@ def fraction_column_strict(upper, lower) -> bool:
     )
 
 
+def tableau_error(rows) -> str | None:
+    """The error a stack of classical rows must raise as a Tableau, checked
+    cell by cell in the library's order, or None if valid. A column fault
+    reads as the grid validator words it; a quoted row is clipped as the
+    library's messages clip it."""
+    for i, row in enumerate(rows):
+        if not row:
+            return f"row {i} is empty"
+        for c in row:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 1:
+                return f"letters must be integers >= 1, got {c!r}"
+        if any(a > b for a, b in zip(row, row[1:])):
+            return f"row {i} is not weakly increasing: {_quote(row)}"
+    for i in range(len(rows) - 1):
+        upper, lower = rows[i], rows[i + 1]
+        if len(upper) < len(lower):
+            return f"row {i + 1} is longer than row {i} ({len(lower)} > {len(upper)})"
+        if any(upper[j] >= lower[j] for j in range(len(lower))):
+            return f"rows {i} and {i + 1} are not strictly increasing downward"
+    return None
+
+
 def timed_tableau_error(rows) -> str | None:
     """The error a stack of timed words must raise as a TimedTableau, checked
     with Fraction arithmetic in the library's order, or None if valid."""

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,12 +20,15 @@ from timed_plactic import (
     shape,
     tableau_insert,
 )
+from timed_plactic import classical
+from timed_plactic.classical import _runs
 
 from conftest import (
     STEPS_3421153,
     TABLEAU_3421153,
     WORD_3421153,
     schensted_rows,
+    tableau_error,
     words,
 )
 
@@ -61,6 +66,18 @@ class TestRowInsert:
         assert bumped == 4
         assert is_row(row)
 
+    @pytest.mark.parametrize(
+        "u, a, bad",
+        [
+            ((0, 1), 2, "0"),  # appended after the bad letter
+            ((1, 5.0), 3, "5.0"),  # the bad letter is the one bumped
+            ((True, 2), 2, "True"),
+        ],
+    )
+    def test_row_letters_are_checked(self, u, a, bad):
+        with pytest.raises(ValueError, match=rf"^letters must be integers >= 1, got {bad}$"):
+            row_insert(u, a)
+
 
 class TestTableau:
     def test_str(self):
@@ -85,6 +102,163 @@ class TestTableau:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             Tableau(((0, 1),))
+
+
+# Short rows of letters 1..5, some sorted, some not.
+_letter_lists = st.lists(st.integers(1, 5), min_size=1, max_size=5)
+_rows = st.one_of(_letter_lists.map(sorted), _letter_lists).map(tuple)
+# Rows the kernel's run form can carry: weakly increasing, letters >= 1.
+_sorted_rows = _letter_lists.map(sorted).map(tuple)
+
+
+@st.composite
+def near_tableaux(draw, rows=_rows, bad_letters=True):
+    """The rows of an insertion tableau, valid, or with one change that may
+    break it: a row replaced, two rows swapped, a cell dropped, a cell
+    appended, or one letter moved by one (to 0 or True, if allowed)."""
+    out = [list(row) for row in insertion_tableau(draw(long_words)).rows]
+    changes = ["none", "replace", "swap", "drop", "append", "relabel"]
+    change = draw(st.sampled_from(changes))
+    if not out or change == "none":
+        return tuple(tuple(row) for row in out)
+    i = draw(st.integers(min_value=0, max_value=len(out) - 1))
+    j = draw(st.integers(min_value=0, max_value=len(out[i]) - 1))
+    if change == "replace":
+        out[i] = list(draw(rows))
+    elif change == "swap" and i + 1 < len(out):
+        out[i], out[i + 1] = out[i + 1], out[i]
+    elif change == "drop":
+        del out[i][j]
+    elif change == "append":
+        out[i].append(draw(st.integers(out[i][-1], 7)))
+    elif change == "relabel":
+        moved = out[i][j] + draw(st.sampled_from([-1, 1]))
+        if moved < 1 and not bad_letters:
+            moved = 1
+        elif moved == 1 and bad_letters and draw(st.booleans()):
+            moved = True
+        out[i][j] = moved
+        if not bad_letters:
+            out[i].sort()
+    return tuple(tuple(row) for row in out)
+
+
+def _constructor_error(rows) -> str | None:
+    try:
+        Tableau(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestTableauMatchesElementwiseReference:
+    """Tableau(rows) checks its rows' letters and order, then runs the grid
+    validator on their runs with q = 1: it accepts and rejects exactly what
+    a cell-by-cell walk does, with the same message."""
+
+    @staticmethod
+    def check(rows):
+        expected = tableau_error(rows)
+        assert _constructor_error(rows) == expected
+        if expected is None:
+            assert Tableau(rows).rows == rows
+        elif not expected.startswith("letters"):
+            with pytest.raises(InvalidTableauError):
+                Tableau(rows)
+
+    @given(
+        st.lists(
+            st.one_of(_rows, st.lists(st.sampled_from([0, 1, 2, True]), max_size=4).map(tuple)),
+            max_size=4,
+        ).map(tuple)
+    )
+    def test_random_stacks(self, rows):
+        self.check(rows)
+
+    @given(near_tableaux())
+    def test_changed_insertion_tableaux(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 1, 3), (2, 4, 5), (3,)), None),
+            (((1,) * 10 + (3,) + (2,) * 14,),
+             "row 0 is not weakly increasing: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 2, 2, 2, 2, 2, 2, 2, 2,..."),
+            (((1,), ()), "row 1 is empty"),
+            (((1, True),), "letters must be integers >= 1, got True"),
+            (((2, 1),), "row 0 is not weakly increasing: (2, 1)"),
+            (((1,), (2, 3)), "row 1 is longer than row 0 (2 > 1)"),
+            (((1, 2), (1,)), "rows 0 and 1 are not strictly increasing downward"),
+            (((1, 2, 2), (2, 2)), "rows 0 and 1 are not strictly increasing downward"),
+            (((1, 1, 2), (2, 3), (3, 3)), "rows 1 and 2 are not strictly increasing downward"),
+        ],
+    )
+    def test_examples(self, rows, message):
+        assert tableau_error(rows) == message
+        self.check(rows)
+
+
+class TestInsertionChecksTheKernelsRows:
+    """Each insertion function checks the kernel's runs once, with q = 1,
+    before it builds the tableau: a kernel that emitted some stack of rows
+    gets the verdict and message that ``Tableau(rows)`` gives that stack.
+    The stacks are of weakly increasing rows of letters >= 1, the only rows
+    the kernel's run form carries."""
+
+    WRAPPERS = {
+        "insertion_tableau": insertion_tableau,
+        "insertion_steps": lambda w: insertion_steps(w)[-1],
+        "tableau_insert": lambda w: tableau_insert(Tableau(), w[0]),
+    }
+
+    @classmethod
+    def check(cls, wrapper, rows):
+        grid = [_runs(row) for row in rows]
+
+        def kernel(out, letters, counts):
+            out[:] = [(list(ls), list(cs)) for ls, cs in grid]
+
+        expected = _constructor_error(rows)
+        with mock.patch.object(classical, "_insert_runs", kernel):
+            if expected is None:
+                assert cls.WRAPPERS[wrapper]((1,)) == Tableau(rows)
+            else:
+                with pytest.raises(InvalidTableauError) as info:
+                    cls.WRAPPERS[wrapper]((1,))
+                assert str(info.value) == expected
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 1, 3), (2, 4, 5), (3,)),  # valid
+            ((1,), ()),  # empty row
+            ((1,), (2, 3)),  # longer than the row above
+            ((1, 2, 2), (2, 2)),  # equal letters in column 1
+            ((1, 1, 2), (2, 2, 2)),  # equal letters in the last column
+        ],
+    )
+    def test_bad_rows(self, wrapper, rows):
+        self.check(wrapper, rows)
+
+    @given(
+        st.sampled_from(sorted(WRAPPERS)),
+        st.one_of(
+            near_tableaux(rows=_sorted_rows, bad_letters=False),
+            st.lists(_sorted_rows, max_size=4).map(tuple),
+        ),
+    )
+    def test_random_stacks(self, wrapper, rows):
+        self.check(wrapper, rows)
+
+    def test_zero_counts_are_refused(self):
+        def kernel(out, letters, counts):
+            out[:] = [([1, 2], [1, 0])]
+
+        with mock.patch.object(classical, "_insert_runs", kernel):
+            with pytest.raises(InvalidTableauError, match="row 0 is not a timed row"):
+                insertion_tableau((1,))
 
 
 class TestTableauInsert:

@@ -197,6 +197,25 @@ class TestRender:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "NotationError"
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ('{"rows": [[0]]}', "0"),
+            ('{"rows": [{"runs": [{"letter": 0, "dur": "1"}]}]}', "0"),
+            ('{"rows": [[1, 2], [-3]]}', "-3"),
+        ],
+    )
+    def test_letters_below_one_are_parse_errors(self, capsys, text, bad, tmp_path):
+        code, out, err = run_cli(
+            capsys, "render", text, "--svg", str(tmp_path / "x.svg"), "--json"
+        )
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == {
+            "type": "NotationError",
+            "message": f"letters must be at least 1, got {bad}",
+        }
+
     def test_ribbon_file(self, capsys, tmp_path):
         path = tmp_path / "ribbon.svg"
         code, out, _ = run_cli(capsys, "render", "3^1 1^1", "--svg", str(path))

@@ -93,8 +93,24 @@ _tableaux = st.one_of(
         max_size=3,
     ).map(lambda rows: {"rows": rows}),
 )
+
+
+@st.composite
+def _letter_below_one(draw):
+    """Tableau JSON, classical or timed, whose rows are well formed but for
+    one or more letters below 1."""
+    rows = draw(
+        st.lists(st.lists(st.integers(-3, 6), min_size=1, max_size=4), min_size=1, max_size=3)
+    )
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.integers(-3, 0))
+    if draw(st.booleans()):
+        rows = [{"runs": [{"letter": c, "dur": "1"} for c in row]} for row in rows]
+    return {"rows": rows}
+
+
 _json_texts = st.one_of(
-    st.one_of(_json_values, _moves, _tableaux).map(json.dumps),
+    st.one_of(_json_values, _moves, _tableaux, _letter_below_one()).map(json.dumps),
     st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
     st.integers(1, 3000).map(lambda depth: '{"rows": ' * depth),
     st.text("{}[]\":,0123456789 ", max_size=20),
@@ -178,3 +194,18 @@ def test_exit_code_contract(argv, as_json, bogus):
             assert error["type"] == "NotationError"
     else:
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=100)
+@given(data=_letter_below_one(), tableau=_switch("--tableau"))
+def test_json_letters_below_one_are_notation_errors(data, tableau):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        svg = os.path.join(tmp, "out.svg")
+        argv = ["render", json.dumps(data), "--svg", svg, "--json", *tableau]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert not os.path.exists(svg)
+    error = json.loads(err.getvalue())["error"]
+    assert error["type"] == "NotationError"
+    assert error["message"].startswith("letters must be at least 1, got ")

@@ -119,6 +119,27 @@ class TestMoveValidation:
             apply_move(tw("1^0.5 2^1"), move)
         assert err.value.condition == "limit-condition"
 
+    @pytest.mark.parametrize(
+        "kind, word, cuts, condition, message",
+        [
+            ("k1", "1^1 3^1 2^1/2", (1, 1, "1/2"), "length-mismatch",
+             "l(z) = 1 differs from l(y) = 1/2"),
+            ("k2", "2^1 1^1/2 3^1", (1, "1/2", 1), "length-mismatch",
+             "l(x) = 1/2 differs from l(y) = 1"),
+            # x z y = 1 2 2: x y z merges into a row, y ends where z starts
+            ("k1", "1^1 2^2", (1, 1, 1), "limit-condition",
+             "last letter of y (2) must be below the first letter of z (2)"),
+            # y x z = 2 2 3: x ends where y starts
+            ("k2", "2^2 3^1", (1, 1, 1), "limit-condition",
+             "last letter of x (2) must be below the first letter of y (2)"),
+        ],
+    )
+    def test_condition_messages(self, kind, word, cuts, condition, message):
+        with pytest.raises(InvalidMoveError) as err:
+            apply_move(tw(word), TimedKnuthMove(kind, 0, *cuts))
+        assert err.value.condition == condition
+        assert str(err.value) == message
+
 
 class TestKappa1:
     def test_unit_duration_classical_case(self):
