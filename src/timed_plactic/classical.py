@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
 
@@ -67,28 +65,59 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     return (bumped[0] if bumped else None), new_row
 
 
-@dataclass(frozen=True)
-class Tableau:
+class _Value:
+    """The base of the value classes: ``_fields`` names the fields, which
+    ``__init__`` writes into the instance ``__dict__``. A value equals only
+    an object of its own class with equal fields, hashes as the tuple of its
+    fields, is false when its first field is empty, and refuses assignment
+    and deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __bool__(self) -> bool:
+        return bool(getattr(self, self._fields[0]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tableau(_Value):
     """Semistandard Young tableau; rows stored top row first.
 
     Invariants, enforced on construction: rows weakly increase, row lengths
     weakly decrease, columns strictly increase, and no row is empty.
     """
 
-    rows: tuple[Word, ...] = ()
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
+    def __init__(self, rows: tuple[Word, ...] = ()):
+        self.__dict__["rows"] = rows
+        for i, row in enumerate(rows):
             if not row:
                 raise InvalidTableauError(f"row {i} is empty")
-            # Letters first: groupby in _runs would merge 1 and True.
+            # Letters first: _runs would merge 1 and True.
             _check_letters(row)
             if not is_row(row):
                 raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
-        _check_grid([_runs(row) for row in self.rows], 1, self.rows)
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
+        _check_grid([_runs(row) for row in rows], 1, rows)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
@@ -193,9 +222,18 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
 
 
 def _runs(row: Word) -> Grid:
-    """A row of letters as runs: its distinct letters and their counts."""
-    runs = [(c, len(list(g))) for c, g in groupby(row)]
-    return [c for c, _ in runs], [n for _, n in runs]
+    """A weakly increasing row of letters as runs: its distinct letters and
+    their counts, each run's end found by bisection."""
+    letters: list[int] = []
+    counts: list[int] = []
+    i = 0
+    while i < len(row):
+        c = row[i]
+        j = bisect_right(row, c, i)
+        letters.append(c)
+        counts.append(j - i)
+        i = j
+    return letters, counts
 
 
 def _column_strict(upper: Grid, lower: Grid) -> bool:

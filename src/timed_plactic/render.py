@@ -9,9 +9,9 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .classical import _Value
 from .notation import _TOO_LONG, _refuse_long_result
 from .timed_words import TimedWord
 from .timed_tableaux import TimedTableau
@@ -26,16 +26,17 @@ _ROW_HEIGHT = 40  # px per ribbon or tableau row
 _MIN_LABEL_WIDTH = 16  # px below which run labels are omitted
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    target: str = "ribbon"  # "ribbon" | "tableau"
-    unit_scale: int = 100  # pixels per unit duration
+class RenderSpec(_Value):
+    """``target`` is "ribbon" or "tableau"; ``unit_scale`` is px per unit duration."""
 
-    def __post_init__(self):
-        if self.target not in ("ribbon", "tableau"):
-            raise ValueError(f"target must be 'ribbon' or 'tableau', got {self.target!r}")
-        if self.unit_scale <= 0:
-            raise ValueError(f"unit_scale must be positive, got {self.unit_scale}")
+    _fields = ("target", "unit_scale")
+
+    def __init__(self, target: str = "ribbon", unit_scale: int = 100):
+        self.__dict__.update(target=target, unit_scale=unit_scale)
+        if target not in ("ribbon", "tableau"):
+            raise ValueError(f"target must be 'ribbon' or 'tableau', got {target!r}")
+        if unit_scale <= 0:
+            raise ValueError(f"unit_scale must be positive, got {unit_scale}")
 
 
 def letter_color(letter: int) -> str:

@@ -14,9 +14,9 @@ kind preserve the letter-duration histogram and the insertion tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .classical import _Value
 from .errors import InvalidMoveError, _quote
 from .greene import greene_timed_oracle
 from .timed_words import TimedWord, _cut, as_duration, concat, is_timed_row
@@ -32,30 +32,26 @@ SOURCE_ORDER: dict[tuple[str, bool], str] = {
 }
 
 
-@dataclass(frozen=True)
-class TimedKnuthMove:
+class TimedKnuthMove(_Value):
     """A Knuth move site: ``position`` is where the three-factor region
     starts, and cut1..cut3 are the factor lengths in source order (see
     SOURCE_ORDER for which role each cut plays)."""
 
-    kind: str
-    position: Fraction
-    cut1: Fraction
-    cut2: Fraction
-    cut3: Fraction
-    reverse: bool = False
+    _fields = ("kind", "position", "cut1", "cut2", "cut3", "reverse")
 
-    def __post_init__(self):
-        if self.kind not in ("k1", "k2"):
-            raise ValueError(f"move kind must be 'k1' or 'k2', got {self.kind!r}")
-        object.__setattr__(self, "position", as_duration(self.position))
-        for name in ("cut1", "cut2", "cut3"):
-            value = as_duration(getattr(self, name))
+    def __init__(self, kind: str, position, cut1, cut2, cut3, reverse: bool = False):
+        if kind not in ("k1", "k2"):
+            raise ValueError(f"move kind must be 'k1' or 'k2', got {kind!r}")
+        position = as_duration(position)
+        cuts = []
+        for i, cut in enumerate((cut1, cut2, cut3), 1):
+            value = as_duration(cut)
             if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-        if self.position < 0:
-            raise ValueError(f"position must be nonnegative, got {self.position}")
+                raise ValueError(f"cut{i} must be positive, got {value}")
+            cuts.append(value)
+        if position < 0:
+            raise ValueError(f"position must be nonnegative, got {position}")
+        self.__dict__.update(zip(self._fields, (kind, position, *cuts, reverse)))
 
     @property
     def cuts(self) -> tuple[Fraction, Fraction, Fraction]:

@@ -26,10 +26,9 @@ classical tableau's runs with q = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import Grid, Tableau, _bump_runs, _check_grid, _insert_runs, _runs
+from .classical import Grid, Tableau, _bump_runs, _check_grid, _insert_runs, _runs, _Value
 from .errors import NotARowError, _quote
 from .timed_words import (
     DurationLike,
@@ -44,18 +43,15 @@ from .timed_words import (
 )
 
 
-@dataclass(frozen=True, repr=False)
-class TimedTableau:
+class TimedTableau(_Value):
     """Stack of timed rows, top row first; validated on construction."""
 
-    rows: tuple[TimedWord, ...] = ()
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        q = _grid(*self.rows)
-        _check_grid([_to_grid(row, q) for row in self.rows], q, self.rows)
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
+    def __init__(self, rows: tuple[TimedWord, ...] = ()):
+        self.__dict__["rows"] = rows
+        q = _grid(*rows)
+        _check_grid([_to_grid(row, q) for row in rows], q, rows)
 
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)

@@ -25,13 +25,12 @@ functions) build them with ``_word``, which skips that second check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classical import Grid, Word, _check_letters
+from .classical import Grid, Word, _check_letters, _Value
 
 DurationLike = Union[Fraction, int, str]
 
@@ -53,23 +52,22 @@ class Run(NamedTuple):
     duration: Fraction
 
 
-@dataclass(frozen=True, repr=False)
-class TimedWord:
+class TimedWord(_Value):
     """A normalized timed word.
 
     Construction validates normal form: positive durations, adjacent letters
     distinct. Use :func:`normalize` to build one from raw run data.
     """
 
-    runs: tuple[Run, ...] = ()
+    _fields = ("runs",)
 
-    def __post_init__(self):
-        for run in self.runs:
-            letter, dur = run
+    def __init__(self, runs: tuple[Run, ...] = ()):
+        self.__dict__["runs"] = runs
+        for letter, dur in runs:
             _check_letters((letter,))
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {dur!r}")
-        for a, b in zip(self.runs, self.runs[1:]):
+        for a, b in zip(runs, runs[1:]):
             if a.letter == b.letter:
                 raise ValueError(
                     f"adjacent runs carry the same letter {a.letter}; use normalize()"
@@ -86,9 +84,6 @@ class TimedWord:
         for _, dur in self.runs:
             out.append(out[-1] + dur)
         return out
-
-    def __bool__(self) -> bool:
-        return bool(self.runs)
 
     def __mul__(self, other: "TimedWord") -> "TimedWord":
         if not isinstance(other, TimedWord):
@@ -212,17 +207,17 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     return _cut(w, (a, b))[0]
 
 
-@dataclass(frozen=True)
-class TimeSample:
+class TimeSample(_Value):
     """A finite disjoint union of half-open intervals [a, b) in strictly
     separated normal form: 0 <= a1 < b1 < a2 < b2 < ... (touching intervals
     must be supplied pre-merged; see :meth:`from_intervals`)."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...] = ()
+    _fields = ("intervals",)
 
-    def __post_init__(self):
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...] = ()):
+        self.__dict__["intervals"] = intervals
         prev_end: Fraction | None = None
-        for a, b in self.intervals:
+        for a, b in intervals:
             if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
                 raise ValueError("interval endpoints must be Fractions")
             if a < 0 or a >= b:
@@ -259,9 +254,6 @@ class TimeSample:
     @property
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
 
 
 def subword(w: TimedWord, sample: TimeSample) -> TimedWord:

@@ -144,6 +144,13 @@ def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def runs_reference(row) -> tuple[list[int], list[int]]:
+    """A row's runs by groupby, apart from the library's bisection: its
+    distinct letters and their counts, in order."""
+    runs = [(c, len(list(g))) for c, g in groupby(row)]
+    return [c for c, _ in runs], [n for _, n in runs]
+
+
 def expand_on_grid(*words) -> tuple[list[list[int]], int]:
     """Each timed word as a classical word on the grid 1/q, q the lcm of all
     their run denominators: a run a^d becomes d*q copies of a."""
@@ -325,3 +332,9 @@ small_durations = st.fractions(
 small_timed_words = st.lists(st.tuples(letters, small_durations), max_size=5).map(
     normalize
 )
+
+# Weakly increasing rows as (letter, count) runs: unit runs, long runs, a
+# single letter, and letters far apart.
+sorted_rows = st.lists(
+    st.tuples(st.integers(1, 60), st.one_of(st.just(1), st.integers(1, 300))), max_size=12
+).map(lambda runs: tuple(sorted(c for c, n in runs for _ in range(n))))

@@ -27,7 +27,9 @@ from conftest import (
     STEPS_3421153,
     TABLEAU_3421153,
     WORD_3421153,
+    runs_reference,
     schensted_rows,
+    sorted_rows,
     tableau_error,
     words,
 )
@@ -149,6 +151,21 @@ def _constructor_error(rows) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+class TestRuns:
+    """``_runs`` finds each run's end by bisection; groupby is the reference."""
+
+    @given(sorted_rows)
+    def test_matches_groupby(self, row):
+        assert _runs(row) == runs_reference(row)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(), (7,), (1, 2, 3, 4), (5,) * 1000, (1,) * 3 + (2,) + (9,) * 500, tuple(range(1, 200))],
+    )
+    def test_fixed_rows(self, row):
+        assert _runs(row) == runs_reference(row)
 
 
 class TestTableauMatchesElementwiseReference:

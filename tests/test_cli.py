@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -478,3 +480,20 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "113\n245\n3\n"
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages .pth files, which may import anything, out of
+    # the check; what remains is the package's own import graph.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, timed_plactic.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
