@@ -258,6 +258,9 @@ def _cmd_check(args) -> int:
         print(f"seed {report['seed']}, {report['iterations']} iterations per suite")
         for suite in report["suites"]:
             print(f"  {suite['name']}: {suite['pass']} passed, {suite['fail']} failed")
+        if "witness" in report:
+            print("first failure: {suite}, seed {seed}, iteration {iteration}, word '{word}'"
+                  .format(**report["witness"]))
         print("all checks passed" if report["ok"] else "CHECK FAILURES")
     return 0 if report["ok"] else 1
 

@@ -19,12 +19,14 @@ JSON schemas:
     "z_len": "...", "reverse": false}`` with rational strings.
 
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
-binary float. ``parse_duration`` and ``parse_timed_word`` build each
-``Fraction`` once, straight from the digits the numeral pattern matched.
-``parse_timed_word`` checks each run with its position, merges it into an
-equal left neighbour in the same pass, and builds the word without a second
-check. JSON letters must be JSON integers, durations JSON strings or
-integers, and a move's ``reverse`` a JSON boolean; anything else is a
+binary float. One helper reads a numeral's matched digits as a numerator
+and a denominator; ``parse_duration`` makes a ``Fraction`` of them, and
+``parse_timed_word`` builds no ``Fraction`` at all. It checks each run with
+its position, puts every count on the grid of one lcm, merges equal
+neighbours and builds the word without a second check.
+``timed_word_to_dict`` writes each count n as n/q reduced by one gcd.
+JSON letters must be JSON integers, durations JSON strings or integers,
+and a move's ``reverse`` a JSON boolean; anything else is a
 ``NotationError``. Digits are ASCII digits only, and no numeral may run past
 4,300 digits (``_MAX_DIGITS``), in input or in output: an exact result that
 would need a longer numeral is a ``NotationError`` too, whatever limit the
@@ -35,11 +37,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .classical import Tableau, Word
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import Run, TimedWord, _word, normalize
+from .timed_words import TimedWord, _merged, normalize
 from .timed_tableaux import TimedTableau
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
@@ -74,16 +77,17 @@ def _json_integer(digits: str) -> int:
     return int(digits)
 
 
-def _numeral_fraction(p, q, whole, frac, integer, text: str) -> Fraction:
-    """The exact value of a numeral, built from its matched digit groups."""
+def _numeral(p, q, whole, frac, integer, text: str) -> tuple[int, int]:
+    """The exact value of a numeral, as a numerator and a denominator (not
+    reduced) read from its matched digit groups."""
     if p is not None:
         den = int(q)
         if not den:
             raise NotationError(f"zero denominator in {_quote(text)}")
-        return Fraction(int(p), den)
+        return int(p), den
     if whole is not None:
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(integer))
+        return int(whole + frac), 10 ** len(frac)
+    return int(integer), 1
 
 
 def _refuse_long_result():
@@ -104,7 +108,7 @@ def parse_duration(text: str) -> Fraction:
     if not m:
         raise NotationError(f"not a duration: {_quote(text)}")
     _check_digits(m.group(), None)
-    return _numeral_fraction(*m.groups(), text)
+    return Fraction(*_numeral(*m.groups(), text))
 
 
 def format_duration(d: Fraction) -> str:
@@ -150,12 +154,11 @@ def human_rational(d: Fraction) -> str:
 def parse_timed_word(text: str) -> TimedWord:
     """Parse the timed-word grammar; errors carry the offending position.
 
-    One pass checks each run where it is read and merges it into an equal
-    left neighbour (``1^1 1^1/2`` is ``1^3/2``), so the word is built in
-    normal form without a second check."""
+    One pass checks each run where it is read. The counts then go on the
+    grid of their lcm, and equal neighbours merge (``1^1 1^1/2`` is
+    ``1^3/2``), so the word is built in normal form without a second check."""
     _check_digits(text)
-    runs: list[Run] = []
-    last = 0  # the letter of the last run; letters are >= 1
+    runs: list[tuple[int, int, int]] = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -165,20 +168,19 @@ def parse_timed_word(text: str) -> TimedWord:
         m = _RUN_RE.match(text, pos)
         if not m:
             raise NotationError("expected <letter>^<duration>", pos)
-        letter = int(m.group(1))
+        letter, p, q, whole, frac, integer = m.groups()
+        letter = int(letter)
         if letter < 1:
             raise NotationError("letters must be at least 1", pos)
         at = m.end(1) + 1
-        dur = _numeral_fraction(*m.group(2, 3, 4, 5, 6), text[at : m.end()])
-        if not dur.numerator:
+        end = m.end()
+        num, den = _numeral(p, q, whole, frac, integer, text[at:end])
+        if not num:
             raise NotationError("durations must be positive", at)
-        if letter == last:
-            runs[-1] = Run(letter, runs[-1].duration + dur)
-        else:
-            runs.append(Run(letter, dur))
-            last = letter
-        pos = m.end()
-    return _word(tuple(runs))
+        runs.append((letter, num, den))
+        pos = end
+    grid = lcm(*(den for _, _, den in runs))
+    return _merged(((c, num * (grid // den)) for c, num, den in runs), grid)
 
 
 def format_timed_word(w: TimedWord) -> str:
@@ -225,14 +227,16 @@ def parse_word_or_timed(text: str) -> Word | TimedWord:
 
 
 def timed_word_to_dict(w: TimedWord) -> dict:
-    # Durations are positive: one chained comparison per run keeps each
-    # numeral within the digit bound.
-    return {"runs": [
-        {"letter": c, "dur": str(d)}
-        if d.denominator < _TOO_LONG > d.numerator
-        else _refuse_long_result()
-        for c, d in w.runs
-    ]}
+    # Each count n is n/q reduced by one gcd. Durations are positive: one
+    # chained comparison per run keeps each numeral within the digit bound.
+    runs = []
+    for c, n in zip(w.letters, w.counts):
+        g = gcd(n, w.q)
+        num, den = n // g, w.q // g
+        if not den < _TOO_LONG > num:
+            _refuse_long_result()
+        runs.append({"letter": c, "dur": f"{num}/{den}" if den > 1 else str(num)})
+    return {"runs": runs}
 
 
 def _json_letter(value) -> int:

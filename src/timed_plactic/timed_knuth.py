@@ -90,7 +90,7 @@ def _validate(kind: str, named: dict[str, TimedWord]) -> None:
             "length-mismatch",
             f"l({a}) = {named[a].length} differs from l({b}) = {named[b].length}",
         )
-    last, first = named[left].runs[-1].letter, named[right].runs[0].letter
+    last, first = named[left].letters[-1], named[right].letters[0]
     if not last < first:
         raise InvalidMoveError(
             "limit-condition",

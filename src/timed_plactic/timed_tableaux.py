@@ -8,20 +8,20 @@ counts on the grid 1/q, two parallel lists, and lengths and column
 strictness are integer comparisons. Both rows are step functions, so this
 settles every t exactly.
 
-Timed insertion clears denominators once per call the same way: the
-integer-run kernel of :mod:`.classical` inserts the counts, in the same
-parallel-list form (classical insertion is its unit-duration case), and
-they go back to exact ``Fraction(n, q)`` durations once, in the returned
-tableau.
+Timed insertion puts its words on one grid the same way: the integer-run
+kernel of :mod:`.classical` inserts the counts, in the same parallel-list
+form (classical insertion is its unit-duration case), and the kernel's rows
+become the returned tableau's words as they are, on the grid 1/q; no
+``Fraction`` is built per run.
 
 Each tableau is validated once, by the grid validator that classical
 tableaux share as its q = 1 case (``classical._check_grid``).
 ``TimedTableau(rows)``, for user and JSON input, puts its rows on their grid
 and calls it. The insertion functions call it on the kernel's own rows and
 q, then build the tableau without a second check, each row's length
-``Fraction(sum(counts), q)`` filled into its cache, so ``timed_shape``
-computes no lcm. ``embed_classical_tableau`` goes the same way from a
-classical tableau's runs with q = 1.
+``Fraction(sum(counts), q)`` filled into its cache for ``timed_shape``.
+``embed_classical_tableau`` goes the same way from a classical tableau's
+runs with q = 1.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .timed_words import (
     Run,
     TimedWord,
     _grid,
+    _on_grid,
     _to_grid,
-    _word,
     as_duration,
     concat,
     is_timed_row,
@@ -61,13 +61,9 @@ class TimedTableau(_Value):
 
 
 def _row(row: Grid, q: int) -> TimedWord:
-    """A kernel row back as exact durations n/q, built without a second
-    check; its length fills the ``length`` cache."""
-    letters, counts = row
-    return _word(
-        tuple([Run(c, Fraction(n, q)) for c, n in zip(letters, counts)]),
-        Fraction(sum(counts), q),
-    )
+    """A kernel row as a word on the grid 1/q, built without a second check;
+    its length fills the ``length`` cache."""
+    return _on_grid(*row, q, Fraction(sum(row[1]), q))
 
 
 def _tableau(rows: list[Grid], q: int) -> TimedTableau:

@@ -6,28 +6,30 @@ function on [0, length) whose value at t is the letter of the run covering t;
 ``value_at`` evaluates that function. Timed words form a monoid under
 ``concat`` with the empty word as identity.
 
-Durations are ``fractions.Fraction`` values, which keeps every result exact
-and equality decidable. Each one is made once, where a value is produced;
-the work in between runs on integer counts. Lengths and cuts clear
-denominators first: with q the lcm of the denominators involved, every
-duration is an integer count on the grid 1/q (``_grid``). ``_to_grid`` gives
-a word on the grid in one layout everywhere: two parallel lists, the run
-letters and their counts, which is also the row form of the insertion
-kernel. Only the durations a cut creates become new ``Fraction(n, q)``
-values.
+A word is stored on its integer grid: run i lasts ``counts[i] / q`` for the
+smallest such q, so ``gcd(q, *counts) == 1`` (q is 1 for the empty word).
+The form is canonical: two words are equal exactly when their letters,
+counts and q are. The one field, ``runs``, gives the durations as exact
+``fractions.Fraction`` values; it is built on first read and cached. Work on
+several words puts them on one grid: ``_grid`` is the lcm of their q, and
+``_to_grid`` gives a word's runs on it as two parallel lists, the letters
+and their counts, which is also the row form of the insertion kernel.
 
 Each word is checked once, where it is made. A public ``TimedWord(...)``
 call validates its runs. The functions that produce words from runs they
 have already checked (``normalize``, ``concat``, ``scale``, the cutter
 behind ``restrict`` and ``subword``, the text parser and the insertion
-functions) build them with ``_word``, which skips that second check.
+functions) build them with ``_on_grid``, which skips that second check and
+divides q and the counts by their gcd. Truth and equality read the grid;
+``repr``, ``str`` and ``hash`` read ``runs``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _Value
@@ -53,7 +55,7 @@ class Run(NamedTuple):
 
 
 class TimedWord(_Value):
-    """A normalized timed word.
+    """A normalized timed word, stored on its grid as ``letters``, ``counts``, ``q``.
 
     Construction validates normal form: positive durations, adjacent letters
     distinct. Use :func:`normalize` to build one from raw run data.
@@ -62,7 +64,6 @@ class TimedWord(_Value):
     _fields = ("runs",)
 
     def __init__(self, runs: tuple[Run, ...] = ()):
-        self.__dict__["runs"] = runs
         for letter, dur in runs:
             _check_letters((letter,))
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
@@ -72,18 +73,30 @@ class TimedWord(_Value):
                 raise ValueError(
                     f"adjacent runs carry the same letter {a.letter}; use normalize()"
                 )
+        self.__dict__.update(_word(runs).__dict__)
+
+    @cached_property
+    def runs(self) -> tuple[Run, ...]:
+        q = self.q
+        return tuple([Run(c, Fraction(n, q)) for c, n in zip(self.letters, self.counts)])
 
     @cached_property
     def length(self) -> Fraction:
-        q = _grid(self)
-        return Fraction(sum(_to_grid(self, q)[1]), q)
+        return Fraction(sum(self.counts), self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.letters, self.counts) == (other.q, other.letters, other.counts)
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
+
+    def __bool__(self) -> bool:
+        return bool(self.letters)
 
     def breakpoints(self) -> list[Fraction]:
         """Prefix sums of run durations, including 0 and the total length."""
-        out = [Fraction(0)]
-        for _, dur in self.runs:
-            out.append(out[-1] + dur)
-        return out
+        return [Fraction(n, self.q) for n in accumulate(self.counts, initial=0)]
 
     def __mul__(self, other: "TimedWord") -> "TimedWord":
         if not isinstance(other, TimedWord):
@@ -97,47 +110,64 @@ class TimedWord(_Value):
         return f"TimedWord('{self}')"
 
 
-def _word(runs: tuple[Run, ...], length: Fraction | None = None) -> TimedWord:
-    """A TimedWord from runs its caller has already checked to be in normal
-    form, built without the constructor's check. A known length fills the
-    ``length`` cache."""
+def _on_grid(letters, counts, q: int, length: Fraction | None = None) -> TimedWord:
+    """A TimedWord from runs on the grid 1/q that its caller has already
+    checked to be in normal form, built without the constructor's check, on
+    the smallest grid. The lists are copied: the kernel mutates its rows. A
+    known length fills the ``length`` cache."""
+    g = gcd(q, *counts)
+    if g > 1:
+        counts = [n // g for n in counts]
+        q //= g
     w = object.__new__(TimedWord)
-    w.__dict__["runs"] = runs
+    w.__dict__.update(letters=tuple(letters), counts=tuple(counts), q=q)
     if length is not None:
         w.__dict__["length"] = length
     return w
 
 
+def _word(runs, length: Fraction | None = None) -> TimedWord:
+    """The word of positive ``Fraction`` runs, equal neighbours merged, on the
+    lcm of their denominators."""
+    q = lcm(*(d.denominator for _, d in runs))
+    return _merged(((c, d.numerator * (q // d.denominator)) for c, d in runs), q, length)
+
+
+def _merged(runs, q: int, length: Fraction | None = None) -> TimedWord:
+    """The word of the runs (letter, count) on the grid 1/q, each merged into
+    an equal left neighbour."""
+    letters: list[int] = []
+    counts: list[int] = []
+    for c, n in runs:
+        if letters and letters[-1] == c:
+            counts[-1] += n
+        else:
+            letters.append(c)
+            counts.append(n)
+    return _on_grid(letters, counts, q, length)
+
+
 def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
     """Build a TimedWord from raw runs: zero-duration runs are dropped and
     adjacent equal-letter runs merged. Negative durations are rejected."""
-    out: list[Run] = []
+    kept: list[tuple[int, Fraction]] = []
     for letter, raw in runs:
         dur = as_duration(raw)
         if dur.numerator < 0:
             raise ValueError(f"run durations must be nonnegative, got {dur}")
-        if not dur.numerator:
-            continue
-        if out and out[-1].letter == letter:
-            out[-1] = Run(letter, out[-1].duration + dur)
-        else:
-            out.append(Run(letter, dur))
+        if dur.numerator:
+            kept.append((letter, dur))
+    w = _word(kept)
     # Letters are checked on the kept runs, after every duration, as the
     # constructor would: a dropped zero-duration run's letter goes unchecked.
-    _check_letters([letter for letter, _ in out])
-    return _word(tuple(out))
+    _check_letters(w.letters)
+    return w
 
 
 def concat(*words: TimedWord) -> TimedWord:
     """Concatenation, merging equal letters at the junctions."""
-    runs: list[Run] = []
-    for w in words:
-        for run in w.runs:
-            if runs and runs[-1].letter == run.letter:
-                runs[-1] = Run(run.letter, runs[-1].duration + run.duration)
-            else:
-                runs.append(run)
-    return _word(tuple(runs))
+    q = _grid(*words)
+    return _merged((run for w in words for run in zip(*_to_grid(w, q))), q)
 
 
 def value_at(w: TimedWord, t: DurationLike) -> int:
@@ -155,44 +185,41 @@ def value_at(w: TimedWord, t: DurationLike) -> int:
 
 
 def _grid(*words: TimedWord) -> int:
-    """The grid denominator q: the lcm of every run denominator."""
-    return lcm(*(d.denominator for w in words for _, d in w.runs))
+    """The common grid denominator q: the lcm of the words' grids."""
+    return lcm(*(w.q for w in words))
 
 
 def _to_grid(w: TimedWord, q: int) -> Grid:
-    """The runs of w on the grid 1/q as two parallel lists, the letters and
-    their integer counts: the row form of the insertion kernel."""
-    return [c for c, _ in w.runs], [d.numerator * (q // d.denominator) for _, d in w.runs]
+    """The runs of w on the grid 1/q (a multiple of w.q) as two parallel
+    lists, the letters and their integer counts: the row form of the
+    insertion kernel."""
+    k = q // w.q
+    return list(w.letters), [n * k for n in w.counts]
 
 
 def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
     """The pieces of w between consecutive points, for
     0 <= p0 <= p1 <= ... <= length, in one pass on the grid 1/q (q also
-    clears the points' denominators). A run wholly inside a piece is kept as
-    it is; only a run that a point splits gets new durations. Each piece's
-    length is known, and fills its cache."""
-    q = lcm(_grid(w), *(p.denominator for p in points))
+    clears the points' denominators)."""
+    q = lcm(w.q, *(p.denominator for p in points))
     ticks = [p.numerator * (q // p.denominator) for p in points]
-    runs = w.runs
-    counts = _to_grid(w, q)[1]
+    letters, counts = _to_grid(w, q)
     pieces = []
     i = start = 0  # run i covers [start, start + its count)
     for a, b in zip(ticks, ticks[1:]):
-        piece = []
+        piece: Grid = ([], [])
         while start < b:
-            n = counts[i]
-            end = start + n
+            end = start + counts[i]
             if end > a:
                 span = min(end, b) - max(start, a)
-                if span == n:
-                    piece.append(runs[i])
-                elif span:
-                    piece.append(Run(runs[i].letter, Fraction(span, q)))
+                if span:
+                    piece[0].append(letters[i])
+                    piece[1].append(span)
                 if end > b:
                     break
             i += 1
             start = end
-        pieces.append(_word(tuple(piece), Fraction(b - a, q)))
+        pieces.append(_on_grid(*piece, q))
     return pieces
 
 
@@ -269,7 +296,7 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
 def is_timed_row(w: TimedWord) -> bool:
     """True when run letters strictly increase, i.e. the step function is
     nondecreasing; the empty word counts as a row."""
-    return all(a.letter < b.letter for a, b in zip(w.runs, w.runs[1:]))
+    return all(a < b for a, b in zip(w.letters, w.letters[1:]))
 
 
 def embed_classical(w: Word) -> TimedWord:
@@ -282,7 +309,7 @@ def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
     factor = as_duration(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return _word(tuple([Run(c, d * factor) for c, d in w.runs]))
+    return _on_grid(w.letters, [n * factor.numerator for n in w.counts], w.q * factor.denominator)
 
 
 def letter_durations(w: TimedWord) -> dict[int, Fraction]:

@@ -18,8 +18,9 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
-from timed_plactic import notation
+from timed_plactic import notation, selfcheck
 from timed_plactic.cli import _MAX_RUNS, main
+from timed_plactic.notation import format_timed_word, format_word
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
 
@@ -321,6 +322,63 @@ class TestCheck:
         }
         _, out2, _ = run_cli(capsys, "check", "--iters", "3", "--seed", "5", "--json")
         assert out1 == out2
+
+    @staticmethod
+    def fail_at(monkeypatch, index, iteration):
+        """Make suite ``index`` fail at ``iteration``; returns the words that
+        suite was given, in order."""
+        suites = list(selfcheck._SUITES)
+        name, suite = suites[index]
+        seen = []
+
+        def failing(rng, i):
+            w, passed = suite(rng, i)
+            seen.append(w)
+            return w, passed and i != iteration
+
+        suites[index] = (name, failing)
+        monkeypatch.setattr(selfcheck, "_SUITES", tuple(suites))
+        return seen
+
+    def test_witness_in_json(self, capsys, monkeypatch):
+        seen = self.fail_at(monkeypatch, 2, 3)
+        code, out1, _ = run_cli(capsys, "check", "--iters", "6", "--seed", "11", "--json")
+        assert code == 1
+        report = json.loads(out1)
+        assert report["ok"] is False
+        assert [s["fail"] for s in report["suites"]] == [0, 0, 1, 0, 0, 0]
+        assert report["witness"] == {
+            "suite": "knuth-move-invariance",
+            "seed": 11,
+            "iteration": 3,
+            "word": format_timed_word(seen[3]),
+        }
+        assert list(report)[-1] == "witness"
+        # Replaying the seed reproduces the witness, and the whole report.
+        _, out2, _ = run_cli(capsys, "check", "--iters", "6", "--seed", "11", "--json")
+        assert out2 == out1
+
+    def test_witness_in_text(self, capsys, monkeypatch):
+        seen = self.fail_at(monkeypatch, 0, 3)
+        code, out, _ = run_cli(capsys, "check", "--iters", "6", "--seed", "11")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            "first failure: greene-classical-oracle-agreement, seed 11, iteration 3, "
+            f"word '{format_word(seen[3])}'",
+            "CHECK FAILURES",
+        ]
+        assert "  greene-classical-oracle-agreement: 5 passed, 1 failed" in lines
+
+    def test_first_failure_is_the_witness(self, monkeypatch):
+        self.fail_at(monkeypatch, 4, 0)
+        self.fail_at(monkeypatch, 1, 3)
+        report = selfcheck.run_checks(5, 2)
+        assert [s["fail"] for s in report["suites"]] == [0, 1, 0, 0, 1, 0]
+        assert (report["witness"]["suite"], report["witness"]["iteration"]) == (
+            "greene-timed-oracle-agreement",
+            3,
+        )
 
     def test_negative_iters_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--iters", "-2", "--json")

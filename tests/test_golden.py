@@ -1,8 +1,14 @@
-"""Golden tests for the README's CLI examples.
+"""Golden tests for the CLI: the README's examples, and timed cases whose
+durations exercise the integer grid.
 
 Each example runs as a fresh ``python -m timed_plactic`` process, in text and
 ``--json`` form, and its exit code, exact stdout and (for ``render``) the
 exact SVG bytes are compared with the files under ``tests/golden/``.
+
+The grid cases cover equal-letter runs that the parser merges
+(``1^1/2 1^1/2``), decimals that reduce (``2^0.50``), distinct prime
+denominators, and move cuts that fall inside runs, so the pieces get
+denominators the word did not have.
 
 Regenerate the files, only when an output change is intended, with
 
@@ -43,9 +49,25 @@ EXAMPLES = [
     ("check", ["check", "--iters", "50", "--seed", "0"], 0, None),
 ]
 
+K2_CUT = '{"kind":"k2","u_len":"5/3","x_len":"1/3","y_len":"1/3","z_len":"1/5"}'
+K1_CUT = '{"kind":"k1","u_len":"3/2","x_len":"1/2","y_len":"1/7","z_len":"1/7"}'
+
+# Timed cases beyond the README, in the same form.
+GRID_EXAMPLES = [
+    ("insert-merge", ["insert", "2^1 1^1/2 1^1/2 3^1/3 1^0.25"], 0, None),
+    ("greene-decimals", ["greene", "2^0.50 1^0.25 3^1.50 1^0.750", "--oracle"], 0, None),
+    ("insert-primes", ["insert", "3^1/7 1^2/11 4^3/13 2^1/17 1^5/19 3^1/23"], 0, None),
+    ("greene-primes", ["greene", "3^1/5 1^2/7 4^1/3 2^1/2", "--oracle"], 0, None),
+    ("equiv-move-k2-cut",
+     ["equiv", "4^1 2^1 1^1/3 3^1", "4^1 2^1 3^1/5 1^1/3 3^4/5", "--move", K2_CUT], 0, None),
+    ("equiv-move-k1-cut",
+     ["equiv", "2^1 1^1 3^1/7 2^1/3 4^1", "2^1 1^1/2 3^1/7 1^1/2 2^1/3 4^1",
+      "--move", K1_CUT], 0, None),
+]
+
 CASES = [
     (f"{name}{suffix}", argv + extra, code, svg)
-    for name, argv, code, svg in EXAMPLES
+    for name, argv, code, svg in EXAMPLES + GRID_EXAMPLES
     for suffix, extra in (("", []), (".json", ["--json"]))
 ]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -11,16 +12,27 @@ from timed_plactic import (
     as_duration,
     concat,
     embed_classical,
+    embed_classical_tableau,
+    format_timed_word,
+    insertion_tableau,
     is_timed_row,
     letter_durations,
     normalize,
+    parse_timed_word,
     restrict,
     scale,
     subword,
+    timed_insertion_steps,
+    timed_insertion_tableau,
+    timed_row_insert_word,
+    timed_tableau_insert,
+    timed_word_from_dict,
+    timed_word_to_dict,
     value_at,
 )
+from timed_plactic.timed_words import _cut
 
-from conftest import durations, fraction_cut, timed_words, tw, words
+from conftest import durations, fraction_cut, letters, timed_words, tw, words
 
 
 def cut_points(w: TimedWord):
@@ -281,3 +293,102 @@ class TestScaleAndHistogram:
 
     def test_letter_durations(self):
         assert letter_durations(tw("3^1 2^2 3^1")) == {3: 2, 2: 2}
+
+
+def assert_canonical(w: TimedWord) -> None:
+    """w is stored on its smallest grid, in tuples, and its runs are its
+    counts over q."""
+    assert type(w.letters) is tuple and type(w.counts) is tuple
+    assert gcd(w.q, *w.counts) == 1
+    assert w.runs == tuple(Run(c, Fraction(n, w.q)) for c, n in zip(w.letters, w.counts))
+    assert w.q == lcm(*(d.denominator for _, d in w.runs))
+
+
+# Raw runs, equal neighbours allowed, each with a factor that the text and
+# JSON forms multiply into both terms of its duration (2^1/2 as 2^2/4).
+raw_runs = st.lists(st.tuples(letters, durations, st.integers(1, 6)), max_size=6)
+
+
+def unreduced(d: Fraction, k: int) -> str:
+    return f"{d.numerator * k}/{d.denominator * k}"
+
+
+class TestCanonicalGrid:
+    """Every producer of a word gives the canonical grid, and equality of
+    grids is equality of runs."""
+
+    @given(raw_runs)
+    def test_parser_normalize_and_json(self, raw):
+        expected = normalize((c, d) for c, d, _ in raw)
+        text = " ".join(f"{c}^{unreduced(d, k)}" for c, d, k in raw)
+        data = {"runs": [{"letter": c, "dur": unreduced(d, k)} for c, d, k in raw]}
+        decimals = " ".join(f"{c}^{d.numerator}.5{'0' * k}" for c, d, k in raw)
+        for w in (
+            expected,
+            parse_timed_word(text),
+            parse_timed_word(format_timed_word(expected)),
+            timed_word_from_dict(data),
+            timed_word_from_dict(timed_word_to_dict(expected)),
+            TimedWord(expected.runs),
+        ):
+            assert_canonical(w)
+            assert w == expected
+        assert_canonical(parse_timed_word(decimals))
+        assert_canonical(normalize((c, d * k) for c, d, k in raw))
+
+    @given(timed_words, timed_words, st.data())
+    def test_concat_cut_and_scale(self, a, b, data):
+        assert_canonical(concat(a, b, a))
+        points = sorted(data.draw(st.lists(cut_points(a), max_size=5)))
+        for piece in _cut(a, [0, *points, a.length]):
+            assert_canonical(piece)
+        for factor in (3, Fraction(1, 3), Fraction(4, 6), Fraction(7, 2)):
+            assert_canonical(scale(a, factor))
+
+    @given(timed_words, timed_words, words)
+    def test_insertion_rows(self, w, u, word):
+        row = normalize(sorted(u.runs))
+        t = timed_insertion_tableau(w)
+        tableaux = [
+            t,
+            timed_tableau_insert(t, row),
+            embed_classical_tableau(insertion_tableau(word)),
+        ]
+        for tableau in tableaux + timed_insertion_steps(w):
+            for r in tableau.rows:
+                assert_canonical(r)
+        for r in timed_row_insert_word(row, u):
+            assert_canonical(r)
+
+    @given(timed_words, timed_words, st.data())
+    def test_equality_is_equality_of_runs(self, w, v, data):
+        points = sorted(data.draw(st.lists(cut_points(w), max_size=5)))
+        routes = [
+            w,
+            parse_timed_word(format_timed_word(w)),
+            concat(*_cut(w, [0, *points, w.length])),
+            scale(scale(w, 3), Fraction(1, 3)),
+            TimedWord(w.runs),
+            v,
+        ]
+        for a in routes:
+            for b in routes:
+                equal = a == b
+                assert equal == (a.runs == b.runs)
+                if equal:
+                    assert hash(a) == hash(b)
+        assert all(route == w for route in routes[:-1])
+
+    def test_truth_and_equality_build_no_runs(self):
+        a, b = tw("1^1/2 2^1/3"), tw("1^1/2 2^1/3")
+        assert a and a == b and not TimedWord()
+        assert "runs" not in a.__dict__ and "runs" not in b.__dict__
+        assert a.runs == (Run(1, Fraction(1, 2)), Run(2, Fraction(1, 3)))
+        assert a.__dict__["runs"] is a.runs
+
+    def test_merges_and_reductions(self):
+        assert tw("1^1/2 1^1/2") == tw("1^1")
+        assert (tw("1^1/2 1^1/2").counts, tw("1^1/2 1^1/2").q) == ((1,), 1)
+        assert (tw("2^0.50").letters, tw("2^0.50").counts, tw("2^0.50").q) == ((2,), (1,), 2)
+        assert TimedWord().q == 1 and TimedWord().counts == ()
+        assert concat(*_cut(tw("1^1 2^1/2"), (0, Fraction(1, 3), Fraction(3, 2)))).q == 2
