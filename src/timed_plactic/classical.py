@@ -67,26 +67,32 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
 
 class _Value:
     """The base of the value classes: ``_fields`` names the fields, which
-    ``__init__`` writes into the instance ``__dict__``. A value equals only
-    an object of its own class with equal fields, hashes as the tuple of its
-    fields, is false when its first field is empty, and refuses assignment
-    and deletion."""
+    ``__init__`` writes into the instance ``__dict__``. ``_key`` names the
+    attributes that equality compares and truth reads, by default the
+    fields; a class stored in another form than its fields (a grid) names
+    that form, so equality and truth need not build the fields. A value
+    equals only an object of its own class with an equal key, hashes as the
+    tuple of its fields, is false when its first key attribute is empty,
+    and refuses assignment and deletion."""
 
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls):
+        cls._key = cls.__dict__.get("_key") or cls._fields
+
+    def _values(self, names) -> tuple:
+        return tuple([getattr(self, name) for name in names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self._key) == other._values(self._key)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self._fields))
 
     def __bool__(self) -> bool:
-        return bool(getattr(self, self._fields[0]))
+        return bool(getattr(self, self._key[0]))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -117,7 +123,7 @@ class Tableau(_Value):
             _check_letters(row)
             if not is_row(row):
                 raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
-        _check_grid([_runs(row) for row in rows], 1, rows)
+        _check_grid([_runs(row) for row in rows], 1, self)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
@@ -254,10 +260,10 @@ def _column_strict(upper: Grid, lower: Grid) -> bool:
     return True
 
 
-def _check_grid(grid: list[Grid], q: int, rows) -> None:
-    """The one tableau validator, for both kinds: rows given on the grid
-    1/q (q = 1 for classical rows), with ``rows`` the caller's row objects,
-    used only to quote an offending row. Raises InvalidTableauError naming
+def _check_grid(grid: list[Grid], q: int, t) -> None:
+    """The one tableau validator, for both kinds: the rows of the tableau t
+    given on the grid 1/q (q = 1 for classical rows); ``t.rows`` is read
+    only to quote an offending row. Raises InvalidTableauError naming
     the first violation: an empty row, a row that is not a timed row
     (letters not strictly increasing, or a count below 1), a row longer than
     the one above, or two rows not strictly increasing downward."""
@@ -265,7 +271,7 @@ def _check_grid(grid: list[Grid], q: int, rows) -> None:
         if not letters:
             raise InvalidTableauError(f"row {i} is empty")
         if min(counts) < 1 or any(a >= b for a, b in zip(letters, letters[1:])):
-            raise InvalidTableauError(f"row {i} is not a timed row: {_quote(rows[i])}")
+            raise InvalidTableauError(f"row {i} is not a timed row: {_quote(t.rows[i])}")
     lengths = [sum(counts) for _, counts in grid]
     for i in range(len(grid) - 1):
         if lengths[i] < lengths[i + 1]:
@@ -281,13 +287,12 @@ def _check_grid(grid: list[Grid], q: int, rows) -> None:
 
 def _tableau(rows: list[Grid]) -> Tableau:
     """The tableau of the kernel's runs, validated once on those runs with
-    q = 1 (the built rows serve only to quote a bad one)."""
+    q = 1."""
+    t = object.__new__(Tableau)
     # tuple() of a list comprehension has exact size; tuple() of a generator
     # resizes as it grows, which fragmented the heap over long runs.
-    built = tuple([tuple([c for c, n in zip(*row) for _ in range(n)]) for row in rows])
-    _check_grid(rows, 1, built)
-    t = object.__new__(Tableau)
-    t.__dict__["rows"] = built
+    t.__dict__["rows"] = tuple([tuple([c for c, n in zip(*r) for _ in range(n)]) for r in rows])
+    _check_grid(rows, 1, t)
     return t
 
 

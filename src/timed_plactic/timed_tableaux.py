@@ -8,18 +8,26 @@ counts on the grid 1/q, two parallel lists, and lengths and column
 strictness are integer comparisons. Both rows are step functions, so this
 settles every t exactly.
 
+A tableau is stored on one integer grid, as a timed word is: ``grid`` holds
+each row's letters and counts as tuples, and ``q`` is the smallest
+denominator for the whole tableau, so ``gcd(q, *every count) == 1``. The
+form is canonical: two tableaux are equal exactly when their grids and q
+are. ``rows``, the one field, gives the rows as timed words; it is built on
+first read and cached. Shape, reading word, equality and truth read the
+grid.
+
 Timed insertion puts its words on one grid the same way: the integer-run
 kernel of :mod:`.classical` inserts the counts, in the same parallel-list
 form (classical insertion is its unit-duration case), and the kernel's rows
-become the returned tableau's words as they are, on the grid 1/q; no
-``Fraction`` is built per run.
+become the returned tableau's grid; no ``Fraction`` and no row word is built.
+Inserting into a tableau scales its grid onto the lcm of its q and the
+inserted row's.
 
 Each tableau is validated once, by the grid validator that classical
 tableaux share as its q = 1 case (``classical._check_grid``).
-``TimedTableau(rows)``, for user and JSON input, puts its rows on their grid
-and calls it. The insertion functions call it on the kernel's own rows and
-q, then build the tableau without a second check, each row's length
-``Fraction(sum(counts), q)`` filled into its cache for ``timed_shape``.
+``TimedTableau(rows)``, for user and JSON input, keeps the rows it was
+given, puts them on their grid and calls it. The insertion functions call
+it on the kernel's own rows and q, then keep them without a second check.
 ``embed_classical_tableau`` goes the same way from a classical tableau's
 runs with q = 1.
 """
@@ -27,6 +35,7 @@ runs with q = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .classical import Grid, Tableau, _bump_runs, _check_grid, _insert_runs, _runs, _Value
 from .errors import NotARowError, _quote
@@ -35,23 +44,30 @@ from .timed_words import (
     Run,
     TimedWord,
     _grid,
+    _grid_gcd,
+    _merged,
     _on_grid,
     _to_grid,
     as_duration,
-    concat,
     is_timed_row,
 )
 
 
 class TimedTableau(_Value):
-    """Stack of timed rows, top row first; validated on construction."""
+    """Stack of timed rows, top row first; validated on construction, and
+    stored as ``grid`` and ``q``."""
 
     _fields = ("rows",)
+    _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
         self.__dict__["rows"] = rows
         q = _grid(*rows)
-        _check_grid([_to_grid(row, q) for row in rows], q, rows)
+        self.__dict__.update(_tableau([_to_grid(row, q) for row in rows], q).__dict__)
+
+    @cached_property
+    def rows(self) -> tuple[TimedWord, ...]:
+        return tuple([_on_grid(*row, self.q) for row in self.grid])
 
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)
@@ -60,30 +76,26 @@ class TimedTableau(_Value):
         return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in self.rows))
 
 
-def _row(row: Grid, q: int) -> TimedWord:
-    """A kernel row as a word on the grid 1/q, built without a second check;
-    its length fills the ``length`` cache."""
-    return _on_grid(*row, q, Fraction(sum(row[1]), q))
-
-
 def _tableau(rows: list[Grid], q: int) -> TimedTableau:
-    """The tableau of the kernel's grid rows, validated once on the grid
-    (the built rows serve only to quote a bad one), without a second check."""
-    built = tuple([_row(row, q) for row in rows])
-    _check_grid(rows, q, built)
+    """The tableau of rows on the grid 1/q, stored on its smallest grid and
+    validated once, without a second check; its rows are built only to
+    quote a bad one."""
+    g = _grid_gcd(q, [n for _, counts in rows for n in counts])
     t = object.__new__(TimedTableau)
-    t.__dict__["rows"] = built
+    grid = tuple([(tuple(letters), tuple([n // g for n in counts])) for letters, counts in rows])
+    t.__dict__.update(grid=grid, q=q // g)
+    _check_grid(rows, q, t)
     return t
 
 
 def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
     """Row lengths as exact rationals, top row first."""
-    return tuple(row.length for row in t.rows)
+    return tuple([Fraction(sum(counts), t.q) for _, counts in t.grid])
 
 
 def timed_reading_word(t: TimedTableau) -> TimedWord:
     """Rows concatenated bottom row first."""
-    return concat(*reversed(t.rows))
+    return _merged((run for row in reversed(t.grid) for run in zip(*row)), t.q)
 
 
 def timed_row_insert(
@@ -114,7 +126,7 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
     q = _grid(w, u)
     row = _to_grid(w, q)
     bumped = _bump_runs(*row, *_to_grid(u, q))
-    return _row(bumped, q), _row(row, q)
+    return _on_grid(*bumped, q), _on_grid(*row, q)
 
 
 def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
@@ -122,8 +134,9 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     residue below the last row becomes a new row."""
     if not is_timed_row(v):
         raise NotARowError(f"timed_tableau_insert needs a timed row, got {_quote(v)}")
-    q = _grid(v, *t.rows)
-    rows = [_to_grid(row, q) for row in t.rows]
+    q = _grid(t, v)
+    k = q // t.q
+    rows = [(list(letters), [n * k for n in counts]) for letters, counts in t.grid]
     _insert_runs(rows, *_to_grid(v, q))
     return _tableau(rows, q)
 
@@ -131,20 +144,18 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
 def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
     """Timed insertion of the runs of w, left to right, into the empty
     tableau."""
-    q = _grid(w)
     rows: list[Grid] = []
-    _insert_runs(rows, *_to_grid(w, q))
-    return _tableau(rows, q)
+    _insert_runs(rows, w.letters, w.counts)
+    return _tableau(rows, w.q)
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     """The tableau after each successive run of w (len(w.runs) entries)."""
-    q = _grid(w)
     rows: list[Grid] = []
     steps: list[TimedTableau] = []
-    for c, n in zip(*_to_grid(w, q)):
+    for c, n in zip(w.letters, w.counts):
         _insert_runs(rows, [c], [n])
-        steps.append(_tableau(rows, q))
+        steps.append(_tableau(rows, w.q))
     return steps
 
 

@@ -20,8 +20,9 @@ call validates its runs. The functions that produce words from runs they
 have already checked (``normalize``, ``concat``, ``scale``, the cutter
 behind ``restrict`` and ``subword``, the text parser and the insertion
 functions) build them with ``_on_grid``, which skips that second check and
-divides q and the counts by their gcd. Truth and equality read the grid;
-``repr``, ``str`` and ``hash`` read ``runs``.
+divides q and the counts by their gcd (``_grid_gcd``, which timed tableaux
+share). Truth and equality read the grid (``_Value._key``); ``repr``,
+``str`` and ``hash`` read ``runs``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class TimedWord(_Value):
     """
 
     _fields = ("runs",)
+    _key = ("letters", "counts", "q")
 
     def __init__(self, runs: tuple[Run, ...] = ()):
         for letter, dur in runs:
@@ -84,16 +86,6 @@ class TimedWord(_Value):
     def length(self) -> Fraction:
         return Fraction(sum(self.counts), self.q)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.q, self.letters, self.counts) == (other.q, other.letters, other.counts)
-        return NotImplemented
-
-    __hash__ = _Value.__hash__
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def breakpoints(self) -> list[Fraction]:
         """Prefix sums of run durations, including 0 and the total length."""
         return [Fraction(n, self.q) for n in accumulate(self.counts, initial=0)]
@@ -110,30 +102,36 @@ class TimedWord(_Value):
         return f"TimedWord('{self}')"
 
 
-def _on_grid(letters, counts, q: int, length: Fraction | None = None) -> TimedWord:
+def _grid_gcd(q: int, counts: Sequence[int]) -> int:
+    """``gcd(q, *counts)``, the factor that puts counts on the grid 1/q onto
+    the smallest grid. It starts from the gcd of q and two sums of the
+    counts, a multiple of the answer. When the answer is small (a word whose
+    runs have coprime denominators) that start is small too, often 1, so the
+    gcd does not carry a running value of q's size through every count."""
+    return gcd(gcd(q, sum(counts), sum(counts[::2])), *counts)
+
+
+def _on_grid(letters, counts, q: int) -> TimedWord:
     """A TimedWord from runs on the grid 1/q that its caller has already
     checked to be in normal form, built without the constructor's check, on
-    the smallest grid. The lists are copied: the kernel mutates its rows. A
-    known length fills the ``length`` cache."""
-    g = gcd(q, *counts)
+    the smallest grid. The lists are copied: the kernel mutates its rows."""
+    g = _grid_gcd(q, counts)
     if g > 1:
         counts = [n // g for n in counts]
         q //= g
     w = object.__new__(TimedWord)
     w.__dict__.update(letters=tuple(letters), counts=tuple(counts), q=q)
-    if length is not None:
-        w.__dict__["length"] = length
     return w
 
 
-def _word(runs, length: Fraction | None = None) -> TimedWord:
+def _word(runs) -> TimedWord:
     """The word of positive ``Fraction`` runs, equal neighbours merged, on the
     lcm of their denominators."""
     q = lcm(*(d.denominator for _, d in runs))
-    return _merged(((c, d.numerator * (q // d.denominator)) for c, d in runs), q, length)
+    return _merged(((c, d.numerator * (q // d.denominator)) for c, d in runs), q)
 
 
-def _merged(runs, q: int, length: Fraction | None = None) -> TimedWord:
+def _merged(runs, q: int) -> TimedWord:
     """The word of the runs (letter, count) on the grid 1/q, each merged into
     an equal left neighbour."""
     letters: list[int] = []
@@ -144,7 +142,7 @@ def _merged(runs, q: int, length: Fraction | None = None) -> TimedWord:
         else:
             letters.append(c)
             counts.append(n)
-    return _on_grid(letters, counts, q, length)
+    return _on_grid(letters, counts, q)
 
 
 def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
@@ -184,8 +182,9 @@ def value_at(w: TimedWord, t: DurationLike) -> int:
     raise AssertionError("unreachable: t < length but no run covers it")
 
 
-def _grid(*words: TimedWord) -> int:
-    """The common grid denominator q: the lcm of the words' grids."""
+def _grid(*words) -> int:
+    """The common grid denominator q: the lcm of the grids of the words (or
+    timed tableaux)."""
     return lcm(*(w.q for w in words))
 
 

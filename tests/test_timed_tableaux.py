@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from timed_plactic import (
@@ -235,13 +236,15 @@ class TestInsertionChecksTheKernelsRows:
 
 
 class TestCachedLengths:
-    """Insertion fills each row's length cache from the kernel's counts."""
+    """Each row of an insertion tableau computes its length once and caches
+    it, and the shape read from the grid equals the recomputed lengths."""
 
     @staticmethod
     def check(t):
-        for row in t.rows:
-            assert row.__dict__["length"] == fraction_length(row)
         assert timed_shape(t) == tuple(fraction_length(row) for row in t.rows)
+        for row in t.rows:
+            assert row.length == fraction_length(row)
+            assert row.length is row.__dict__["length"]
 
     @given(timed_words, timed_rows)
     def test_equal_recomputed_lengths(self, w, v):
@@ -250,6 +253,87 @@ class TestCachedLengths:
         for step in timed_insertion_steps(w):
             self.check(step)
         self.check(timed_tableau_insert(t, v))
+
+
+@st.composite
+def built_tableaux(draw):
+    """A timed tableau from one of the builders: the constructor (on the
+    rows of an insertion tableau, possibly changed but still valid),
+    insertion, a step of insertion, insertion into a tableau, or the
+    embedding of a classical tableau."""
+    w = draw(timed_words)
+    builder = draw(st.sampled_from(["constructor", "insertion", "steps", "insert", "embed"]))
+    if builder == "constructor":
+        rows = draw(near_tableaux())
+        assume(timed_tableau_error(rows) is None)
+        return TimedTableau(rows)
+    if builder == "insertion":
+        return timed_insertion_tableau(w)
+    if builder == "steps":
+        steps = timed_insertion_steps(w)
+        assume(steps)
+        return draw(st.sampled_from(steps))
+    if builder == "insert":
+        return timed_tableau_insert(timed_insertion_tableau(w), draw(timed_rows))
+    return embed_classical_tableau(insertion_tableau(draw(words)))
+
+
+class TestTableauGrid:
+    """A tableau is stored as its rows' letters and counts on one smallest
+    grid 1/q; its rows are built from that grid on first read."""
+
+    @given(built_tableaux())
+    def test_one_canonical_grid(self, t):
+        counts = [n for _, row_counts in t.grid for n in row_counts]
+        assert gcd(t.q, *counts) == 1
+        assert type(t.grid) is tuple
+        assert all(type(letters) is tuple and type(c) is tuple for letters, c in t.grid)
+        assert t.rows == tuple(
+            TimedWord(tuple(Run(c, Fraction(n, t.q)) for c, n in zip(*row))) for row in t.grid
+        )
+        for row in t.rows:
+            assert gcd(row.q, *row.counts) == 1
+
+    @given(built_tableaux(), built_tableaux())
+    def test_equality_is_equality_of_rows(self, t, u):
+        routes = [
+            t,
+            TimedTableau(t.rows),
+            timed_insertion_tableau(timed_reading_word(t)),
+            u,
+            TimedTableau(u.rows),
+        ]
+        for a in routes:
+            for b in routes:
+                equal = a == b
+                assert equal == (a.rows == b.rows)
+                if equal:
+                    assert hash(a) == hash(b)
+        assert routes[0] == routes[1] == routes[2]
+
+    @given(timed_words, timed_rows)
+    def test_reading_the_grid_builds_no_rows(self, w, v):
+        t = timed_insertion_tableau(w)
+        u = timed_tableau_insert(t, v)
+        assert bool(t) is bool(w) and u and t != u
+        for tableau in (t, u, *timed_insertion_steps(w)):
+            assert tableau == tableau and (tableau == TimedTableau()) is not bool(tableau)
+            assert timed_shape(tableau) == tuple(
+                Fraction(sum(counts), tableau.q) for _, counts in tableau.grid
+            )
+            timed_reading_word(tableau)
+            assert "rows" not in tableau.__dict__
+        assert timed_shape(t) == tuple(row.length for row in t.rows)
+        assert timed_reading_word(t) == concat(*reversed(t.rows))
+        assert t.__dict__["rows"] is t.rows
+
+    def test_the_tableau_grid_is_coarser_than_the_words(self):
+        w = tw("2^1/2 1^1/2 2^1/2 1^1/2")
+        t = timed_insertion_tableau(w)
+        assert w.q == 2
+        assert t.q == 1 and t.grid == (((1,), (1,)), ((2,), (1,)))
+        assert t.rows == (tw("1^1"), tw("2^1"))
+        assert t == TimedTableau((tw("1^1"), tw("2^1")))
 
 
 class TestTimedRowInsert:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -392,3 +392,49 @@ class TestCanonicalGrid:
         assert (tw("2^0.50").letters, tw("2^0.50").counts, tw("2^0.50").q) == ((2,), (1,), 2)
         assert TimedWord().q == 1 and TimedWord().counts == ()
         assert concat(*_cut(tw("1^1 2^1/2"), (0, Fraction(1, 3), Fraction(3, 2)))).q == 2
+
+
+def primes_from(p: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+class TestCanonicalGridOnCoprimeRuns:
+    """Putting a word on its smallest grid takes O(1) gcds of big numbers.
+    With distinct prime denominators, ``gcd(q, *counts)`` carries a running
+    value of thousands of bits through nearly every count, so a word of R
+    runs cost R big gcds, each quadratic in R. The gcd is counted, not
+    timed.
+
+    This covers re-gridding a whole word. A cut piece whose own grid is far
+    smaller than the word's (a prefix of half the runs) still divides every
+    count by a big gcd."""
+
+    def test_few_gcd_steps_on_big_numbers(self, monkeypatch):
+        primes = primes_from(1009, 3000)
+        text = " ".join(f"{i % 7 + 1}^1/{p}" for i, p in enumerate(primes))
+        steps = 0
+
+        def counting_gcd(*args):
+            nonlocal steps
+            g = 0
+            for x in args:
+                if g.bit_length() > 64:
+                    steps += 1
+                g = gcd(g, x)
+            return g
+
+        monkeypatch.setattr("timed_plactic.timed_words.gcd", counting_gcd)
+        w = parse_timed_word(text)
+        (whole,) = _cut(w, (0, w.length))
+        ww = concat(w, w)
+        same = TimedWord(w.runs)
+        t = timed_insertion_tableau(w)
+        assert steps <= 20
+        assert w.q == prod(primes) and len(w.counts) == 3000
+        assert whole == same == w and ww.q == w.q and len(ww.counts) == 6000
+        assert t.q == w.q
