@@ -14,14 +14,18 @@ row's letters. A unit run that lands inside a row is a swap: one unit of
 the run it hits is bumped, and that run is shortened, overwritten, or
 merged into an equal left neighbour in place.
 
-Tableaux of both kinds have one validator, ``_check_grid``, over rows in
-this run form on the grid 1/q: no empty row, strictly increasing letters
-with counts >= 1, weakly decreasing lengths, and columns that strictly
-increase downward, checked with one comparison per run. A classical tableau
-is its q = 1 case. ``Tableau(rows)`` checks each row's letters and order,
-then validates the rows' runs; the insertion functions validate the
-kernel's own runs (at most one run per letter in a row) and build the
-tableau without a second check.
+Tableaux of both kinds have one stored form and one builder. A tableau is
+stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
+smallest denominator for the whole tableau; ``rows`` is built from the grid
+on first read (``_GridTableau``). A classical tableau is the q = 1 case,
+each row its runs of equal letters. ``_tableau(cls, rows, q)`` builds
+either kind from rows in this run form on the grid 1/q and validates it
+once: no empty row, strictly increasing letters with counts >= 1, weakly
+decreasing lengths, and columns that strictly increase downward, checked
+with one comparison per run. ``Tableau(rows)`` checks each row's letters
+and order, then passes the rows' runs; the insertion functions pass the
+kernel's own runs (at most one run per letter in a row), and
+``tableau_insert`` starts the kernel from the tableau's grid.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
 
@@ -61,7 +67,7 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     _check_letters((a,))
     row = _runs(u)
     bumped, _ = _bump_runs(*row, [a], [1])
-    (new_row,) = _tableau([row]).rows
+    (new_row,) = _tableau(Tableau, [row], 1).rows
     return (bumped[0] if bumped else None), new_row
 
 
@@ -70,15 +76,16 @@ class _Value:
     ``__init__`` writes into the instance ``__dict__``. ``_key`` names the
     attributes that equality compares and truth reads, by default the
     fields; a class stored in another form than its fields (a grid) names
-    that form, so equality and truth need not build the fields. A value
-    equals only an object of its own class with an equal key, hashes as the
-    tuple of its fields, is false when its first key attribute is empty,
-    and refuses assignment and deletion."""
+    that form, so equality and truth need not build the fields, and its
+    subclasses inherit that key. A value equals only an object of its own
+    class with an equal key, hashes as the tuple of its fields, is false
+    when its first key attribute is empty, and refuses assignment and
+    deletion."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._key = cls.__dict__.get("_key") or cls._fields
+        cls._key = getattr(cls, "_key", cls._fields)
 
     def _values(self, names) -> tuple:
         return tuple([getattr(self, name) for name in names])
@@ -105,14 +112,32 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Tableau(_Value):
-    """Semistandard Young tableau; rows stored top row first.
+class _GridTableau(_Value):
+    """The stored form of both tableau kinds: ``grid`` holds each row's
+    letters and counts as tuples on the grid 1/q, with the smallest q for
+    the whole tableau. ``rows``, the one field, is built from the grid by
+    the kind's ``_row`` on first read and cached; equality and truth read
+    the grid."""
+
+    _fields = ("rows",)
+    _key = ("grid", "q")
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple([self._row(*row, self.q) for row in self.grid])
+
+
+class Tableau(_GridTableau):
+    """Semistandard Young tableau; rows stored top row first, as the q = 1
+    grid of their runs.
 
     Invariants, enforced on construction: rows weakly increase, row lengths
     weakly decrease, columns strictly increase, and no row is empty.
-    """
 
-    _fields = ("rows",)
+    ``Tableau(rows)`` keeps the rows as given, and its repr and hash read
+    them; equality reads the grid. So rows given as lists equal the same
+    rows given as tuples, though only tuples hash.
+    """
 
     def __init__(self, rows: tuple[Word, ...] = ()):
         self.__dict__["rows"] = rows
@@ -123,7 +148,16 @@ class Tableau(_Value):
             _check_letters(row)
             if not is_row(row):
                 raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
-        _check_grid([_runs(row) for row in rows], 1, self)
+        self.__dict__.update(_tableau(Tableau, [_runs(row) for row in rows], 1).__dict__)
+
+    @staticmethod
+    def _row(letters, counts, q) -> Word:
+        # tuple() of a list has exact size; tuple() of a generator resizes
+        # as it grows, which fragmented the heap over long runs.
+        out: list[int] = []
+        for c, n in zip(letters, counts):
+            out += [c] * n
+        return tuple(out)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
@@ -131,15 +165,12 @@ class Tableau(_Value):
 
 def shape(t: Tableau) -> tuple[int, ...]:
     """Row lengths, top row first (an integer partition)."""
-    return tuple(len(row) for row in t.rows)
+    return tuple([sum(counts) for _, counts in t.grid])
 
 
 def reading_word(t: Tableau) -> Word:
     """Rows concatenated left to right, starting from the bottom row."""
-    out: list[int] = []
-    for row in reversed(t.rows):
-        out.extend(row)
-    return tuple(out)
+    return tuple([c for row in reversed(t.grid) for c in Tableau._row(*row, 1)])
 
 
 def _bump_runs(
@@ -260,13 +291,27 @@ def _column_strict(upper: Grid, lower: Grid) -> bool:
     return True
 
 
-def _check_grid(grid: list[Grid], q: int, t) -> None:
-    """The one tableau validator, for both kinds: the rows of the tableau t
-    given on the grid 1/q (q = 1 for classical rows); ``t.rows`` is read
-    only to quote an offending row. Raises InvalidTableauError naming
-    the first violation: an empty row, a row that is not a timed row
+def _grid_gcd(q: int, counts) -> int:
+    """``gcd(q, *counts)``, the factor that puts counts on the grid 1/q onto
+    the smallest grid. It starts from the gcd of q and two sums of the
+    counts, a multiple of the answer. When the answer is small (a word whose
+    runs have coprime denominators) that start is small too, often 1, so the
+    gcd does not carry a running value of q's size through every count."""
+    return gcd(gcd(q, sum(counts), sum(counts[::2])), *counts)
+
+
+def _tableau(cls, rows: list[Grid], q: int):
+    """The one tableau builder and validator, for both kinds: the tableau of
+    class cls whose rows are given as runs on the grid 1/q (q = 1 for
+    classical rows), stored on its smallest grid. Raises InvalidTableauError
+    naming the first violation: an empty row, a row that is not a timed row
     (letters not strictly increasing, or a count below 1), a row longer than
-    the one above, or two rows not strictly increasing downward."""
+    the one above, or two rows not strictly increasing downward. Rows are
+    built only to quote a bad one."""
+    g = _grid_gcd(q, [n for _, counts in rows for n in counts]) if q > 1 else 1
+    t = object.__new__(cls)
+    grid = tuple([(tuple(letters), tuple([n // g for n in counts])) for letters, counts in rows])
+    t.__dict__.update(grid=grid, q=q // g)
     for i, (letters, counts) in enumerate(grid):
         if not letters:
             raise InvalidTableauError(f"row {i} is empty")
@@ -277,31 +322,21 @@ def _check_grid(grid: list[Grid], q: int, t) -> None:
         if lengths[i] < lengths[i + 1]:
             raise InvalidTableauError(
                 f"row {i + 1} is longer than row {i} "
-                f"({Fraction(lengths[i + 1], q)} > {Fraction(lengths[i], q)})"
+                f"({Fraction(lengths[i + 1], t.q)} > {Fraction(lengths[i], t.q)})"
             )
         if not _column_strict(grid[i], grid[i + 1]):
             raise InvalidTableauError(
                 f"rows {i} and {i + 1} are not strictly increasing downward"
             )
-
-
-def _tableau(rows: list[Grid]) -> Tableau:
-    """The tableau of the kernel's runs, validated once on those runs with
-    q = 1."""
-    t = object.__new__(Tableau)
-    # tuple() of a list comprehension has exact size; tuple() of a generator
-    # resizes as it grows, which fragmented the heap over long runs.
-    t.__dict__["rows"] = tuple([tuple([c for c, n in zip(*r) for _ in range(n)]) for r in rows])
-    _check_grid(rows, 1, t)
     return t
 
 
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
     _check_letters((a,))
-    rows = [_runs(row) for row in t.rows]
+    rows = [(list(letters), list(counts)) for letters, counts in t.grid]
     _insert_runs(rows, [a], [1])
-    return _tableau(rows)
+    return _tableau(Tableau, rows, 1)
 
 
 def insertion_tableau(w: Word) -> Tableau:
@@ -310,7 +345,7 @@ def insertion_tableau(w: Word) -> Tableau:
     _check_letters(w)
     rows: list[Grid] = []
     _insert_runs(rows, w, [1] * len(w))
-    return _tableau(rows)
+    return _tableau(Tableau, rows, 1)
 
 
 def insertion_steps(w: Word) -> list[Tableau]:
@@ -320,7 +355,7 @@ def insertion_steps(w: Word) -> list[Tableau]:
     steps: list[Tableau] = []
     for a in w:
         _insert_runs(rows, [a], [1])
-        steps.append(_tableau(rows))
+        steps.append(_tableau(Tableau, rows, 1))
     return steps
 
 

@@ -53,8 +53,12 @@ from .timed_tableaux import (
     timed_insertion_tableau,
 )
 
-# `random` builds its whole word before printing it, so its size is capped.
+# `random` builds its whole word before printing it, so its size is capped:
+# the run count, and the run count times the bits of --max-den and --max-num,
+# which bounds the bits of the word's grid denominator q and the total bits
+# of its printed durations.
 _MAX_RUNS = 10_000
+_MAX_GRID_BITS = 2**17
 
 
 def _resolve_seed(args) -> int:
@@ -232,6 +236,12 @@ def _cmd_random(args) -> int:
     _at_least("--letters", args.letters, 1)
     _at_least("--max-den", args.max_den, 1)
     _at_least("--max-num", args.max_num, 1)
+    bits = args.max_den.bit_length() + args.max_num.bit_length()
+    if args.runs * bits > _MAX_GRID_BITS:
+        raise ValueError(
+            "--runs times the bit lengths of --max-den and --max-num together must be "
+            f"at most {_MAX_GRID_BITS}, got {args.runs} runs of {bits} bits"
+        )
     seed = _resolve_seed(args)
     rng = random.Random(seed)
     word = random_timed_word(

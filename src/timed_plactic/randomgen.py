@@ -15,12 +15,8 @@ from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import Run, TimedWord, _cut, concat
 
 
-def random_word(
-    rng: random.Random, *, max_len: int = 8, max_letter: int = 4, min_len: int = 0
-) -> Word:
-    return tuple(
-        rng.randint(1, max_letter) for _ in range(rng.randint(min_len, max_len))
-    )
+def random_word(rng: random.Random, *, max_len: int = 8, max_letter: int = 4) -> Word:
+    return tuple(rng.randint(1, max_letter) for _ in range(rng.randint(0, max_len)))
 
 
 def random_duration(rng: random.Random, *, max_num: int = 3, max_den: int = 4) -> Fraction:
@@ -54,19 +50,13 @@ def random_timed_word(
     )
 
 
-def random_timed_row(
-    rng: random.Random,
-    *,
-    min_runs: int = 2,
-    max_runs: int = 4,
-    max_letter: int = 5,
-    max_den: int = 4,
-    max_num: int = 2,
-) -> TimedWord:
-    count = rng.randint(min_runs, min(max_runs, max_letter))
-    letters = sorted(rng.sample(range(1, max_letter + 1), count))
+def random_timed_row(rng: random.Random, *, max_den: int) -> TimedWord:
+    """A timed row of 2 to 4 runs over the letters 1..5, each run lasting
+    at most 2."""
+    count = rng.randint(2, 4)
+    letters = sorted(rng.sample(range(1, 6), count))
     return TimedWord(
-        tuple(Run(c, random_duration(rng, max_num=max_num, max_den=max_den)) for c in letters)
+        tuple(Run(c, random_duration(rng, max_num=2, max_den=max_den)) for c in letters)
     )
 
 
@@ -74,24 +64,21 @@ def random_kappa_instance(
     rng: random.Random,
     kind: str,
     *,
-    max_letter: int = 5,
     max_den: int = 4,
-    max_num: int = 2,
-    max_context_runs: int = 2,
 ) -> tuple[TimedWord, TimedKnuthMove]:
     """A word containing a valid move of the given kind, plus that move.
 
     Built directly: draw a timed row, split it into x, y, z meeting the
     length and boundary-letter conditions (the split between the two
     equal-length factors must land on a run boundary so the letters differ),
-    then embed the source arrangement between random context words.
+    then embed the source arrangement between random context words of up
+    to two runs each. Every letter is at most 5 and every run lasts at
+    most 2.
     """
     if kind not in ("k1", "k2"):
         raise ValueError(f"kind must be 'k1' or 'k2', got {kind!r}")
     for _ in range(1000):
-        row = random_timed_row(
-            rng, max_letter=max_letter, max_den=max_den, max_num=max_num
-        )
+        row = random_timed_row(rng, max_den=max_den)
         total = row.length
         interior = row.breakpoints()[1:-1]
         if kind == "k2":
@@ -107,14 +94,9 @@ def random_kappa_instance(
             b = rng.choice(candidates)
             x, y, z = _cut(row, (0, 2 * b - total, b, total))
         factors = {"x": x, "y": y, "z": z}
-        u = random_timed_word(
-            rng, max_runs=max_context_runs, max_letter=max_letter,
-            max_den=max_den, max_num=max_num,
-        )
-        v = random_timed_word(
-            rng, max_runs=max_context_runs, max_letter=max_letter,
-            max_den=max_den, max_num=max_num,
-        )
+        context = dict(max_runs=2, max_letter=5, max_den=max_den, max_num=2)
+        u = random_timed_word(rng, **context)
+        v = random_timed_word(rng, **context)
         order = SOURCE_ORDER[kind, False]
         source = [factors[role] for role in order]
         word = concat(u, *source, v)

@@ -8,7 +8,8 @@ counts on the grid 1/q, two parallel lists, and lengths and column
 strictness are integer comparisons. Both rows are step functions, so this
 settles every t exactly.
 
-A tableau is stored on one integer grid, as a timed word is: ``grid`` holds
+A tableau is stored on one integer grid, as a timed word is, in the form
+that classical tableaux share (``classical._GridTableau``): ``grid`` holds
 each row's letters and counts as tuples, and ``q`` is the smallest
 denominator for the whole tableau, so ``gcd(q, *every count) == 1``. The
 form is canonical: two tableaux are equal exactly when their grids and q
@@ -23,28 +24,25 @@ become the returned tableau's grid; no ``Fraction`` and no row word is built.
 Inserting into a tableau scales its grid onto the lcm of its q and the
 inserted row's.
 
-Each tableau is validated once, by the grid validator that classical
-tableaux share as its q = 1 case (``classical._check_grid``).
-``TimedTableau(rows)``, for user and JSON input, keeps the rows it was
-given, puts them on their grid and calls it. The insertion functions call
-it on the kernel's own rows and q, then keep them without a second check.
-``embed_classical_tableau`` goes the same way from a classical tableau's
-runs with q = 1.
+Both kinds of tableau are built and validated once, by one builder,
+``classical._tableau``. ``TimedTableau(rows)``, for user and JSON input,
+keeps the rows it was given and passes them on their grid. The insertion
+functions pass the kernel's own rows and q, which become the grid without a
+second check. ``embed_classical_tableau`` passes a classical tableau's grid
+with q = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
-from .classical import Grid, Tableau, _bump_runs, _check_grid, _insert_runs, _runs, _Value
+from .classical import Grid, Tableau, _bump_runs, _GridTableau, _insert_runs, _tableau
 from .errors import NotARowError, _quote
 from .timed_words import (
     DurationLike,
     Run,
     TimedWord,
     _grid,
-    _grid_gcd,
     _merged,
     _on_grid,
     _to_grid,
@@ -53,39 +51,23 @@ from .timed_words import (
 )
 
 
-class TimedTableau(_Value):
+class TimedTableau(_GridTableau):
     """Stack of timed rows, top row first; validated on construction, and
     stored as ``grid`` and ``q``."""
-
-    _fields = ("rows",)
-    _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
         self.__dict__["rows"] = rows
         q = _grid(*rows)
-        self.__dict__.update(_tableau([_to_grid(row, q) for row in rows], q).__dict__)
+        grid = [_to_grid(row, q) for row in rows]
+        self.__dict__.update(_tableau(TimedTableau, grid, q).__dict__)
 
-    @cached_property
-    def rows(self) -> tuple[TimedWord, ...]:
-        return tuple([_on_grid(*row, self.q) for row in self.grid])
+    _row = staticmethod(_on_grid)
 
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)
 
     def __repr__(self) -> str:
         return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in self.rows))
-
-
-def _tableau(rows: list[Grid], q: int) -> TimedTableau:
-    """The tableau of rows on the grid 1/q, stored on its smallest grid and
-    validated once, without a second check; its rows are built only to
-    quote a bad one."""
-    g = _grid_gcd(q, [n for _, counts in rows for n in counts])
-    t = object.__new__(TimedTableau)
-    grid = tuple([(tuple(letters), tuple([n // g for n in counts])) for letters, counts in rows])
-    t.__dict__.update(grid=grid, q=q // g)
-    _check_grid(rows, q, t)
-    return t
 
 
 def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
@@ -138,7 +120,7 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     k = q // t.q
     rows = [(list(letters), [n * k for n in counts]) for letters, counts in t.grid]
     _insert_runs(rows, *_to_grid(v, q))
-    return _tableau(rows, q)
+    return _tableau(TimedTableau, rows, q)
 
 
 def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
@@ -146,7 +128,7 @@ def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
     tableau."""
     rows: list[Grid] = []
     _insert_runs(rows, w.letters, w.counts)
-    return _tableau(rows, w.q)
+    return _tableau(TimedTableau, rows, w.q)
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
@@ -155,11 +137,11 @@ def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     steps: list[TimedTableau] = []
     for c, n in zip(w.letters, w.counts):
         _insert_runs(rows, [c], [n])
-        steps.append(_tableau(rows, w.q))
+        steps.append(_tableau(TimedTableau, rows, w.q))
     return steps
 
 
 def embed_classical_tableau(t: Tableau) -> TimedTableau:
     """Reinterpret a classical tableau with every letter held for duration 1:
-    its rows' runs are the grid rows for q = 1."""
-    return _tableau([_runs(row) for row in t.rows], 1)
+    its grid is the timed tableau's grid for q = 1."""
+    return _tableau(TimedTableau, t.grid, 1)

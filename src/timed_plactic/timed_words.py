@@ -20,20 +20,21 @@ call validates its runs. The functions that produce words from runs they
 have already checked (``normalize``, ``concat``, ``scale``, the cutter
 behind ``restrict`` and ``subword``, the text parser and the insertion
 functions) build them with ``_on_grid``, which skips that second check and
-divides q and the counts by their gcd (``_grid_gcd``, which timed tableaux
-share). Truth and equality read the grid (``_Value._key``); ``repr``,
-``str`` and ``hash`` read ``runs``.
+divides q and the counts by their gcd (``classical._grid_gcd``, which the
+tableau builder shares). Truth and equality read the grid
+(``_Value._key``); ``repr``, ``str`` and ``hash`` read ``runs``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classical import Grid, Word, _check_letters, _Value
+from .classical import Grid, Word, _check_letters, _grid_gcd, _Value
 
 DurationLike = Union[Fraction, int, str]
 
@@ -102,15 +103,6 @@ class TimedWord(_Value):
         return f"TimedWord('{self}')"
 
 
-def _grid_gcd(q: int, counts: Sequence[int]) -> int:
-    """``gcd(q, *counts)``, the factor that puts counts on the grid 1/q onto
-    the smallest grid. It starts from the gcd of q and two sums of the
-    counts, a multiple of the answer. When the answer is small (a word whose
-    runs have coprime denominators) that start is small too, often 1, so the
-    gcd does not carry a running value of q's size through every count."""
-    return gcd(gcd(q, sum(counts), sum(counts[::2])), *counts)
-
-
 def _on_grid(letters, counts, q: int) -> TimedWord:
     """A TimedWord from runs on the grid 1/q that its caller has already
     checked to be in normal form, built without the constructor's check, on
@@ -174,12 +166,7 @@ def value_at(w: TimedWord, t: DurationLike) -> int:
     t = as_duration(t)
     if t < 0 or t >= w.length:
         raise ValueError(f"time {t} outside [0, {w.length})")
-    acc = Fraction(0)
-    for letter, dur in w.runs:
-        acc += dur
-        if t < acc:
-            return letter
-    raise AssertionError("unreachable: t < length but no run covers it")
+    return w.letters[bisect_right(list(accumulate(w.counts)), t * w.q)]
 
 
 def _grid(*words) -> int:

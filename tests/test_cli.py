@@ -19,6 +19,7 @@ from timed_plactic import (
     timed_tableau_insert,
 )
 from timed_plactic import notation, selfcheck
+from timed_plactic.cli import _MAX_GRID_BITS
 from timed_plactic.cli import _MAX_RUNS, main
 from timed_plactic.notation import format_timed_word, format_word
 
@@ -294,6 +295,25 @@ class TestRandom:
         assert code == 2
         assert out == ""
         assert flag in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--max-den", "--max-num"])
+    def test_a_grid_past_its_bound_is_usage_error(self, capsys, flag):
+        # 100 runs of a 4,001-digit --max-den: q could reach 1.3 million bits;
+        # of a 4,001-digit --max-num: 1.3 million bits of durations.
+        code, out, err = run_cli(capsys, "random", "--runs", "100", flag, "9" * 4001, "--json")
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert all(name in message for name in ("--runs", "--max-den", "--max-num"))
+
+    def test_the_largest_grid_at_the_run_ceiling(self, capsys):
+        bits = _MAX_GRID_BITS // _MAX_RUNS - (3).bit_length()
+        argv = ["random", "--runs", str(_MAX_RUNS), "--max-num", "3", "--json", "--max-den"]
+        code, out, _ = run_cli(capsys, *argv, str(2**bits - 1))
+        assert code == 0
+        assert len(json.loads(out)["runs"]) == _MAX_RUNS
+        code, out, _ = run_cli(capsys, *argv, str(2**bits))
+        assert code == 2 and out == ""
 
     def test_zero_letters_exits_2_without_traceback(self):
         result = subprocess.run(

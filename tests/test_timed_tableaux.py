@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -10,15 +11,19 @@ from timed_plactic import (
     InvalidTableauError,
     NotARowError,
     Run,
+    Tableau,
     TimedTableau,
     TimedWord,
     concat,
     embed_classical,
     embed_classical_tableau,
+    insertion_steps,
     insertion_tableau,
     normalize,
+    reading_word,
     scale,
     shape,
+    tableau_insert,
     timed_insertion_steps,
     timed_insertion_tableau,
     timed_reading_word,
@@ -46,6 +51,7 @@ from conftest import (
     grid_reference,
     letters,
     nonempty_timed_words,
+    tableau_error,
     timed_tableau_error,
     timed_words,
     tw,
@@ -182,10 +188,11 @@ class TestInsertionChecksTheKernelsRows:
     }
 
     @classmethod
-    def check(cls, wrapper, rows):
-        # One run on the stack's grid 1/q, so the wrapper works on that grid
-        # too, and a kernel that replaces every row by the stack's.
-        q = _grid(*rows)
+    def check(cls, wrapper, rows, k=1):
+        # One run on the stack's grid 1/q, or on a grid k times finer, so the
+        # wrapper works on that grid too, and a kernel that replaces every
+        # row by the stack's on that grid.
+        q = _grid(*rows) * k
         grid = [_to_grid(row, q) for row in rows]
 
         def kernel(out, letters, counts):
@@ -225,6 +232,21 @@ class TestInsertionChecksTheKernelsRows:
     )
     def test_random_stacks(self, wrapper, rows):
         self.check(wrapper, rows)
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ("1^1/3 2^1/2", "2^1/3 3^1/4"),  # valid
+            ("1^1/3", "2^2/5"),  # longer than the row above
+            ("1^1/2", "2^1"),  # longer, on the grid 1/2
+            ("1^3/4 3^1/4", "2^1"),  # equal values at the last cell
+        ],
+    )
+    def test_a_stack_on_a_finer_grid(self, wrapper, rows):
+        # The rows are coarsened by k before they are checked, and the
+        # message quotes their lengths on the coarse grid.
+        self.check(wrapper, tuple(tw(row) for row in rows), k=6)
 
     def test_zero_counts_are_refused(self):
         def kernel(out, letters, counts):
@@ -278,30 +300,85 @@ def built_tableaux(draw):
     return embed_classical_tableau(insertion_tableau(draw(words)))
 
 
-class TestTableauGrid:
-    """A tableau is stored as its rows' letters and counts on one smallest
-    grid 1/q; its rows are built from that grid on first read."""
+@st.composite
+def built_classical_tableaux(draw):
+    """A classical tableau from one of the builders: the constructor (on the
+    rows of an insertion tableau, possibly with a cell dropped but still
+    valid), insertion, a step of insertion, or insertion into a tableau."""
+    w = draw(words)
+    builder = draw(st.sampled_from(["constructor", "insertion", "steps", "insert"]))
+    if builder == "constructor":
+        rows = [list(row) for row in insertion_tableau(w).rows]
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows[i].pop()
+        rows = tuple(tuple(row) for row in rows if row)
+        assume(tableau_error(rows) is None)
+        return Tableau(rows)
+    if builder == "insertion":
+        return insertion_tableau(w)
+    if builder == "steps":
+        steps = insertion_steps(w)
+        assume(steps)
+        return draw(st.sampled_from(steps))
+    return tableau_insert(insertion_tableau(w), draw(letters))
 
-    @given(built_tableaux())
-    def test_one_canonical_grid(self, t):
+
+def _timed_row(letters, counts, q):
+    return TimedWord(tuple(Run(c, Fraction(n, q)) for c, n in zip(letters, counts)))
+
+
+def _classical_row(letters, counts, q):
+    return tuple(c for c, n in zip(letters, counts) for _ in range(n))
+
+
+# Each tableau kind's builders and readers, so that one test covers both.
+TIMED = SimpleNamespace(
+    tableau=TimedTableau, built=built_tableaux(), words=timed_words, inserted=timed_rows,
+    insertion=timed_insertion_tableau, steps=timed_insertion_steps,
+    insert=timed_tableau_insert, shape=timed_shape, reading_word=timed_reading_word,
+    row=_timed_row, length=lambda row: row.length, concat=concat,
+)
+CLASSICAL = SimpleNamespace(
+    tableau=Tableau, built=built_classical_tableaux(), words=words, inserted=letters,
+    insertion=insertion_tableau, steps=insertion_steps,
+    insert=tableau_insert, shape=shape, reading_word=reading_word,
+    row=_classical_row, length=len, concat=lambda *rows: sum(rows, ()),
+)
+kinds = st.sampled_from([TIMED, CLASSICAL])
+
+
+class TestTableauGrid:
+    """A tableau of either kind is stored as its rows' letters and counts
+    on one smallest grid 1/q, q = 1 for a classical one; its rows are built
+    from that grid on first read."""
+
+    @given(st.data())
+    def test_one_canonical_grid(self, data):
+        kind = data.draw(kinds)
+        t = data.draw(kind.built)
         counts = [n for _, row_counts in t.grid for n in row_counts]
         assert gcd(t.q, *counts) == 1
         assert type(t.grid) is tuple
         assert all(type(letters) is tuple and type(c) is tuple for letters, c in t.grid)
-        assert t.rows == tuple(
-            TimedWord(tuple(Run(c, Fraction(n, t.q)) for c, n in zip(*row))) for row in t.grid
-        )
-        for row in t.rows:
-            assert gcd(row.q, *row.counts) == 1
+        assert t.rows == tuple(kind.row(*row, t.q) for row in t.grid)
+        if kind is CLASSICAL:
+            embedded = embed_classical_tableau(t)
+            assert t.q == 1 and embedded.grid == t.grid and embedded.q == 1
+        else:
+            for row in t.rows:
+                assert gcd(row.q, *row.counts) == 1
 
-    @given(built_tableaux(), built_tableaux())
-    def test_equality_is_equality_of_rows(self, t, u):
+    @given(st.data())
+    def test_equality_is_equality_of_rows(self, data):
+        kind = data.draw(kinds)
+        t, u = data.draw(kind.built), data.draw(kind.built)
         routes = [
             t,
-            TimedTableau(t.rows),
-            timed_insertion_tableau(timed_reading_word(t)),
+            kind.tableau(t.rows),
+            kind.insertion(kind.reading_word(t)),
             u,
-            TimedTableau(u.rows),
+            kind.tableau(u.rows),
         ]
         for a in routes:
             for b in routes:
@@ -310,21 +387,24 @@ class TestTableauGrid:
                 if equal:
                     assert hash(a) == hash(b)
         assert routes[0] == routes[1] == routes[2]
+        assert routes[1].rows is t.rows
 
-    @given(timed_words, timed_rows)
-    def test_reading_the_grid_builds_no_rows(self, w, v):
-        t = timed_insertion_tableau(w)
-        u = timed_tableau_insert(t, v)
+    @given(st.data())
+    def test_reading_the_grid_builds_no_rows(self, data):
+        kind = data.draw(kinds)
+        w, v = data.draw(kind.words), data.draw(kind.inserted)
+        t = kind.insertion(w)
+        u = kind.insert(t, v)
         assert bool(t) is bool(w) and u and t != u
-        for tableau in (t, u, *timed_insertion_steps(w)):
-            assert tableau == tableau and (tableau == TimedTableau()) is not bool(tableau)
-            assert timed_shape(tableau) == tuple(
+        for tableau in (t, u, *kind.steps(w)):
+            assert tableau == tableau and (tableau == kind.tableau()) is not bool(tableau)
+            assert kind.shape(tableau) == tuple(
                 Fraction(sum(counts), tableau.q) for _, counts in tableau.grid
             )
-            timed_reading_word(tableau)
+            kind.reading_word(tableau)
             assert "rows" not in tableau.__dict__
-        assert timed_shape(t) == tuple(row.length for row in t.rows)
-        assert timed_reading_word(t) == concat(*reversed(t.rows))
+        assert kind.shape(t) == tuple(kind.length(row) for row in t.rows)
+        assert kind.reading_word(t) == kind.concat(*reversed(t.rows))
         assert t.__dict__["rows"] is t.rows
 
     def test_the_tableau_grid_is_coarser_than_the_words(self):
@@ -334,6 +414,15 @@ class TestTableauGrid:
         assert t.q == 1 and t.grid == (((1,), (1,)), ((2,), (1,)))
         assert t.rows == (tw("1^1"), tw("2^1"))
         assert t == TimedTableau((tw("1^1"), tw("2^1")))
+
+    def test_equality_reads_the_grid_not_the_given_rows(self):
+        # Rows given as lists equal the same rows given as tuples; the
+        # repr and hash read the rows as given.
+        t, u = Tableau([[1, 2], [3]]), Tableau(((1, 2), (3,)))
+        assert t == u and t.grid == u.grid and repr(t) != repr(u)
+        with pytest.raises(TypeError):
+            hash(t)
+        assert TimedTableau([tw("1^1/2")]) == TimedTableau((tw("1^1/2"),))
 
 
 class TestTimedRowInsert:

@@ -428,7 +428,7 @@ class TestCanonicalGridOnCoprimeRuns:
                 g = gcd(g, x)
             return g
 
-        monkeypatch.setattr("timed_plactic.timed_words.gcd", counting_gcd)
+        monkeypatch.setattr("timed_plactic.classical.gcd", counting_gcd)
         w = parse_timed_word(text)
         (whole,) = _cut(w, (0, w.length))
         ww = concat(w, w)
