@@ -49,7 +49,7 @@ from .notation import (
     timed_word_from_dict,
     timed_word_to_dict,
 )
-from .render import PALETTE, RenderSpec, letter_color, render_svg
+from .render import PALETTE, letter_color, render_svg
 from .timed_knuth import (
     TimedKnuthMove,
     apply_move,

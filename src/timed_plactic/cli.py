@@ -42,7 +42,7 @@ from .notation import (
     timed_word_to_dict,
 )
 from .randomgen import random_timed_word
-from .render import RenderSpec, render_svg
+from .render import render_svg
 from .selfcheck import run_checks
 from .timed_knuth import apply_move
 from .timed_words import TimedWord, embed_classical
@@ -56,9 +56,11 @@ from .timed_tableaux import (
 # `random` builds its whole word before printing it, so its size is capped:
 # the run count, and the run count times the bits of --max-den and --max-num,
 # which bounds the bits of the word's grid denominator q and the total bits
-# of its printed durations.
+# of its printed durations. `check` costs about 1 ms per iteration, so its
+# iteration count is capped too.
 _MAX_RUNS = 10_000
 _MAX_GRID_BITS = 2**17
+_MAX_ITERS = 10_000
 
 
 def _resolve_seed(args) -> int:
@@ -71,9 +73,11 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _at_least(flag: str, value: int, low: int) -> None:
+def _in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
 def _load_json(text: str):
@@ -209,17 +213,13 @@ def _cmd_render(args) -> int:
             )
         else:
             obj = timed_tableau_from_dict(data)
-        target = "tableau"
     else:
         parsed = parse_word_or_timed(text)
         word = parsed if isinstance(parsed, TimedWord) else embed_classical(parsed)
-        if args.tableau:
-            obj = timed_insertion_tableau(word)
-            target = "tableau"
-        else:
-            obj = word
-            target = "ribbon"
-    svg = render_svg(obj, RenderSpec(target=target, unit_scale=args.scale))
+        obj = timed_insertion_tableau(word) if args.tableau else word
+    # The scale goes by position: perfbench's tracer counts render_svg calls
+    # with a `lambda obj, spec=None` that it passes the caller's arguments.
+    svg = render_svg(obj, args.scale)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(svg)
     if args.json:
@@ -230,12 +230,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    _at_least("--runs", args.runs, 0)
-    if args.runs > _MAX_RUNS:
-        raise ValueError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
-    _at_least("--letters", args.letters, 1)
-    _at_least("--max-den", args.max_den, 1)
-    _at_least("--max-num", args.max_num, 1)
+    _in_range("--runs", args.runs, 0, _MAX_RUNS)
+    _in_range("--letters", args.letters, 1)
+    _in_range("--max-den", args.max_den, 1)
+    _in_range("--max-num", args.max_num, 1)
     bits = args.max_den.bit_length() + args.max_num.bit_length()
     if args.runs * bits > _MAX_GRID_BITS:
         raise ValueError(
@@ -259,7 +257,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _at_least("--iters", args.iters, 0)
+    _in_range("--iters", args.iters, 0, _MAX_ITERS)
     seed = _resolve_seed(args)
     report = run_checks(args.iters, seed)
     if args.json:

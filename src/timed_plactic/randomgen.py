@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .classical import Word
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import Run, TimedWord, _cut, concat
+from .timed_words import Run, TimedWord, concat, restrict
 
 
 def random_word(rng: random.Random, *, max_len: int = 8, max_letter: int = 4) -> Word:
@@ -86,13 +86,14 @@ def random_kappa_instance(
             if not candidates:
                 continue
             s = rng.choice(candidates)
-            x, y, z = _cut(row, (0, s, 2 * s, total))
+            points = (0, s, 2 * s, total)
         else:
             candidates = [b for b in interior if 2 * b > total]
             if not candidates:
                 continue
             b = rng.choice(candidates)
-            x, y, z = _cut(row, (0, 2 * b - total, b, total))
+            points = (0, 2 * b - total, b, total)
+        x, y, z = (restrict(row, p, r) for p, r in zip(points, points[1:]))
         factors = {"x": x, "y": y, "z": z}
         context = dict(max_runs=2, max_letter=5, max_den=max_den, max_num=2)
         u = random_timed_word(rng, **context)

@@ -2,16 +2,14 @@
 
 Every run becomes a rectangle whose width is its duration times the unit
 scale; a tableau stacks one left-aligned strip per row, top row first.
-Geometry stays rational until the final attribute formatting, which renders
-exact decimals with six fractional digits, so repeated renders are
-byte-identical.
+Geometry is read from the grid (a word's ``letters`` and ``counts``, a
+tableau's ``grid``, and the object's ``q``) and stays in integer ticks of
+1/q until the final attribute formatting, which writes exact decimals with
+six fractional digits, so repeated renders are byte-identical.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .classical import _Value
 from .notation import _TOO_LONG, _refuse_long_result
 from .timed_words import TimedWord
 from .timed_tableaux import TimedTableau
@@ -26,75 +24,59 @@ _ROW_HEIGHT = 40  # px per ribbon or tableau row
 _MIN_LABEL_WIDTH = 16  # px below which run labels are omitted
 
 
-class RenderSpec(_Value):
-    """``target`` is "ribbon" or "tableau"; ``unit_scale`` is px per unit duration."""
-
-    _fields = ("target", "unit_scale")
-
-    def __init__(self, target: str = "ribbon", unit_scale: int = 100):
-        self.__dict__.update(target=target, unit_scale=unit_scale)
-        if target not in ("ribbon", "tableau"):
-            raise ValueError(f"target must be 'ribbon' or 'tableau', got {target!r}")
-        if unit_scale <= 0:
-            raise ValueError(f"unit_scale must be positive, got {unit_scale}")
-
-
 def letter_color(letter: int) -> str:
     return PALETTE[(letter - 1) % len(PALETTE)]
 
 
-def _px(value: Fraction) -> str:
-    # Exact decimal with six fractional digits (trailing zeros trimmed).
-    scaled = round(Fraction(value) * 10**6)
-    if abs(scaled) >= _TOO_LONG:
+def _px(n: int, q: int) -> str:
+    # n/q (n >= 0) as an exact decimal with six fractional digits, trailing
+    # zeros trimmed; the last digit is rounded half to even, as round() does.
+    scaled, r = divmod(n * 10**6, q)
+    if 2 * r > q or (2 * r == q and scaled % 2):
+        scaled += 1
+    if scaled >= _TOO_LONG:
         _refuse_long_result()
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(7, "0")
+    digits = str(scaled).rjust(7, "0")
     whole, frac = digits[:-6], digits[-6:].rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    return f"{whole}.{frac}" if frac else whole
 
 
-def render_svg(obj: TimedWord | TimedTableau, spec: RenderSpec | None = None) -> str:
-    """Render a ribbon (timed word) or stacked strips (timed tableau)."""
+def render_svg(obj: TimedWord | TimedTableau, unit_scale: int = 100) -> str:
+    """Render a ribbon (timed word) or stacked strips (timed tableau);
+    ``unit_scale`` is px per unit duration."""
     if isinstance(obj, TimedWord):
-        rows: tuple[TimedWord, ...] = (obj,)
-        expected = "ribbon"
+        grid = ((obj.letters, obj.counts),)
     elif isinstance(obj, TimedTableau):
-        rows = obj.rows
-        expected = "tableau"
+        grid = obj.grid
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
-    if spec is None:
-        spec = RenderSpec(target=expected)
-    elif spec.target != expected:
-        raise ValueError(f"spec targets {spec.target!r} but object is a {expected}")
+    if unit_scale <= 0:
+        raise ValueError(f"unit_scale must be positive, got {unit_scale}")
 
-    scale = Fraction(spec.unit_scale)
-    rh = _ROW_HEIGHT
-    width = max((row.length for row in rows), default=Fraction(0)) * scale
-    height = len(rows) * rh
+    q, rh = obj.q, _ROW_HEIGHT
+    width = _px(max((sum(counts) for _, counts in grid), default=0) * unit_scale, q)
+    height = len(grid) * rh
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
-        f'height="{height}" viewBox="0 0 {_px(width)} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for i, row in enumerate(rows):
+    for i, (letters, counts) in enumerate(grid):
         y = i * rh
-        x = Fraction(0)
-        for letter, dur in row.runs:
-            w_px = dur * scale
+        x = 0
+        for letter, n in zip(letters, counts):
             parts.append(
-                f'<rect x="{_px(x * scale)}" y="{y}" width="{_px(w_px)}" '
+                f'<rect x="{_px(x * unit_scale, q)}" y="{y}" width="{_px(n * unit_scale, q)}" '
                 f'height="{rh}" fill="{letter_color(letter)}" '
                 f'stroke="#333333" stroke-width="1"/>'
             )
-            if w_px >= _MIN_LABEL_WIDTH:
-                cx = (x + dur / 2) * scale
+            if n * unit_scale >= _MIN_LABEL_WIDTH * q:
+                cx = _px((2 * x + n) * unit_scale, 2 * q)
                 cy = y + (2 * rh) // 3
                 parts.append(
-                    f'<text x="{_px(cx)}" y="{cy}" font-family="sans-serif" '
+                    f'<text x="{cx}" y="{cy}" font-family="sans-serif" '
                     f'font-size="{rh // 3}" text-anchor="middle" '
                     f'fill="#111111">{letter}</text>'
                 )
-            x += dur
+            x += n
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classical import _Value
+from .classical import _Value, is_row
 from .errors import InvalidMoveError, _quote
 from .greene import greene_timed_oracle
-from .timed_words import TimedWord, _cut, as_duration, concat, is_timed_row
+from .timed_words import TimedWord, _cut, _merged, as_duration
 from .timed_tableaux import timed_insertion_tableau
 
 # Factor roles in their order of appearance, per (kind, reverse). A move
@@ -58,20 +58,6 @@ class TimedKnuthMove(_Value):
         return (self.cut1, self.cut2, self.cut3)
 
 
-def _split(w: TimedWord, m: TimedKnuthMove):
-    start = m.position
-    a = start + m.cut1
-    b = a + m.cut2
-    end = b + m.cut3
-    if end > w.length:
-        raise InvalidMoveError(
-            "cuts-out-of-range",
-            f"move region [{start}, {end}) exceeds word length {w.length}",
-        )
-    u, *factors, v = _cut(w, (0, start, a, b, end, w.length))
-    return u, factors, v
-
-
 # Side conditions per kind: the two factors whose lengths must be equal,
 # and the two whose boundary letters must increase across the junction.
 SIDE_CONDITIONS: dict[str, tuple[str, str]] = {
@@ -80,17 +66,18 @@ SIDE_CONDITIONS: dict[str, tuple[str, str]] = {
 }
 
 
-def _validate(kind: str, named: dict[str, TimedWord]) -> None:
-    xyz = concat(named["x"], named["y"], named["z"])
-    if not is_timed_row(xyz):
-        raise InvalidMoveError("xyz-not-a-row", f"x y z = {_quote(xyz)} is not a timed row")
+def _validate(kind: str, named: dict, q: int) -> None:
+    # The factors are slices of a normalized word, with distinct neighbours
+    # within each, so x y z is a timed row when their letters weakly increase.
+    xyz = [named[role] for role in "xyz"]
+    if not is_row([c for letters, _ in xyz for c in letters]):
+        word = _merged((run for piece in xyz for run in zip(*piece)), q)
+        raise InvalidMoveError("xyz-not-a-row", f"x y z = {_quote(word)} is not a timed row")
     (a, b), (left, right) = SIDE_CONDITIONS[kind]
-    if named[a].length != named[b].length:
-        raise InvalidMoveError(
-            "length-mismatch",
-            f"l({a}) = {named[a].length} differs from l({b}) = {named[b].length}",
-        )
-    last, first = named[left].letters[-1], named[right].letters[0]
+    if sum(named[a][1]) != sum(named[b][1]):
+        la, lb = (Fraction(sum(named[role][1]), q) for role in (a, b))
+        raise InvalidMoveError("length-mismatch", f"l({a}) = {la} differs from l({b}) = {lb}")
+    last, first = named[left][0][-1], named[right][0][0]
     if not last < first:
         raise InvalidMoveError(
             "limit-condition",
@@ -100,12 +87,22 @@ def _validate(kind: str, named: dict[str, TimedWord]) -> None:
 
 
 def apply_move(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
-    """Validate and apply a move, returning the rewritten (normalized) word."""
-    u, factors, v = _split(w, m)
+    """Validate and apply a move, returning the rewritten (normalized) word,
+    built once from the cut pieces on their common grid."""
+    start = m.position
+    a = start + m.cut1
+    b = a + m.cut2
+    end = b + m.cut3
+    if end > w.length:
+        raise InvalidMoveError(
+            "cuts-out-of-range",
+            f"move region [{start}, {end}) exceeds word length {w.length}",
+        )
+    q, (u, *factors, v) = _cut(w, (0, start, a, b, end, w.length))
     named = dict(zip(SOURCE_ORDER[m.kind, m.reverse], factors))
-    _validate(m.kind, named)
-    rearranged = (named[role] for role in SOURCE_ORDER[m.kind, not m.reverse])
-    return concat(u, *rearranged, v)
+    _validate(m.kind, named, q)
+    pieces = (u, *(named[role] for role in SOURCE_ORDER[m.kind, not m.reverse]), v)
+    return _merged((run for piece in pieces for run in zip(*piece)), q)
 
 
 def invert_move(m: TimedKnuthMove) -> TimedKnuthMove:

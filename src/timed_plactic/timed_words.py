@@ -17,9 +17,9 @@ and their counts, which is also the row form of the insertion kernel.
 
 Each word is checked once, where it is made. A public ``TimedWord(...)``
 call validates its runs. The functions that produce words from runs they
-have already checked (``normalize``, ``concat``, ``scale``, the cutter
-behind ``restrict`` and ``subword``, the text parser and the insertion
-functions) build them with ``_on_grid``, which skips that second check and
+have already checked (``normalize``, ``concat``, ``scale``, ``restrict``,
+``subword``, ``apply_move``, the text parser and the insertion functions)
+build them with ``_on_grid``, which skips that second check and
 divides q and the counts by their gcd (``classical._grid_gcd``, which the
 tableau builder shares). Truth and equality read the grid
 (``_Value._key``); ``repr``, ``str`` and ``hash`` read ``runs``.
@@ -183,10 +183,11 @@ def _to_grid(w: TimedWord, q: int) -> Grid:
     return list(w.letters), [n * k for n in w.counts]
 
 
-def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
+def _cut(w: TimedWord, points: Sequence[Fraction]) -> tuple[int, list[Grid]]:
     """The pieces of w between consecutive points, for
-    0 <= p0 <= p1 <= ... <= length, in one pass on the grid 1/q (q also
-    clears the points' denominators)."""
+    0 <= p0 <= p1 <= ... <= length, in one pass: q, and each piece as its
+    letters and counts on the grid 1/q (q also clears the points'
+    denominators). Adjacent letters within a piece are distinct."""
     q = lcm(w.q, *(p.denominator for p in points))
     ticks = [p.numerator * (q // p.denominator) for p in points]
     letters, counts = _to_grid(w, q)
@@ -205,8 +206,8 @@ def _cut(w: TimedWord, points: Sequence[Fraction]) -> list[TimedWord]:
                     break
             i += 1
             start = end
-        pieces.append(_on_grid(*piece, q))
-    return pieces
+        pieces.append(piece)
+    return q, pieces
 
 
 def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
@@ -217,7 +218,8 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     a, b = as_duration(a), as_duration(b)
     if not (0 <= a <= b <= w.length):
         raise ValueError(f"window [{a}, {b}) outside [0, {w.length}]")
-    return _cut(w, (a, b))[0]
+    q, (piece,) = _cut(w, (a, b))
+    return _on_grid(*piece, q)
 
 
 class TimeSample(_Value):
@@ -276,7 +278,8 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
         raise ValueError(
             f"sample reaches {sample.intervals[-1][1]}, beyond word length {w.length}"
         )
-    return concat(*_cut(w, [p for interval in sample.intervals for p in interval])[::2])
+    q, pieces = _cut(w, [p for interval in sample.intervals for p in interval])
+    return _merged((run for piece in pieces[::2] for run in zip(*piece)), q)
 
 
 def is_timed_row(w: TimedWord) -> bool:

@@ -11,7 +11,7 @@ from math import lcm
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from timed_plactic import NotationError, Run, TimedWord, normalize, parse_timed_word
+from timed_plactic import NotationError, Run, TimedWord, letter_color, normalize, parse_timed_word
 from timed_plactic.errors import _quote
 
 # Exact rational arithmetic makes per-example cost vary widely; the wall-clock
@@ -240,6 +240,41 @@ def fraction_cut(word, a, b) -> tuple[tuple[int, Fraction], ...]:
             runs.append((c, overlap))
         start = end
     return tuple(runs)
+
+
+def fraction_px(value) -> str:
+    """value as an exact decimal with six fractional digits, rounded by
+    round() on the Fraction, trailing zeros trimmed."""
+    digits = str(round(Fraction(value) * 10**6)).rjust(7, "0")
+    whole, frac = digits[:-6], digits[-6:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+def render_reference(obj, unit_scale) -> str:
+    """The SVG of a timed word (a ribbon) or a timed tableau, by Fraction
+    geometry over each row's ``runs``: a reference for render_svg."""
+    rows = (obj,) if isinstance(obj, TimedWord) else obj.rows
+    scale, rh = Fraction(unit_scale), 40
+    width = fraction_px(max((fraction_length(row) for row in rows), default=0) * scale)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{len(rows) * rh}" viewBox="0 0 {width} {len(rows) * rh}">'
+    ]
+    for i, row in enumerate(rows):
+        y, x = i * rh, Fraction(0)
+        for letter, dur in row.runs:
+            parts.append(
+                f'<rect x="{fraction_px(x * scale)}" y="{y}" width="{fraction_px(dur * scale)}" '
+                f'height="{rh}" fill="{letter_color(letter)}" stroke="#333333" stroke-width="1"/>'
+            )
+            if dur * scale >= 16:
+                parts.append(
+                    f'<text x="{fraction_px((x + dur / 2) * scale)}" y="{y + 26}" '
+                    f'font-family="sans-serif" font-size="13" text-anchor="middle" '
+                    f'fill="#111111">{letter}</text>'
+                )
+            x += dur
+    return "\n".join(parts + ["</svg>"]) + "\n"
 
 
 def _fraction_value(word, t) -> int:

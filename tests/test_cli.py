@@ -20,6 +20,7 @@ from timed_plactic import (
 )
 from timed_plactic import notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
+from timed_plactic.cli import _MAX_ITERS
 from timed_plactic.cli import _MAX_RUNS, main
 from timed_plactic.notation import format_timed_word, format_word
 
@@ -405,6 +406,13 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "--iters" in json.loads(err)["error"]["message"]
+
+    def test_iters_past_the_bound_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--iters", str(_MAX_ITERS + 1), "--json")
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message == f"--iters must be at most {_MAX_ITERS}, got {_MAX_ITERS + 1}"
 
 
 class TestErrors:

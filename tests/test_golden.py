@@ -1,5 +1,6 @@
 """Golden tests for the CLI: the README's examples, and timed cases whose
-durations exercise the integer grid.
+durations exercise the integer grid. The README's Python examples run
+under ``doctest``.
 
 Each example runs as a fresh ``python -m timed_plactic`` process, in text and
 ``--json`` form, and its exit code, exact stdout and (for ``render``) the
@@ -17,6 +18,7 @@ Regenerate the files, only when an output change is intended, with
 
 from __future__ import annotations
 
+import doctest
 import os
 import subprocess
 import sys
@@ -89,6 +91,11 @@ def test_readme_example(name, argv, code, svg, tmp_path):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     if svg is not None:
         assert (tmp_path / svg).read_bytes() == (GOLDEN / svg).read_bytes()
+
+
+def test_readme_python_examples():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def regenerate() -> None:

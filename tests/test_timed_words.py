@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from timed_plactic import (
     Run,
+    TimedKnuthMove,
     TimedWord,
     TimeSample,
+    apply_move,
     as_duration,
     concat,
     embed_classical,
@@ -30,9 +32,14 @@ from timed_plactic import (
     timed_word_to_dict,
     value_at,
 )
-from timed_plactic.timed_words import _cut
 
 from conftest import durations, fraction_cut, letters, timed_words, tw, words
+
+
+def pieces_between(w: TimedWord, points) -> list[TimedWord]:
+    """The pieces of w between consecutive points of 0, *points, l(w)."""
+    ends = [0, *points, w.length]
+    return [restrict(w, a, b) for a, b in zip(ends, ends[1:])]
 
 
 def cut_points(w: TimedWord):
@@ -340,7 +347,7 @@ class TestCanonicalGrid:
     def test_concat_cut_and_scale(self, a, b, data):
         assert_canonical(concat(a, b, a))
         points = sorted(data.draw(st.lists(cut_points(a), max_size=5)))
-        for piece in _cut(a, [0, *points, a.length]):
+        for piece in pieces_between(a, points):
             assert_canonical(piece)
         for factor in (3, Fraction(1, 3), Fraction(4, 6), Fraction(7, 2)):
             assert_canonical(scale(a, factor))
@@ -366,7 +373,7 @@ class TestCanonicalGrid:
         routes = [
             w,
             parse_timed_word(format_timed_word(w)),
-            concat(*_cut(w, [0, *points, w.length])),
+            concat(*pieces_between(w, points)),
             scale(scale(w, 3), Fraction(1, 3)),
             TimedWord(w.runs),
             v,
@@ -391,7 +398,7 @@ class TestCanonicalGrid:
         assert (tw("1^1/2 1^1/2").counts, tw("1^1/2 1^1/2").q) == ((1,), 1)
         assert (tw("2^0.50").letters, tw("2^0.50").counts, tw("2^0.50").q) == ((2,), (1,), 2)
         assert TimedWord().q == 1 and TimedWord().counts == ()
-        assert concat(*_cut(tw("1^1 2^1/2"), (0, Fraction(1, 3), Fraction(3, 2)))).q == 2
+        assert concat(*pieces_between(tw("1^1 2^1/2"), [Fraction(1, 3)])).q == 2
 
 
 def primes_from(p: int, count: int) -> list[int]:
@@ -403,6 +410,24 @@ def primes_from(p: int, count: int) -> list[int]:
     return out
 
 
+def count_big_gcd_steps(monkeypatch) -> list[int]:
+    """Patch the gcd that ``classical._grid_gcd`` calls with a pairwise gcd
+    that counts the steps taken while the running value exceeds 64 bits;
+    the returned one-item list holds the count."""
+    steps = [0]
+
+    def counting_gcd(*args):
+        g = 0
+        for x in args:
+            if g.bit_length() > 64:
+                steps[0] += 1
+            g = gcd(g, x)
+        return g
+
+    monkeypatch.setattr("timed_plactic.classical.gcd", counting_gcd)
+    return steps
+
+
 class TestCanonicalGridOnCoprimeRuns:
     """Putting a word on its smallest grid takes O(1) gcds of big numbers.
     With distinct prime denominators, ``gcd(q, *counts)`` carries a running
@@ -410,31 +435,33 @@ class TestCanonicalGridOnCoprimeRuns:
     runs cost R big gcds, each quadratic in R. The gcd is counted, not
     timed.
 
-    This covers re-gridding a whole word. A cut piece whose own grid is far
-    smaller than the word's (a prefix of half the runs) still divides every
-    count by a big gcd."""
+    This covers re-gridding a whole word, and a Knuth move, which builds
+    its word once from the cut pieces on the word's grid. ``restrict`` or
+    ``subword`` of a piece whose own grid is far smaller than the word's (a
+    prefix of half the runs) still divides every count by a big gcd."""
 
     def test_few_gcd_steps_on_big_numbers(self, monkeypatch):
         primes = primes_from(1009, 3000)
         text = " ".join(f"{i % 7 + 1}^1/{p}" for i, p in enumerate(primes))
-        steps = 0
-
-        def counting_gcd(*args):
-            nonlocal steps
-            g = 0
-            for x in args:
-                if g.bit_length() > 64:
-                    steps += 1
-                g = gcd(g, x)
-            return g
-
-        monkeypatch.setattr("timed_plactic.classical.gcd", counting_gcd)
+        steps = count_big_gcd_steps(monkeypatch)
         w = parse_timed_word(text)
-        (whole,) = _cut(w, (0, w.length))
+        whole = restrict(w, 0, w.length)
         ww = concat(w, w)
         same = TimedWord(w.runs)
         t = timed_insertion_tableau(w)
-        assert steps <= 20
+        assert steps[0] <= 20
         assert w.q == prod(primes) and len(w.counts) == 3000
         assert whole == same == w and ww.q == w.q and len(ww.counts) == 6000
         assert t.q == w.q
+
+    def test_a_move_takes_few_gcd_steps_on_big_numbers(self, monkeypatch):
+        primes = primes_from(1009, 3000)
+        u = normalize((i % 7 + 1, Fraction(1, p)) for i, p in enumerate(primes[:1500]))
+        v = normalize((i % 7 + 1, Fraction(1, p)) for i, p in enumerate(primes[1500:], 1500))
+        w = concat(u, tw("9^1/2 8^1/2 10^1/3"), v)
+        expected = concat(u, tw("9^1/2 10^1/3 8^1/2"), v)
+        move = TimedKnuthMove("k2", u.length, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))
+        steps = count_big_gcd_steps(monkeypatch)
+        moved = apply_move(w, move)
+        assert steps[0] <= 20
+        assert moved == expected and moved.q == w.q

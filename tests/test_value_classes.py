@@ -1,5 +1,5 @@
-"""The contract of the six immutable value classes: Tableau, TimedWord,
-TimeSample, TimedTableau, TimedKnuthMove and RenderSpec.
+"""The contract of the five immutable value classes: Tableau, TimedWord,
+TimeSample, TimedTableau and TimedKnuthMove.
 
 Each compares equal only to an object of its own class with equal fields,
 hashes as the tuple of its fields, shows its fields in its repr, is false
@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from timed_plactic import (
-    RenderSpec,
     Run,
     Tableau,
     TimedKnuthMove,
@@ -51,12 +50,6 @@ CASES = [
         ("kind", "position", "cut1", "cut2", "cut3", "reverse"),
         "TimedKnuthMove(kind='k2', position=Fraction(0, 1), cut1=Fraction(1, 1), "
         "cut2=Fraction(1, 2), cut3=Fraction(1, 2), reverse=False)",
-    ),
-    (RenderSpec(), ("target", "unit_scale"), "RenderSpec(target='ribbon', unit_scale=100)"),
-    (
-        RenderSpec("tableau", 40),
-        ("target", "unit_scale"),
-        "RenderSpec(target='tableau', unit_scale=40)",
     ),
 ]
 
@@ -133,7 +126,6 @@ class TestConstruction:
         assert TimeSample(intervals=((F(0), F(1)),)) == TimeSample(((F(0), F(1)),))
         rows = (tw("1^1"),)
         assert TimedTableau(rows=rows) == TimedTableau(rows)
-        assert RenderSpec(unit_scale=7, target="tableau") == RenderSpec("tableau", 7)
         m = TimedKnuthMove(kind="k1", position="1/3", cut1=1, cut2=1, cut3=2, reverse=True)
         assert m == TimedKnuthMove("k1", F(1, 3), 1, 1, 2, True)
 
@@ -142,7 +134,6 @@ class TestConstruction:
         assert TimedWord().runs == ()
         assert TimeSample().intervals == ()
         assert TimedTableau().rows == ()
-        assert (RenderSpec().target, RenderSpec().unit_scale) == ("ribbon", 100)
         assert TimedKnuthMove("k1", 0, 1, 1, 1).reverse is False
 
     def test_move_fields_become_fractions(self):
