@@ -1,6 +1,6 @@
 """Schensted insertion, Knuth equivalence, and Greene invariants for
 classical words and for timed words (run-length words with exact rational
-durations), with brute-force oracles validating the fast paths."""
+durations), with min-cost flow oracles validating the fast paths."""
 
 from .classical import (
     Tableau,

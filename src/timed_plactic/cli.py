@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against the brute-force oracle",
+        help="cross-check against the min-cost flow oracle",
     )
     p.set_defaults(handler=_cmd_greene)
 

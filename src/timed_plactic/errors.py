@@ -26,7 +26,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class OracleSizeError(RuntimeError):
-    """A brute-force oracle instance exceeds its size bound."""
+    """A Greene oracle instance exceeds one of its size bounds."""
 
 
 class InvalidMoveError(ValueError):

@@ -1,16 +1,19 @@
-"""Greene invariants: an exact search oracle and insertion-tableau fast paths.
+"""Greene invariants: an exact min-cost flow oracle and insertion-tableau
+fast paths.
 
 The r-th Greene invariant of a word is the maximum total size of r pairwise
 disjoint weakly increasing subwords; for timed words, sizes become measures
 of time samples whose selected subwords are timed rows. Where two chains
 share a run, swapping their tails moves the whole run into one chain, so the
-oracle searches over whole runs (blocks of equal letters, or timed runs on the
-grid 1/q) and never touches insertion, which it can therefore cross-check.
+oracle works over whole runs (blocks of equal letters, or timed runs on the
+grid 1/q). A family of r chains of runs is a flow of r units through a
+network of runs, so a_r is the value of a min-cost flow (Greene, Adv. Math.
+14, 1974; Greene and Kleitman, JCT A 20, 1976). The oracle never touches
+insertion, which it can therefore cross-check.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import lcm
@@ -21,74 +24,112 @@ from .timed_words import TimedWord
 from .timed_tableaux import timed_insertion_tableau, timed_shape
 
 
-# Over an alphabet of k letters the search has at most C(r + k, r) states,
-# so this admits every word over 9 letters with r <= 9 (C(18, 9) = 48,620),
-# though the work budget below may still stop a long one.
-_STATE_BUDGET = 50_000
-# The search's work: state updates (the states each run is tried against)
-# summed over the runs. A search can stay under the state budget at every
-# run and still run for minutes over many runs; this bound stops one call
-# after about a second on a 2-vCPU host.
-_WORK_BUDGET = 250_000
-_MAX_LEN = 2000  # classical letters
+# The flow's work: its arcs (about runs x distinct letters) times its
+# augmentations (at most r). A call at the bound takes 0.4 to 1.0 s on a
+# 2-vCPU host, and at r = 1 its arc lists take up to ~50 MB.
+_MAX_FLOW_WORK = 1_000_000
 
 
 def _greene_runs(letters, counts, r: int) -> int:
     """Maximum total count of r disjoint weakly increasing chains of whole
     runs, run i being counts[i] copies of letters[i].
 
-    Each run joins a chain whose last letter is at most its own, or is left
-    unused. Chains are interchangeable, so a state is the sorted tuple of chain
-    last letters (0: empty), kept with its best count. More than 50,000 states,
-    or more than 250,000 state updates summed over the runs, raise
-    OracleSizeError.
+    Successive shortest paths push r units through a network of runs: run i
+    is a node pair in_i -> out_i joined by a use arc (capacity 1, cost
+    -counts[i]) and a bypass arc (capacity r, cost 0). The source feeds the
+    first run of each letter, and out_i feeds the sink and the next run of
+    each letter >= letters[i], so a path's used runs form a chain. Each unit
+    takes a Dijkstra shortest path on reduced costs; costs stay exact ints.
+    More than r = k chains over k distinct letters gain nothing (the k blocks
+    of equal letters take everything), so r is capped at k, and a network
+    whose runs x k x r passes _MAX_FLOW_WORK raises OracleSizeError before it
+    is built.
     """
-    states: dict[tuple[int, ...], int] = {(0,) * r: 0}
-    work = 0
-    for c, n in zip(letters, counts):
-        work += len(states)
-        if work > _WORK_BUDGET:
-            raise OracleSizeError(
-                f"oracle search for r={r} exceeds the budget of {_WORK_BUDGET} state updates"
-            )
-        updates: dict[tuple[int, ...], int] = {}
-        for lasts, used in states.items():
-            prev = -1
-            for k in range(r):
-                last = lasts[k]
-                if last > c:
-                    break
-                if last == prev:
-                    continue
-                prev = last
-                rest = lasts[:k] + lasts[k + 1 :]
-                j = bisect_right(rest, c)
-                cand = rest[:j] + (c,) + rest[j:]
-                score = used + n
-                if updates.get(cand, -1) < score:
-                    updates[cand] = score
-        for cand, score in updates.items():
-            if states.get(cand, -1) < score:
-                states[cand] = score
-        if len(states) > _STATE_BUDGET:
-            raise OracleSizeError(
-                f"oracle search for r={r} exceeds the budget of {_STATE_BUDGET} states"
-            )
-    return max(states.values())
+    # Imported here, so that commands that run no oracle start no slower.
+    from heapq import heappop, heappush
+
+    n, k = len(letters), len(set(letters))
+    r = min(r, k)
+    if n * k * r > _MAX_FLOW_WORK:
+        raise OracleSizeError(
+            f"flow over {n} runs of {k} letters at r={r} exceeds the bound of {_MAX_FLOW_WORK}"
+        )
+    # Node 0 is the source, 2i + 1 and 2i + 2 are in_i and out_i, and the
+    # sink comes last: every arc points forward in this order.
+    sink = 2 * n + 1
+    arcs: list[list[int]] = [[] for _ in range(sink + 1)]
+    head, cap, cost = [], [], []
+
+    def arc(u: int, v: int, capacity: int, c: int) -> None:
+        # arc e and its reverse e ^ 1, which starts empty
+        arcs[u].append(len(head))
+        arcs[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cost.extend((c, -c))
+
+    after: dict[int, int] = {}  # letter -> its first run after run i
+    for i in range(n - 1, -1, -1):
+        arc(2 * i + 1, 2 * i + 2, 1, -counts[i])
+        arc(2 * i + 1, 2 * i + 2, r, 0)
+        arc(2 * i + 2, sink, r, 0)
+        for c, j in after.items():
+            if c >= letters[i]:
+                arc(2 * i + 2, 2 * j + 1, r, 0)
+        after[letters[i]] = i
+    for j in after.values():
+        arc(0, 2 * j + 1, r, 0)
+
+    # First potentials: shortest distances by one pass in node order.
+    inf = float("inf")
+    pot = [0] + [inf] * sink
+    for u in range(sink + 1):
+        for e in arcs[u]:
+            if cap[e] and pot[u] + cost[e] < pot[head[e]]:
+                pot[head[e]] = pot[u] + cost[e]
+    total = 0
+    for _ in range(r):
+        dist = [0] + [inf] * sink
+        via = [0] * (sink + 1)
+        heap = [(0, 0)]
+        while heap:
+            d, u = heappop(heap)
+            if u == sink:
+                break
+            if d > dist[u]:
+                continue
+            du = d + pot[u]
+            for e in arcs[u]:
+                if cap[e]:
+                    v = head[e]
+                    dv = du + cost[e] - pot[v]
+                    if dv < dist[v]:
+                        dist[v], via[v] = dv, e
+                        heappush(heap, (dv, v))
+        # Nodes not settled lie at least dist[sink] away; capping at it keeps
+        # every residual arc's reduced cost nonnegative.
+        d = dist[sink]
+        pot = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
+        if pot[sink] >= 0:  # no path gains: more chains add nothing
+            break
+        total -= pot[sink]
+        v = sink
+        while v:
+            e = via[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = head[e ^ 1]
+    return total
 
 
 def greene_classical_oracle(w: Word, r: int) -> int:
     """Exact maximum total size of r pairwise disjoint weakly increasing
-    subwords of w, by the state search over w's blocks of equal letters.
-    Words longer than 2,000 letters raise OracleSizeError."""
+    subwords of w, by the min-cost flow over w's blocks of equal letters."""
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
-    if len(w) > _MAX_LEN:
-        raise OracleSizeError(
-            f"word of length {len(w)} exceeds the oracle bound of {_MAX_LEN}"
-        )
-    runs = [(c, len(list(block))) for c, block in groupby(w)]
-    return _greene_runs([c for c, _ in runs], [n for _, n in runs], r)
+    letters = [c for c, _ in groupby(w)]
+    counts = [len(list(block)) for _, block in groupby(w)]
+    return _greene_runs(letters, counts, r)
 
 
 def greene_classical(w: Word) -> tuple[int, ...]:
@@ -98,18 +139,21 @@ def greene_classical(w: Word) -> tuple[int, ...]:
 
 
 def greene_timed_oracle(w: TimedWord, r: int, *, max_letters: int | None = 500) -> Fraction:
-    """Exact timed Greene invariant a_r: the state search over w's runs with
+    """Exact timed Greene invariant a_r: the min-cost flow over w's runs with
     their counts on the grid 1/q, divided by q. More than ``max_letters`` grid
-    letters (length(w) * q) raise OracleSizeError."""
+    letters (length(w) * q) raise OracleSizeError, as does a flow past
+    _MAX_FLOW_WORK. The flow's cost does not grow with the grid size;
+    ``max_letters`` stays as the CLI's default limit."""
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
     q = lcm(*(d.denominator for _, d in w.runs))
     counts = [d.numerator * (q // d.denominator) for _, d in w.runs]
     size = sum(counts)
     if max_letters is not None and size > max_letters:
-        raise OracleSizeError(
-            f"expansion of {size} letters exceeds the bound of {max_letters}"
-        )
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
+        # str() refuses ints past 4,300 digits; 14,000 bits stay below that
+        bits = size.bit_length()
+        shown = size if bits <= 14_000 else f"a {bits}-bit number of"
+        raise OracleSizeError(f"expansion of {shown} letters exceeds the bound of {max_letters}")
     return Fraction(_greene_runs([c for c, _ in w.runs], counts, r), q)
 
 

@@ -93,6 +93,7 @@ class TestGreene:
         assert "note" in data
 
     def test_oracle_state_budget_gives_note(self):
+        # 30 letters over 40 symbols: the worst case of a search over chain ends.
         rng = random.Random(1)
         word = ",".join(str(rng.randint(1, 40)) for _ in range(30))
         result = subprocess.run(
@@ -103,9 +104,39 @@ class TestGreene:
         )
         assert result.returncode == 0
         data = json.loads(result.stdout)
-        assert data["mode"] == "fast"
-        assert data["agreement"] is None
-        assert "budget" in data["note"]
+        assert data["mode"] == "both"
+        assert data["agreement"] is True
+        assert "note" not in data
+
+    def test_oracle_flow_bound_gives_note(self, capsys):
+        # 1,001 runs of 1,001 letters: runs x letters x r passes the bound at r = 1
+        word = ",".join(map(str, range(1, 1002)))
+        code, out, _ = run_cli(capsys, "greene", word, "--oracle", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["profile"] == [1001]
+        assert (data["mode"], data["agreement"]) == ("fast", None)
+        assert "exceeds the bound" in data["note"]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_oracle_size_past_the_digit_limit_gives_note(self, capsys, as_json):
+        # The grid expansion has 4,301 digits, more than str() writes.
+        d = int("9" * 4300)
+        word = f"1^1/{d} 2^{d - 1}/{d} 3^5"
+        argv = ["greene", word, "--oracle"] + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if as_json:
+            data = json.loads(out)
+            assert (data["profile"], data["mode"], data["agreement"]) == (["6"], "fast", None)
+            note = data["note"]
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "profile: 6"
+            prefix = "mode: fast (oracle skipped: "
+            assert len(lines) == 2 and lines[1].startswith(prefix)
+            note = lines[1][len(prefix) : -1]
+        assert 0 < len(note) < 200
 
     def test_human_text_marks_inexact(self, capsys):
         code, out, _ = run_cli(capsys, "greene", "1^1/3")

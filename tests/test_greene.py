@@ -19,6 +19,8 @@ from timed_plactic import (
     profile_value,
     scale,
 )
+from timed_plactic import classical, timed_tableaux
+from timed_plactic.greene import _MAX_FLOW_WORK
 
 from conftest import (
     WORD_3421153,
@@ -45,29 +47,61 @@ class TestClassicalOracle:
             greene_classical_oracle((1,), 0)
 
     def test_size_bound(self):
+        # The flow bounds runs x letters x r, not length: one run of 2,001
+        # letters is one node pair.
         assert greene_classical_oracle((1,) * 2000, 1) == 2000
-        with pytest.raises(OracleSizeError, match="word of length 2001"):
-            greene_classical_oracle((1,) * 2001, 1)
+        assert greene_classical_oracle((1,) * 2001, 1) == 2001
 
     def test_state_budget(self):
-        # 30 letters over 40 symbols: about 100,000 states at r = 6, far
-        # beyond the default budget, so the search stops early.
+        # 30 letters over 40 symbols: about 100,000 sorted tuples of chain
+        # ends at r = 6, the worst case of a search over chain ends.
         rng = random.Random(1)
         w = tuple(rng.randint(1, 40) for _ in range(30))
-        assert greene_classical_oracle(w, 3) == greene_classical(w)[2]
-        with pytest.raises(OracleSizeError, match="budget of 50000 states"):
-            greene_classical_oracle(w, 6)
+        profile = greene_classical(w)
+        assert greene_classical_oracle(w, 3) == profile[2]
+        assert greene_classical_oracle(w, 6) == profile[5]
 
     @pytest.mark.parametrize("length", [60, 400])
     def test_work_budget(self, length):
-        # Under 50,000 states at every letter, but over 250,000 state updates
-        # in all: unbounded, r = 9 took 4.6 s at 60 letters and 76 s at 400.
+        # r = 9 over 9 letters, where a search over chain ends took 4.6 s at
+        # 60 letters and 76 s at 400.
         rng = random.Random(1)
         w = tuple(rng.randint(1, 9) for _ in range(length))
+        profile = greene_classical(w)
         start = time.perf_counter()
-        with pytest.raises(OracleSizeError, match="budget of 250000 state updates"):
-            greene_classical_oracle(w, 9)
+        assert tuple(greene_classical_oracle(w, r) for r in range(1, 10)) == tuple(
+            profile_value(profile, r, length) for r in range(1, 10)
+        )
         assert time.perf_counter() - start < 20
+
+    def test_flow_bound_is_checked_before_building(self):
+        # 2,600 runs of 20 letters at r = 20: runs x letters x r = 1,040,000
+        w = tuple(range(1, 21)) * 130
+        assert 2600 * 20 * 20 > _MAX_FLOW_WORK
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match="over 2600 runs of 20 letters at r=20 exceeds"):
+                greene_classical_oracle(w, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_ranks_past_the_alphabet_cost_nothing_more(self):
+        # r chains over k letters gain nothing past r = k, so r is capped at
+        # k before the bound is checked.
+        w = tuple(range(1, 21)) * 130
+        assert greene_classical_oracle(w, 1) == greene_classical(w)[0] == 130 + 19
+        with pytest.raises(OracleSizeError, match="at r=20 exceeds"):
+            greene_classical_oracle(w, 10**9)
+
+    def test_agreement_on_a_long_word_over_twenty_letters(self):
+        # 952 runs over 20 letters, at every r.
+        rng = random.Random(1)
+        w = tuple(rng.randint(1, 20) for _ in range(1000))
+        profile = greene_classical(w)
+        assert len(profile) == 20
+        assert tuple(greene_classical_oracle(w, r) for r in range(1, 21)) == profile
 
     def test_state_budget_admits_nine_letter_alphabets(self):
         # C(r + 9, r) <= C(18, 9) = 48,620 states for r <= 9.
@@ -120,6 +154,10 @@ class TestTimedOracle:
     def test_size_bound(self):
         with pytest.raises(OracleSizeError):
             greene_timed_oracle(tw("1^1 2^1 1^1"), 1, max_letters=2)
+
+    def test_rejects_bad_rank_before_size(self):
+        with pytest.raises(ValueError):
+            greene_timed_oracle(tw("1^1/10000019 2^1"), 0)
 
     def test_size_bound_is_checked_before_expanding(self):
         # the expansion would hold 10,000,020 letters
@@ -227,6 +265,26 @@ class TestWholeRunSearch:
         w = tuple(rng.randint(1, 4) for _ in range(1000))
         profile = greene_classical(w)
         assert tuple(greene_classical_oracle(w, r) for r in range(1, len(profile) + 1)) == profile
+
+
+class TestIndependence:
+    def test_oracles_call_no_insertion(self, monkeypatch):
+        from conftest import BIG_TIMED_PROFILE, BIG_TIMED_WORD_TEXT
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called insertion")
+
+        w = tw(BIG_TIMED_WORD_TEXT)
+        for module in (classical, timed_tableaux):
+            monkeypatch.setattr(module, "_insert_runs", refuse)
+            monkeypatch.setattr(module, "_bump_runs", refuse)
+        for fast, word in ((greene_classical, WORD_3421153), (greene_timed, w)):
+            with pytest.raises(AssertionError):
+                fast(word)
+        assert tuple(greene_classical_oracle(WORD_3421153, r) for r in (1, 2, 3)) == (3, 6, 7)
+        assert tuple(
+            greene_timed_oracle(w, r, max_letters=None) for r in range(1, 7)
+        ) == BIG_TIMED_PROFILE
 
 
 class TestProfileValue:
