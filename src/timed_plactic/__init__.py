@@ -29,7 +29,6 @@ from .greene import (
     greene_classical_oracle,
     greene_timed,
     greene_timed_oracle,
-    profile_value,
 )
 from .notation import (
     format_duration,

@@ -152,8 +152,7 @@ def _cmd_greene(args) -> int:
     mode, agreement, note = "fast", None, None
     if args.oracle:
         try:
-            oracle = tuple(kind.oracle(word, r) for r in range(1, len(profile) + 1))
-            mode, agreement = "both", oracle == profile
+            mode, agreement = "both", kind.oracle(word, len(profile)) == profile
         except OracleSizeError as exc:
             note = str(exc)
     payload = {

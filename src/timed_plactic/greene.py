@@ -8,15 +8,16 @@ share a run, swapping their tails moves the whole run into one chain, so the
 oracle works over whole runs (blocks of equal letters, or timed runs on the
 grid 1/q). A family of r chains of runs is a flow of r units through a
 network of runs, so a_r is the value of a min-cost flow (Greene, Adv. Math.
-14, 1974; Greene and Kleitman, JCT A 20, 1976). The oracle never touches
-insertion, which it can therefore cross-check.
+14, 1974; Greene and Kleitman, JCT A 20, 1976). Successive shortest paths
+reach a min-cost flow of every value on the way, so one flow of r units
+gives the whole profile a_1, ..., a_r. The oracle never touches insertion,
+which it can therefore cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, groupby
-from math import lcm
 
 from .classical import Word, insertion_tableau, shape
 from .errors import OracleSizeError
@@ -30,9 +31,10 @@ from .timed_tableaux import timed_insertion_tableau, timed_shape
 _MAX_FLOW_WORK = 1_000_000
 
 
-def _greene_runs(letters, counts, r: int) -> int:
-    """Maximum total count of r disjoint weakly increasing chains of whole
-    runs, run i being counts[i] copies of letters[i].
+def _greene_runs(letters, counts, r: int) -> tuple[int, ...]:
+    """(a_1, ..., a_r): the maximum total count of i disjoint weakly
+    increasing chains of whole runs for each i <= r, run i being counts[i]
+    copies of letters[i].
 
     Successive shortest paths push r units through a network of runs: run i
     is a node pair in_i -> out_i joined by a use arc (capacity 1, cost
@@ -40,16 +42,22 @@ def _greene_runs(letters, counts, r: int) -> int:
     first run of each letter, and out_i feeds the sink and the next run of
     each letter >= letters[i], so a path's used runs form a chain. Each unit
     takes a Dijkstra shortest path on reduced costs; costs stay exact ints.
-    More than r = k chains over k distinct letters gain nothing (the k blocks
-    of equal letters take everything), so r is capped at k, and a network
-    whose runs x k x r passes _MAX_FLOW_WORK raises OracleSizeError before it
-    is built.
+    The flow after i units is a min-cost flow of value i, so each unit that
+    gains appends a_i. The flow stops at the first unit that gains nothing
+    (every run is used), which comes by unit k + 1 for k distinct letters:
+    the k blocks of equal letters take everything. So r is capped at k, and
+    a network whose runs x k x r passes _MAX_FLOW_WORK raises OracleSizeError
+    before it is built.
     """
     # Imported here, so that commands that run no oracle start no slower.
     from heapq import heappop, heappush
 
     n, k = len(letters), len(set(letters))
     r = min(r, k)
+    if not r:
+        # Nothing to push; with no capacity the first pass below would add
+        # costs to inf, which overflows once they pass the float range.
+        return ()
     if n * k * r > _MAX_FLOW_WORK:
         raise OracleSizeError(
             f"flow over {n} runs of {k} letters at r={r} exceeds the bound of {_MAX_FLOW_WORK}"
@@ -87,7 +95,7 @@ def _greene_runs(letters, counts, r: int) -> int:
         for e in arcs[u]:
             if cap[e] and pot[u] + cost[e] < pot[head[e]]:
                 pot[head[e]] = pot[u] + cost[e]
-    total = 0
+    total, profile = 0, []
     for _ in range(r):
         dist = [0] + [inf] * sink
         via = [0] * (sink + 1)
@@ -113,20 +121,23 @@ def _greene_runs(letters, counts, r: int) -> int:
         if pot[sink] >= 0:  # no path gains: more chains add nothing
             break
         total -= pot[sink]
+        profile.append(total)
         v = sink
         while v:
             e = via[v]
             cap[e] -= 1
             cap[e ^ 1] += 1
             v = head[e ^ 1]
-    return total
+    return tuple(profile)
 
 
-def greene_classical_oracle(w: Word, r: int) -> int:
-    """Exact maximum total size of r pairwise disjoint weakly increasing
-    subwords of w, by the min-cost flow over w's blocks of equal letters."""
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
+def greene_classical_oracle(w: Word, r: int) -> tuple[int, ...]:
+    """The Greene profile of w up to rank r, greene_classical(w)[:r] when
+    insertion is right: a_i is the exact maximum total size of i pairwise
+    disjoint weakly increasing subwords, for i up to r or until a_i takes
+    all of w, by one min-cost flow over w's blocks of equal letters."""
+    if r < 0:
+        raise ValueError(f"r must be a nonnegative integer, got {r}")
     letters = [c for c, _ in groupby(w)]
     counts = [len(list(block)) for _, block in groupby(w)]
     return _greene_runs(letters, counts, r)
@@ -138,33 +149,26 @@ def greene_classical(w: Word) -> tuple[int, ...]:
     return tuple(accumulate(shape(insertion_tableau(w))))
 
 
-def greene_timed_oracle(w: TimedWord, r: int, *, max_letters: int | None = 500) -> Fraction:
-    """Exact timed Greene invariant a_r: the min-cost flow over w's runs with
-    their counts on the grid 1/q, divided by q. More than ``max_letters`` grid
-    letters (length(w) * q) raise OracleSizeError, as does a flow past
-    _MAX_FLOW_WORK. The flow's cost does not grow with the grid size;
-    ``max_letters`` stays as the CLI's default limit."""
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    q = lcm(*(d.denominator for _, d in w.runs))
-    counts = [d.numerator * (q // d.denominator) for _, d in w.runs]
-    size = sum(counts)
+def greene_timed_oracle(
+    w: TimedWord, r: int, *, max_letters: int | None = 500
+) -> tuple[Fraction, ...]:
+    """The timed Greene profile of w up to rank r, greene_timed(w)[:r] when
+    insertion is right: one min-cost flow over w's runs with their counts on
+    the grid 1/q (w.counts), each value divided by q. More than
+    ``max_letters`` grid letters (length(w) * q) raise OracleSizeError, as
+    does a flow past _MAX_FLOW_WORK. The flow's cost does not grow with the
+    grid size; ``max_letters`` stays as the CLI's default limit."""
+    if r < 0:
+        raise ValueError(f"r must be a nonnegative integer, got {r}")
+    size = sum(w.counts)
     if max_letters is not None and size > max_letters:
         # str() refuses ints past 4,300 digits; 14,000 bits stay below that
         bits = size.bit_length()
         shown = size if bits <= 14_000 else f"a {bits}-bit number of"
         raise OracleSizeError(f"expansion of {shown} letters exceeds the bound of {max_letters}")
-    return Fraction(_greene_runs([c for c, _ in w.runs], counts, r), q)
+    return tuple(Fraction(a, w.q) for a in _greene_runs(w.letters, w.counts, r))
 
 
 def greene_timed(w: TimedWord) -> tuple[Fraction, ...]:
     """Timed Greene profile via partial sums of the insertion tableau's shape."""
     return tuple(accumulate(timed_shape(timed_insertion_tableau(w))))
-
-
-def profile_value(profile: tuple, r: int, total) -> Fraction | int:
-    """a_r read off a profile: profile[r-1] for r within range, else the total
-    word length (r chains can never pick up more than everything)."""
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    return profile[r - 1] if r <= len(profile) else total

@@ -211,6 +211,17 @@ def timed_greene_reference(w, r, refine=1) -> Fraction:
     return Fraction(greene_reference([c for c in word for _ in range(refine)], r), refine * q)
 
 
+def reference_profile(values, total) -> tuple:
+    """The reference values a_1, a_2, ... as an oracle returns them: a_i is
+    kept only while a_(i-1) < total, with a_0 = 0."""
+    kept = []
+    for a in values:
+        if (kept[-1] if kept else 0) >= total:
+            break
+        kept.append(a)
+    return tuple(kept)
+
+
 def random_timed_word_runs(rng, *, runs, max_letter, max_den, max_num):
     """The runs of randomgen.random_timed_word drawn the list-based way:
     rng.choice over every letter but the previous one."""

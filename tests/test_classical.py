@@ -373,7 +373,7 @@ class TestSchensted:
 
         t = insertion_tableau(w)
         first_row = len(t.rows[0]) if t.rows else 0
-        assert greene_classical_oracle(w, 1) == first_row
+        assert greene_classical_oracle(w, 1) == ((first_row,) if w else ())
 
 
 class TestKnuthEquivalence:

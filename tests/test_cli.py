@@ -18,7 +18,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
-from timed_plactic import notation, selfcheck
+from timed_plactic import cli, notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
 from timed_plactic.cli import _MAX_ITERS
 from timed_plactic.cli import _MAX_RUNS, main
@@ -117,6 +117,36 @@ class TestGreene:
         assert data["profile"] == [1001]
         assert (data["mode"], data["agreement"]) == ("fast", None)
         assert "exceeds the bound" in data["note"]
+
+    @staticmethod
+    def _count_oracle_calls(monkeypatch):
+        calls = []
+        oracle = cli.greene_classical_oracle
+
+        def counted(w, r, **kwargs):
+            calls.append(r)
+            return oracle(w, r, **kwargs)
+
+        monkeypatch.setattr(cli, "greene_classical_oracle", counted)
+        return calls
+
+    def test_oracle_past_the_flow_bound_is_called_once(self, capsys, monkeypatch):
+        # 2,600 runs of 20 letters: the whole profile's flow passes the bound
+        calls = self._count_oracle_calls(monkeypatch)
+        word = ",".join(map(str, list(range(1, 21)) * 130))
+        code, out, _ = run_cli(capsys, "greene", word, "--oracle", "--json")
+        data = json.loads(out)
+        assert (code, len(calls), data["mode"]) == (0, 1, "fast")
+        assert "at r=20 exceeds" in data["note"]
+
+    def test_oracle_gives_the_whole_profile_in_one_call(self, capsys, monkeypatch):
+        # 1,000 letters over 20 symbols: one flow of 20 units
+        calls = self._count_oracle_calls(monkeypatch)
+        rng = random.Random(1)
+        word = ",".join(str(rng.randint(1, 20)) for _ in range(1000))
+        code, out, _ = run_cli(capsys, "greene", word, "--oracle", "--json")
+        data = json.loads(out)
+        assert (code, len(calls), data["mode"], data["agreement"]) == (0, 1, "both", True)
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_oracle_size_past_the_digit_limit_gives_note(self, capsys, as_json):

@@ -16,7 +16,6 @@ from timed_plactic import (
     greene_timed,
     greene_timed_oracle,
     normalize,
-    profile_value,
     scale,
 )
 from timed_plactic import classical, timed_tableaux
@@ -25,6 +24,7 @@ from timed_plactic.greene import _MAX_FLOW_WORK
 from conftest import (
     WORD_3421153,
     greene_reference,
+    reference_profile,
     small_timed_words,
     timed_greene_reference,
     timed_words,
@@ -35,22 +35,21 @@ from conftest import (
 
 class TestClassicalOracle:
     def test_running_example(self):
-        assert greene_classical_oracle(WORD_3421153, 1) == 3
-        assert greene_classical_oracle(WORD_3421153, 2) == 6
-        assert greene_classical_oracle(WORD_3421153, 3) == 7
+        assert greene_classical_oracle(WORD_3421153, 3) == (3, 6, 7)
 
     def test_empty_word(self):
-        assert greene_classical_oracle((), 3) == 0
+        assert greene_classical_oracle((), 3) == ()
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
-            greene_classical_oracle((1,), 0)
+            greene_classical_oracle((1,), -1)
+        assert greene_classical_oracle((1,), 0) == ()
 
     def test_size_bound(self):
         # The flow bounds runs x letters x r, not length: one run of 2,001
         # letters is one node pair.
-        assert greene_classical_oracle((1,) * 2000, 1) == 2000
-        assert greene_classical_oracle((1,) * 2001, 1) == 2001
+        assert greene_classical_oracle((1,) * 2000, 1) == (2000,)
+        assert greene_classical_oracle((1,) * 2001, 1) == (2001,)
 
     def test_state_budget(self):
         # 30 letters over 40 symbols: about 100,000 sorted tuples of chain
@@ -58,8 +57,8 @@ class TestClassicalOracle:
         rng = random.Random(1)
         w = tuple(rng.randint(1, 40) for _ in range(30))
         profile = greene_classical(w)
-        assert greene_classical_oracle(w, 3) == profile[2]
-        assert greene_classical_oracle(w, 6) == profile[5]
+        assert greene_classical_oracle(w, 3) == profile[:3]
+        assert greene_classical_oracle(w, 6) == profile[:6]
 
     @pytest.mark.parametrize("length", [60, 400])
     def test_work_budget(self, length):
@@ -69,9 +68,8 @@ class TestClassicalOracle:
         w = tuple(rng.randint(1, 9) for _ in range(length))
         profile = greene_classical(w)
         start = time.perf_counter()
-        assert tuple(greene_classical_oracle(w, r) for r in range(1, 10)) == tuple(
-            profile_value(profile, r, length) for r in range(1, 10)
-        )
+        # 9 letters give at most 9 rows, so r = 9 is the whole profile
+        assert greene_classical_oracle(w, 9) == profile
         assert time.perf_counter() - start < 20
 
     def test_flow_bound_is_checked_before_building(self):
@@ -91,7 +89,7 @@ class TestClassicalOracle:
         # r chains over k letters gain nothing past r = k, so r is capped at
         # k before the bound is checked.
         w = tuple(range(1, 21)) * 130
-        assert greene_classical_oracle(w, 1) == greene_classical(w)[0] == 130 + 19
+        assert greene_classical_oracle(w, 1) == greene_classical(w)[:1] == (130 + 19,)
         with pytest.raises(OracleSizeError, match="at r=20 exceeds"):
             greene_classical_oracle(w, 10**9)
 
@@ -101,13 +99,14 @@ class TestClassicalOracle:
         w = tuple(rng.randint(1, 20) for _ in range(1000))
         profile = greene_classical(w)
         assert len(profile) == 20
-        assert tuple(greene_classical_oracle(w, r) for r in range(1, 21)) == profile
+        for r in (*range(22), 10**9):
+            assert greene_classical_oracle(w, r) == profile[:r]
 
     def test_state_budget_admits_nine_letter_alphabets(self):
         # C(r + 9, r) <= C(18, 9) = 48,620 states for r <= 9.
         w = (9, 8, 7, 6, 5, 4, 3, 2, 1) * 3
         profile = greene_classical(w)
-        assert tuple(greene_classical_oracle(w, r) for r in range(1, 10)) == profile
+        assert greene_classical_oracle(w, 9) == profile
 
 
 class TestClassicalProfile:
@@ -124,14 +123,12 @@ class TestClassicalProfile:
         for n in range(5):
             for w in itertools.product((1, 2, 3), repeat=n):
                 profile = greene_classical(w)
-                for r in range(1, len(profile) + 1):
-                    assert greene_classical_oracle(w, r) == profile[r - 1], (w, r)
+                assert greene_classical_oracle(w, len(profile)) == profile, w
 
     @given(st.lists(st.integers(1, 4), max_size=9).map(tuple))
     def test_oracle_agreement(self, w):
         profile = greene_classical(w)
-        for r in range(1, len(profile) + 1):
-            assert greene_classical_oracle(w, r) == profile[r - 1]
+        assert greene_classical_oracle(w, len(profile)) == profile
 
     @given(words)
     def test_profile_shape(self, w):
@@ -146,10 +143,10 @@ class TestClassicalProfile:
 
 class TestTimedOracle:
     def test_decreasing_runs_cap_at_one_run(self):
-        assert greene_timed_oracle(tw("3^1 2^1 1^1"), 1) == 1
+        assert greene_timed_oracle(tw("3^1 2^1 1^1"), 1) == (1,)
 
     def test_timed_row_is_its_own_best_sample(self):
-        assert greene_timed_oracle(tw("1^0.5 2^0.5"), 1) == 1
+        assert greene_timed_oracle(tw("1^0.5 2^0.5"), 1) == (1,)
 
     def test_size_bound(self):
         with pytest.raises(OracleSizeError):
@@ -157,7 +154,8 @@ class TestTimedOracle:
 
     def test_rejects_bad_rank_before_size(self):
         with pytest.raises(ValueError):
-            greene_timed_oracle(tw("1^1/10000019 2^1"), 0)
+            greene_timed_oracle(tw("1^1/10000019 2^1"), -1)
+        assert greene_timed_oracle(tw("1^1 2^1"), 0) == ()
 
     def test_size_bound_is_checked_before_expanding(self):
         # the expansion would hold 10,000,020 letters
@@ -173,7 +171,7 @@ class TestTimedOracle:
 
     def test_fractional_value(self):
         # the 2-run alone beats the 1-run; no nondecreasing sample spans both
-        assert greene_timed_oracle(tw("2^0.5 1^0.25"), 1) == Fraction(1, 2)
+        assert greene_timed_oracle(tw("2^0.5 1^0.25"), 1) == (Fraction(1, 2),)
 
 
 class TestTimedProfile:
@@ -185,10 +183,7 @@ class TestTimedProfile:
 
         w = tw(BIG_TIMED_WORD_TEXT)
         assert greene_timed(w) == BIG_TIMED_PROFILE
-        for r in range(1, 7):
-            assert (
-                greene_timed_oracle(w, r, max_letters=1000) == BIG_TIMED_PROFILE[r - 1]
-            )
+        assert greene_timed_oracle(w, 6, max_letters=1000) == BIG_TIMED_PROFILE
 
     def test_classical_compatibility(self):
         assert greene_timed(embed_classical(WORD_3421153)) == (3, 6, 7)
@@ -196,8 +191,7 @@ class TestTimedProfile:
     @given(small_timed_words)
     def test_oracle_agreement(self, w):
         profile = greene_timed(w)
-        for r in range(1, len(profile) + 1):
-            assert greene_timed_oracle(w, r, max_letters=None) == profile[r - 1]
+        assert greene_timed_oracle(w, len(profile), max_letters=None) == profile
 
     @given(timed_words)
     def test_profile_shape(self, w):
@@ -218,10 +212,9 @@ class TestTimedProfile:
         # The reference expands w on the grid 1/(2q), twice as fine as the
         # oracle's.
         rows = len(greene_timed(w))
-        for r in range(1, rows + 1):
-            assert greene_timed_oracle(w, r, max_letters=None) == timed_greene_reference(
-                w, r, refine=2
-            )
+        assert greene_timed_oracle(w, rows, max_letters=None) == tuple(
+            timed_greene_reference(w, r, refine=2) for r in range(1, rows + 1)
+        )
 
 
 def _primes_below(n):
@@ -235,13 +228,15 @@ class TestWholeRunSearch:
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6))
     def test_classical_words_with_repeats(self, blocks):
         w = tuple(c for c, n in blocks for _ in range(n))
-        for r in range(1, 5):
-            assert greene_classical_oracle(w, r) == greene_reference(w, r)
+        assert greene_classical_oracle(w, 4) == reference_profile(
+            (greene_reference(w, r) for r in range(1, 5)), len(w)
+        )
 
     @given(small_timed_words)
     def test_small_timed_words(self, w):
-        for r in range(1, 5):
-            assert greene_timed_oracle(w, r, max_letters=None) == timed_greene_reference(w, r)
+        assert greene_timed_oracle(w, 4, max_letters=None) == reference_profile(
+            (timed_greene_reference(w, r) for r in range(1, 5)), w.length
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coprime_denominators_at_benchmark_scale(self, seed):
@@ -255,16 +250,15 @@ class TestWholeRunSearch:
         w = normalize(runs)
         assert len(w.runs) == 150 and w.length.denominator.bit_length() > 1000
         profile = greene_timed(w)
-        assert tuple(
-            greene_timed_oracle(w, r, max_letters=None) for r in range(1, len(profile) + 1)
-        ) == profile
+        for r in (*range(len(profile) + 2), 10**9):
+            assert greene_timed_oracle(w, r, max_letters=None) == profile[:r]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_classical_words_at_benchmark_scale(self, seed):
         rng = random.Random(seed)
         w = tuple(rng.randint(1, 4) for _ in range(1000))
         profile = greene_classical(w)
-        assert tuple(greene_classical_oracle(w, r) for r in range(1, len(profile) + 1)) == profile
+        assert greene_classical_oracle(w, len(profile)) == profile
 
 
 class TestIndependence:
@@ -281,18 +275,6 @@ class TestIndependence:
         for fast, word in ((greene_classical, WORD_3421153), (greene_timed, w)):
             with pytest.raises(AssertionError):
                 fast(word)
-        assert tuple(greene_classical_oracle(WORD_3421153, r) for r in (1, 2, 3)) == (3, 6, 7)
-        assert tuple(
-            greene_timed_oracle(w, r, max_letters=None) for r in range(1, 7)
-        ) == BIG_TIMED_PROFILE
+        assert greene_classical_oracle(WORD_3421153, 3) == (3, 6, 7)
+        assert greene_timed_oracle(w, 6, max_letters=None) == BIG_TIMED_PROFILE
 
-
-class TestProfileValue:
-    def test_within_and_beyond(self):
-        assert profile_value((3, 6, 7), 2, 7) == 6
-        assert profile_value((3, 6, 7), 5, 7) == 7
-        assert profile_value((), 1, 0) == 0
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            profile_value((1,), 0, 1)

@@ -227,7 +227,7 @@ class TestRandomInstances:
     def test_invariance_under_random_contexts(self):
         # equivalent words keep equal invariants inside arbitrary contexts
         rng = random.Random(99)
-        from timed_plactic import concat, profile_value
+        from timed_plactic import concat
 
         for i in range(20):
             kind = "k1" if i % 2 == 0 else "k2"
@@ -237,9 +237,7 @@ class TestRandomInstances:
             v = random_timed_word(rng, max_runs=2)
             a = greene_timed(concat(u, w, v))
             b = greene_timed(concat(u, w2, v))
-            total = concat(u, w, v).length
-            for r in range(1, 4):
-                assert profile_value(a, r, total) == profile_value(b, r, total)
+            assert a == b
 
 
 class TestMoveMatchesFractionReference:
