@@ -4,15 +4,23 @@ insertion, reading words, and Knuth moves.
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
 
-Insertion, classical and timed, runs through one kernel (``_insert_runs``)
-on runs with integer counts. A row is two parallel lists, ``letters``
+Insertion runs through two kernels. The run kernel (``_insert_runs``)
+works on runs with integer counts: a row is two parallel lists, ``letters``
 (strictly increasing) and ``counts`` (positive), and so is the stream of
 runs passed down from row to row. Timed insertion works on the grid 1/q of
-its durations' common denominator q; classical insertion is the case where
-every inserted count is 1. The insertion point is a plain bisect on the
-row's letters. A unit run that lands inside a row is a swap: one unit of
-the run it hits is bumped, and that run is shortened, overwritten, or
-merged into an equal left neighbour in place.
+its durations' common denominator q; ``insertion_steps``,
+``tableau_insert`` and ``row_insert`` are the case where every inserted
+count is 1. The insertion point is a plain bisect on the row's letters. A
+unit run that lands inside a row is a swap: one unit of the run it hits is
+bumped, and that run is shortened, overwritten, or merged into an equal
+left neighbour in place.
+
+``insertion_tableau``, and so every classical tableau, Greene profile and
+equivalence verdict of a whole word, runs the unit kernel
+(``_insert_units``). It ranks the word's letters and keeps one row at a
+time as a dense count per rank: a letter finds the next larger rank present
+in at most three cells or one ``bytearray.find``, and a bump is two count
+updates. Every stream it passes down is all units.
 
 Tableaux of both kinds have one stored form and one builder. A tableau is
 stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
@@ -34,6 +42,7 @@ from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
@@ -258,6 +267,52 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
         i += 1
 
 
+def _insert_units(w) -> list[Grid]:
+    """Insert the classical word w into the empty tableau and return its
+    rows as runs: the unit-stream kernel, for whole words only.
+
+    Letters become their ranks 0..k-1 among w's distinct letters, and a row
+    pass keeps one count per rank. A unit a goes in before the next rank
+    above a with a nonzero count: three cells are checked (the row's end is
+    three nonzero sentinel cells), then ``find`` on a presence map whose
+    own sentinel is at k. It bumps one unit of that rank (two count
+    updates) or, at the row's end, appends. The bumped ranks, one per unit,
+    are the next row's stream, so every stream is all units, and only one
+    row is dense at a time."""
+    alpha = sorted(set(w))
+    k = len(alpha)
+    rank = {c: i for i, c in enumerate(alpha)}
+    stream = [rank[c] for c in w]
+    rows: list[Grid] = []
+    while stream:
+        cnt = [0] * k + [1, 1, 1]
+        present = bytearray(k + 1)
+        present[k] = 1
+        out: list[int] = []
+        for a in stream:
+            c = a + 1
+            if not cnt[c]:
+                c += 1
+                if not cnt[c]:
+                    c += 1
+                    if not cnt[c]:
+                        c = present.find(1, c + 1)
+            if c < k:
+                out.append(c)
+                n = cnt[c] - 1
+                cnt[c] = n
+                if not n:
+                    present[c] = 0
+            n = cnt[a]
+            if not n:
+                present[a] = 1
+            cnt[a] = n + 1
+        del cnt[k:]
+        rows.append((list(compress(alpha, cnt)), list(filter(None, cnt))))
+        stream = out
+    return rows
+
+
 def _runs(row: Word) -> Grid:
     """A weakly increasing row of letters as runs: its distinct letters and
     their counts, each run's end found by bisection."""
@@ -343,9 +398,7 @@ def insertion_tableau(w: Word) -> Tableau:
     """Schensted insertion of the letters of w, left to right, into the
     empty tableau."""
     _check_letters(w)
-    rows: list[Grid] = []
-    _insert_runs(rows, w, [1] * len(w))
-    return _tableau(Tableau, rows, 1)
+    return _tableau(Tableau, _insert_units(w), 1)
 
 
 def insertion_steps(w: Word) -> list[Tableau]:

@@ -57,10 +57,14 @@ from .timed_tableaux import (
 # the run count, and the run count times the bits of --max-den and --max-num,
 # which bounds the bits of the word's grid denominator q and the total bits
 # of its printed durations. `check` costs about 1 ms per iteration, so its
-# iteration count is capped too.
+# iteration count is capped too. `insert --steps` prints one tableau per
+# letter or run, n(n+1)/2 letters or runs in all for n of them, so it is
+# capped on that sum: 631 letters print in ~0.3 s, and 631 runs with
+# distinct prime denominators in ~2 s and ~75 MB.
 _MAX_RUNS = 10_000
 _MAX_GRID_BITS = 2**17
 _MAX_ITERS = 10_000
+_MAX_STEP_CELLS = 200_000
 
 
 def _resolve_seed(args) -> int:
@@ -130,6 +134,12 @@ def _tableau_text(t, kind: _Kind) -> str:
 def _cmd_insert(args) -> int:
     word = parse_word_or_timed(args.input)
     kind = _kind(isinstance(word, TimedWord))
+    n = len(word.letters if isinstance(word, TimedWord) else word)
+    if args.steps and n * (n + 1) // 2 > _MAX_STEP_CELLS:
+        raise ValueError(
+            f"--steps prints n(n+1)/2 {kind.step}s for n {kind.step}s, which must be "
+            f"at most {_MAX_STEP_CELLS}, got n = {n}"
+        )
     steps = kind.steps(word) if args.steps else None
     final = kind.insert(word)
     if args.json:

@@ -233,11 +233,19 @@ class TestInsertionChecksTheKernelsRows:
     def check(cls, wrapper, rows):
         grid = [_runs(row) for row in rows]
 
+        def units(w):
+            return [(list(ls), list(cs)) for ls, cs in grid]
+
         def kernel(out, letters, counts):
-            out[:] = [(list(ls), list(cs)) for ls, cs in grid]
+            out[:] = units(letters)
 
         expected = _constructor_error(rows)
-        with mock.patch.object(classical, "_insert_runs", kernel):
+        # insertion_tableau runs the whole-word kernel, the others the run
+        # kernel: each emits the stack.
+        with (
+            mock.patch.object(classical, "_insert_runs", kernel),
+            mock.patch.object(classical, "_insert_units", units),
+        ):
             if expected is None:
                 assert cls.WRAPPERS[wrapper]((1,)) == Tableau(rows)
             else:
@@ -270,10 +278,10 @@ class TestInsertionChecksTheKernelsRows:
         self.check(wrapper, rows)
 
     def test_zero_counts_are_refused(self):
-        def kernel(out, letters, counts):
-            out[:] = [([1, 2], [1, 0])]
+        def units(w):
+            return [([1, 2], [1, 0])]
 
-        with mock.patch.object(classical, "_insert_runs", kernel):
+        with mock.patch.object(classical, "_insert_units", units):
             with pytest.raises(InvalidTableauError, match="row 0 is not a timed row"):
                 insertion_tableau((1,))
 

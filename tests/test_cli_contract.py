@@ -17,10 +17,12 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timed_plactic.cli import _MAX_RUNS, main
+from timed_plactic import cli
+from timed_plactic.cli import _MAX_RUNS, _MAX_STEP_CELLS, main
 
 _digits = st.text("0123456789", min_size=1, max_size=3)
 _numerals = st.one_of(
@@ -212,3 +214,43 @@ def test_json_letters_below_one_are_notation_errors(data, tableau):
     error = json.loads(err.getvalue())["error"]
     assert error["type"] == "NotationError"
     assert error["message"].startswith("letters must be at least 1, got ")
+
+
+def _largest_steps_input(extra):
+    """The number of letters or runs n whose n(n+1)/2 is at the --steps
+    bound, plus extra."""
+    n = 0
+    while (n + 1) * (n + 2) // 2 <= _MAX_STEP_CELLS:
+        n += 1
+    return n + extra
+
+
+@pytest.mark.parametrize("timed", [False, True])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_steps_past_the_bound_are_refused_before_insertion(monkeypatch, timed, as_json):
+    def refuse(*args, **kwargs):
+        raise AssertionError("insertion ran before the bound was checked")
+
+    for name in ("insertion_steps", "insertion_tableau",
+                 "timed_insertion_steps", "timed_insertion_tableau"):
+        monkeypatch.setattr(cli, name, refuse)
+    n = _largest_steps_input(1)
+    word = " ".join(f"{i % 2 + 1}^1/3" for i in range(n)) if timed else ("12" * n)[:n]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["insert", word, "--steps"] + (["--json"] if as_json else []))
+    assert code == 2 and out.getvalue() == ""
+    message = json.loads(err.getvalue())["error"]["message"] if as_json else err.getvalue()
+    assert "--steps" in message and f"n = {n}" in message
+    assert "Traceback" not in err.getvalue()
+
+
+def test_steps_at_the_bound_run():
+    n = _largest_steps_input(0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["insert", "1" * n, "--steps"]) == 0
+    assert out.getvalue().count("after letter ") == n
+    # The golden --steps case and the benchmark's desk-scale requests
+    # (at most 44 letters) stay far below the bound.
+    assert 44 * 45 // 2 * 100 < _MAX_STEP_CELLS

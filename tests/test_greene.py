@@ -272,6 +272,7 @@ class TestIndependence:
         for module in (classical, timed_tableaux):
             monkeypatch.setattr(module, "_insert_runs", refuse)
             monkeypatch.setattr(module, "_bump_runs", refuse)
+        monkeypatch.setattr(classical, "_insert_units", refuse)
         for fast, word in ((greene_classical, WORD_3421153), (greene_timed, w)):
             with pytest.raises(AssertionError):
                 fast(word)

@@ -1,15 +1,22 @@
-"""Differential tests of the insertion kernel, branch by branch.
+"""Differential tests of the insertion kernels, branch by branch.
 
-Classical and timed insertion share one kernel on rows of runs with integer
-counts. Long words over one to three letters make its rows short and its
-runs long, so every branch fires many times: a unit run that overwrites a
-whole run in place, merges into an equal left neighbour (deleting the run it
-bumped), or shortens the run it hits; a longer run that bumps part of a
-run, exactly one whole run, or several runs; and appends. The references
-are plain-list Schensted insertion and its expansion on the integer grid,
-written without the kernel.
+Timed insertion, and classical insertion step by step, run one kernel on
+rows of runs with integer counts. Long words over one to three letters make
+its rows short and its runs long, so every branch fires many times: a unit
+run that overwrites a whole run in place, merges into an equal left
+neighbour (deleting the run it bumped), or shortens the run it hits; a
+longer run that bumps part of a run, exactly one whole run, or several
+runs; and appends. The references are plain-list Schensted insertion and
+its expansion on the integer grid, written without the kernel.
+
+A whole classical word goes through a second kernel, ``_insert_units``, on
+dense counts per letter rank. It is checked row for row against the run
+kernel on the families that stress its scan: many rows, many symbols, a
+next larger letter far away, and huge letters.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +36,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
+from timed_plactic.classical import _insert_runs, _insert_units
 
 from conftest import grid_reference, grid_row_insert, schensted_rows, tw
 
@@ -136,3 +144,72 @@ class TestTimedOnMultiUnitCounts:
     def test_tableau_insert(self, base, row):
         result = timed_tableau_insert(timed_insertion_tableau(base), row)
         assert result.rows == grid_reference(concat(base, row))
+
+
+def _run_kernel_rows(w):
+    rows = []
+    _insert_runs(rows, w, [1] * len(w))
+    return rows
+
+
+def _alternating(k):
+    """k, 1, k, 2, ..., k, k - 1: each low letter's next larger letter in
+    the first row is k, past every letter inserted before it."""
+    return tuple(x for i in range(1, k) for x in (k, i))
+
+
+class TestWholeWordKernel:
+    """``_insert_units(w)`` gives the rows of ``_insert_runs`` on the
+    all-unit stream of w."""
+
+    @settings(max_examples=150)
+    @given(
+        few_letter_words
+        | st.lists(st.integers(1, 40), max_size=200).map(tuple)
+        | st.lists(st.integers(1, 10**6), max_size=60).map(tuple)
+    )
+    def test_hypothesis_words(self, w):
+        assert _insert_units(w) == _run_kernel_rows(w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            (),
+            (1,),
+            (7,),
+            (10**18,),
+            tuple(range(500, 0, -1)),
+            _alternating(300),
+            tuple(random.Random(0).randint(1, 200) for _ in range(1000)),
+            tuple(10**18 + random.Random(1).randint(-9, 9) for _ in range(1000)),
+        ],
+        ids=["empty", "one", "seven", "huge-one", "decreasing-500", "alternating-300",
+             "1000-over-200", "near-1e18"],
+    )
+    def test_families(self, w):
+        assert _insert_units(w) == _run_kernel_rows(w)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_scale(self, seed):
+        rng = random.Random(seed)
+        w = tuple(rng.randint(1, 20) for _ in range(1000))
+        assert _insert_units(w) == _run_kernel_rows(w)
+        assert insertion_tableau(w).rows == schensted_rows(w)
+
+    def test_far_next_letter_is_bounded(self):
+        # 21,798 letters whose next larger letter lies up to 10,898 ranks
+        # away: the presence map's find keeps each unit's scan in C. A
+        # scan cell by cell in Python reads 100 times the run kernel or
+        # more here.
+        w = _alternating(10_900)
+        assert _insert_units(w) == _run_kernel_rows(w)
+
+        def best(f):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                f(w)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(insertion_tableau) <= 3 * best(_run_kernel_rows)
