@@ -141,7 +141,8 @@ def _cmd_insert(args) -> int:
             f"at most {_MAX_STEP_CELLS}, got n = {n}"
         )
     steps = kind.steps(word) if args.steps else None
-    final = kind.insert(word)
+    # The last step is the whole word's tableau; only the empty word has none.
+    final = steps[-1] if steps else kind.insert(word)
     if args.json:
         payload = kind.to_dict(final)
         if steps is not None:

@@ -24,7 +24,10 @@ and a denominator; ``parse_duration`` makes a ``Fraction`` of them, and
 ``parse_timed_word`` builds no ``Fraction`` at all. It checks each run with
 its position, puts every count on the grid of one lcm, merges equal
 neighbours and builds the word without a second check.
-``timed_word_to_dict`` writes each count n as n/q reduced by one gcd.
+``timed_word_to_dict`` writes each count n as n/q reduced by one gcd. The
+tableau writers read the grid, not the rows: a timed tableau's JSON takes
+one gcd per run against the tableau's q, and a classical tableau's rows are
+its runs spelt out, so neither builds a row word.
 JSON letters must be JSON integers, durations JSON strings or integers,
 and a move's ``reverse`` a JSON boolean; anything else is a
 ``NotationError``. Digits are ASCII digits only, and no numeral may run past
@@ -226,17 +229,24 @@ def parse_word_or_timed(text: str) -> Word | TimedWord:
     return parse_word(text)
 
 
-def timed_word_to_dict(w: TimedWord) -> dict:
-    # Each count n is n/q reduced by one gcd. Durations are positive: one
-    # chained comparison per run keeps each numeral within the digit bound.
+def _runs_json(letters, counts, q: int) -> dict:
+    # The JSON of the runs whose counts lie on the grid 1/q: each count n is
+    # n/q reduced by one gcd. A tableau row passes its tableau's q, which may
+    # be a multiple of the row's own smallest q; n/q reduces to the same
+    # fraction on either grid. Durations are positive: one chained
+    # comparison per run keeps each numeral within the digit bound.
     runs = []
-    for c, n in zip(w.letters, w.counts):
-        g = gcd(n, w.q)
-        num, den = n // g, w.q // g
+    for c, n in zip(letters, counts):
+        g = gcd(n, q)
+        num, den = n // g, q // g
         if not den < _TOO_LONG > num:
             _refuse_long_result()
         runs.append({"letter": c, "dur": f"{num}/{den}" if den > 1 else str(num)})
     return {"runs": runs}
+
+
+def timed_word_to_dict(w: TimedWord) -> dict:
+    return _runs_json(w.letters, w.counts, w.q)
 
 
 def _json_letter(value) -> int:
@@ -271,7 +281,13 @@ def timed_word_from_dict(data: dict) -> TimedWord:
 
 
 def tableau_to_dict(t: Tableau) -> dict:
-    return {"rows": [list(row) for row in t.rows]}
+    rows = []
+    for letters, counts in t.grid:
+        row: list[int] = []
+        for c, n in zip(letters, counts):
+            row += [c] * n
+        rows.append(row)
+    return {"rows": rows}
 
 
 def tableau_from_dict(data: dict) -> Tableau:
@@ -283,7 +299,7 @@ def tableau_from_dict(data: dict) -> Tableau:
 
 
 def timed_tableau_to_dict(t: TimedTableau) -> dict:
-    return {"rows": [timed_word_to_dict(row) for row in t.rows]}
+    return {"rows": [_runs_json(*row, t.q) for row in t.grid]}
 
 
 def timed_tableau_from_dict(data: dict) -> TimedTableau:

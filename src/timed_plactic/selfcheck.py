@@ -18,7 +18,15 @@ from .greene import (
     greene_timed,
     greene_timed_oracle,
 )
-from .notation import format_timed_word, format_word, parse_timed_word
+from .notation import (
+    format_timed_word,
+    format_word,
+    parse_timed_word,
+    timed_tableau_from_dict,
+    timed_tableau_to_dict,
+    timed_word_from_dict,
+    timed_word_to_dict,
+)
 from .randomgen import random_kappa_instance, random_timed_word, random_word
 from .timed_knuth import apply_move, check_move_invariance
 from .timed_words import TimedWord, embed_classical, letter_durations, scale
@@ -54,11 +62,18 @@ def _move_invariance(rng: random.Random, i: int) -> tuple:
 
 
 def _roundtrips(rng: random.Random, i: int) -> tuple:
+    # The JSON readers go through Fractions, normalize and TimedTableau(rows),
+    # so they check the writers, which read the grid.
     w = random_timed_word(rng, max_runs=6, max_letter=5, max_den=6, max_num=3)
     if parse_timed_word(format_timed_word(w)) != w:
         return w, False
+    if timed_word_from_dict(timed_word_to_dict(w)) != w:
+        return w, False
     t = timed_insertion_tableau(w)
-    return w, timed_insertion_tableau(timed_reading_word(t)) == t
+    return w, (
+        timed_tableau_from_dict(timed_tableau_to_dict(t)) == t
+        and timed_insertion_tableau(timed_reading_word(t)) == t
+    )
 
 
 def _embedding_compatibility(rng: random.Random, i: int) -> tuple:

@@ -14,8 +14,8 @@ each row's letters and counts as tuples, and ``q`` is the smallest
 denominator for the whole tableau, so ``gcd(q, *every count) == 1``. The
 form is canonical: two tableaux are equal exactly when their grids and q
 are. ``rows``, the one field, gives the rows as timed words; it is built on
-first read and cached. Shape, reading word, equality and truth read the
-grid.
+first read and cached. Shape, reading word, equality, truth and JSON
+output read the grid.
 
 Timed insertion puts its words on one grid the same way: the integer-run
 kernel of :mod:`.classical` inserts the counts, in the same parallel-list

@@ -48,6 +48,21 @@ class TestInsert:
         assert data["steps"][0]["rows"] == [[3]]
         assert data["steps"][5]["rows"] == [[1, 1, 5], [2, 4], [3]]
 
+    @pytest.mark.parametrize("word", ["3421153", "3^1/2 1^1/3 3^0.5 2^1/7 1^2"])
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_steps_insert_the_word_once(self, capsys, monkeypatch, word, extra):
+        # The last step is the final tableau: the whole-word insertion
+        # functions are not called again.
+        expected = run_cli(capsys, "insert", word, "--steps", *extra)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the word was inserted twice")
+
+        monkeypatch.setattr(cli, "insertion_tableau", refuse)
+        monkeypatch.setattr(cli, "timed_insertion_tableau", refuse)
+        assert run_cli(capsys, "insert", word, "--steps", *extra) == expected
+        assert expected[0] == 0
+
     def test_timed_json(self, capsys):
         code, out, _ = run_cli(capsys, "insert", "3^1 1^1 3^1", "--json")
         assert code == 0

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from timed_plactic import (
     format_timed_tableau,
     format_timed_word,
     format_word,
+    insertion_tableau,
     move_from_dict,
     move_to_dict,
     parse_duration,
@@ -22,6 +24,7 @@ from timed_plactic import (
     parse_word_or_timed,
     tableau_from_dict,
     tableau_to_dict,
+    timed_insertion_tableau,
     timed_tableau_from_dict,
     timed_tableau_to_dict,
     timed_word_from_dict,
@@ -359,3 +362,63 @@ class TestJson:
     def test_format_timed_tableau(self):
         t = TimedTableau((tw("1^1 3^1"), tw("3^1")))
         assert format_timed_tableau(t) == "1^1 3^1\n3^1"
+
+
+_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+# Timed words whose runs have distinct prime denominators.
+_coprime_words = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 5), st.sampled_from(_PRIMES)),
+    max_size=12,
+    unique_by=lambda run: run[2],
+).map(lambda runs: tw(" ".join(f"{c}^{n}/{p}" for c, n, p in runs)))
+
+
+@st.composite
+def _stacked_rows(draw):
+    """A TimedTableau(rows) whose rows each use their own prime
+    denominators, so a row's smallest grid is coarser than the tableau's:
+    rows sorted longest first, and row i's letters in 10i+1..10i+9, so
+    every column is strictly increasing."""
+    runs = st.tuples(st.integers(1, 9), st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(st.sampled_from(_PRIMES))
+        cells = draw(st.lists(runs, min_size=1, max_size=4, unique_by=lambda r: r[0]))
+        rows.append(sorted((c, Fraction(n, p)) for c, n in cells))
+    rows.sort(key=lambda row: -sum(d for _, d in row))
+    return TimedTableau(tuple(
+        tw(" ".join(f"{10 * i + c}^{d}" for c, d in row)) for i, row in enumerate(rows)
+    ))
+
+
+class TestTableauWritersReadTheGrid:
+    """The tableau writers read the grid; the row-based forms they replace
+    are the reference."""
+
+    @given(st.one_of(
+        timed_words.map(timed_insertion_tableau),
+        _coprime_words.map(timed_insertion_tableau),
+        _stacked_rows(),
+    ))
+    @example(TimedTableau((tw("1^1/2 2^1/3"), tw("2^1/2"))))
+    def test_timed_writer_equals_the_rows_form(self, t):
+        data = json.dumps(timed_tableau_to_dict(t))
+        assert data == json.dumps({"rows": [timed_word_to_dict(r) for r in t.rows]})
+
+    @given(st.one_of(
+        words.map(insertion_tableau),
+        st.lists(st.integers(1, 30), max_size=60).map(insertion_tableau),
+    ))
+    def test_classical_writer_equals_the_rows_form(self, t):
+        data = json.dumps(tableau_to_dict(t))
+        assert data == json.dumps({"rows": [list(r) for r in t.rows]})
+        assert data == json.dumps(tableau_to_dict(Tableau(t.rows)))
+
+    def test_no_rows_are_built(self):
+        t = timed_insertion_tableau(tw("3^1/7 1^2/11 4^3/13 2^1/17 1^5/19 3^1/23"))
+        timed_tableau_to_dict(t)
+        assert "rows" not in t.__dict__
+        c = insertion_tableau((3, 4, 2, 1, 1, 5, 3))
+        tableau_to_dict(c)
+        assert "rows" not in c.__dict__
