@@ -20,10 +20,14 @@ JSON schemas:
 
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
 binary float. One helper reads a numeral's matched digits as a numerator
-and a denominator; ``parse_duration`` makes a ``Fraction`` of them, and
-``parse_timed_word`` builds no ``Fraction`` at all. It checks each run with
-its position, puts every count on the grid of one lcm, merges equal
-neighbours and builds the word without a second check.
+and a denominator, and ``parse_duration`` makes a ``Fraction`` of them.
+``parse_timed_word`` builds no ``Fraction``, and no match object per run:
+one ``findall`` returns every run's digit groups, and the pattern's last
+alternative takes the rest of the text from the first token that is not a
+run, so the scan stops there. Each run is converted and checked as it is
+read; only a token that fails is found again, by ``finditer``, to give its
+error a message and a position. The counts go on the grid of one lcm,
+equal neighbours merge and the word is built without a second check.
 ``timed_word_to_dict`` writes each count n as n/q reduced by one gcd. The
 tableau writers read the grid, not the rows: a timed tableau's JSON takes
 one gcd per run against the tableau's q, and a classical tableau's rows are
@@ -40,7 +44,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from typing import NoReturn
 
 from .classical import Tableau, Word
 from .errors import NotationError, _quote
@@ -53,14 +59,21 @@ from .timed_tableaux import TimedTableau
 # other scripts' digits, and re.ASCII would narrow \s as well.
 _NUMERAL = r"(?:([0-9]+)/([0-9]+)|([0-9]+)\.([0-9]+)|([0-9]+))"
 _DURATION_RE = re.compile(_NUMERAL)
-# The lookahead lets adjacent runs like 3^0.825^0.08 split unambiguously:
-# the numeral backtracks until the rest starts a new <letter>^ token.
-_RUN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)")
+# A timed word's tokens: a run <letter>^<numeral>, whose lookahead lets
+# adjacent runs like 3^0.825^0.08 split unambiguously (the numeral
+# backtracks until the rest starts a new <letter>^ token), or, in the last
+# group, the rest of the text from the first non-space character where no
+# run starts. Taking the rest makes findall stop at the first error, as a
+# reading run by run does, instead of scanning on past it.
+_TOKEN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
 # int() refuses more than 4,300 digits by default, a limit that varies with
 # the interpreter. Refusing every longer run of digits and decimal points
-# before anything is converted gives one verdict everywhere.
+# before anything is converted gives one verdict everywhere. A window starts
+# only where a run of digits and points does: a longer run that starts
+# earlier holds the whole window too, so the first hit is the same, and no
+# position is scanned twice.
 _MAX_DIGITS = 4300
-_LONG_DIGITS_RE = re.compile(rf"[0-9.]{{{_MAX_DIGITS + 1}}}")
+_LONG_DIGITS_RE = re.compile(rf"(?<![0-9.])[0-9.]{{{_MAX_DIGITS + 1}}}")
 # The same bound on output: a value whose numerator or denominator reaches
 # this has more than _MAX_DIGITS digits, which str() may refuse to write.
 _TOO_LONG = 10**_MAX_DIGITS
@@ -157,33 +170,40 @@ def human_rational(d: Fraction) -> str:
 def parse_timed_word(text: str) -> TimedWord:
     """Parse the timed-word grammar; errors carry the offending position.
 
-    One pass checks each run where it is read. The counts then go on the
-    grid of their lcm, and equal neighbours merge (``1^1 1^1/2`` is
-    ``1^3/2``), so the word is built in normal form without a second check."""
+    One ``findall`` reads every run's digit groups. Each run is checked as it
+    is converted, its counts then go on the grid of their lcm, and equal
+    neighbours merge (``1^1 1^1/2`` is ``1^3/2``), so the word is built in
+    normal form without a second check."""
     _check_digits(text)
     runs: list[tuple[int, int, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _RUN_RE.match(text, pos)
-        if not m:
-            raise NotationError("expected <letter>^<duration>", pos)
-        letter, p, q, whole, frac, integer = m.groups()
+    for letter, p, q, whole, frac, integer, rest in _TOKEN_RE.findall(text):
+        if rest:
+            _token_error(text, len(runs))
         letter = int(letter)
-        if letter < 1:
-            raise NotationError("letters must be at least 1", pos)
-        at = m.end(1) + 1
-        end = m.end()
-        num, den = _numeral(p, q, whole, frac, integer, text[at:end])
-        if not num:
-            raise NotationError("durations must be positive", at)
+        if p:
+            num, den = int(p), int(q)
+        elif whole:
+            num, den = int(whole + frac), 10 ** len(frac)
+        else:
+            num, den = int(integer), 1
+        if letter < 1 or not den or not num:
+            _token_error(text, len(runs))
         runs.append((letter, num, den))
-        pos = end
     grid = lcm(*(den for _, _, den in runs))
     return _merged(((c, num * (grid // den)) for c, num, den in runs), grid)
+
+
+def _token_error(text: str, i: int) -> NoReturn:
+    """Raise the error of token ``i`` of a timed word, the first one that
+    fails: a letter below 1, then a zero denominator, then a zero duration."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None))
+    if m[7] is not None:
+        raise NotationError("expected <letter>^<duration>", m.start())
+    if int(m[1]) < 1:
+        raise NotationError("letters must be at least 1", m.start())
+    at = m.end(1) + 1
+    _numeral(*m.group(2, 3, 4, 5, 6), text[at:m.end()])  # raises on a zero denominator
+    raise NotationError("durations must be positive", at)
 
 
 def format_timed_word(w: TimedWord) -> str:

@@ -8,14 +8,20 @@ errors are a ``SystemExit(2)`` with plain-text usage on stderr.
 Values that size real work (``--runs``, ``--iters``, word length) stay
 small: the test is about the contract, not load. ``--runs`` is also drawn
 above its ceiling, where it is refused before any work, and numerals past
-the digit bound, which are refused as notation errors.
+the digit bound, which are refused as notation errors. The last test is
+about load: the largest timed inputs known within one argv string, each run
+in a subprocess under a timeout.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +260,45 @@ def test_steps_at_the_bound_run():
     # The golden --steps case and the benchmark's desk-scale requests
     # (at most 44 letters) stay far below the bound.
     assert 44 * 45 // 2 * 100 < _MAX_STEP_CELLS
+
+
+def _ribbon_word() -> str:
+    """The 8,000 runs with distinct prime denominators from 1009 up that CI
+    renders as a ribbon, one letter of 1..7 each: 78,938 bytes."""
+    primes, p = [], 1009
+    while len(primes) < 8000:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            primes.append(p)
+        p += 1
+    return " ".join(f"{i % 7 + 1}^1/{p}" for i, p in enumerate(primes))
+
+
+# The largest timed inputs known within one argv string of Linux's 131,071
+# bytes (MAX_ARG_STRLEN). The ribbon's results pass the digit bound; the
+# caret blocks, 128,820 bytes, are numerals just under it, each cut short by
+# an "x": a search for a long numeral from every position is quadratic on
+# them, and a parser that scans on past the first error is slower still.
+_AT_ARGV_LIMIT = {
+    "ribbon": (_ribbon_word, "exact result needs a numeral of more than 4300 digits"),
+    "carets": (lambda: ("1^" + "1" * 4290 + "x ") * 30, "at position 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["insert", "--json"], ["greene", "--json"], ["equiv"]], ids=["insert", "greene", "equiv"]
+)
+@pytest.mark.parametrize("family", sorted(_AT_ARGV_LIMIT))
+def test_timed_words_at_the_argv_limit_exit_2_in_time(command, family):
+    make, message = _AT_ARGV_LIMIT[family]
+    word = make()
+    assert len(word.encode()) <= 131_071
+    name, *flags = command
+    words = [word, word] if name == "equiv" else [word]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "timed_plactic", name, *words, *flags],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+    assert message in result.stderr

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,15 +185,18 @@ class TestUnspacedText:
 
 
 # Text near the timed grammar: tokens with letters from 0, numerals of every
-# form, optional whitespace, and stray characters.
+# form, optional whitespace of several kinds (a line feed, a vertical tab,
+# a file separator and an em space are whitespace to str.isspace and to
+# regex \s alike), and stray characters.
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\u2003"])
 _token = st.builds(
     "{}^{}{}".format,
     st.sampled_from(["0", "1", "2", "3", "12"]),
     numerals,
-    st.sampled_from(["", " ", "  ", "\t"]),
+    _spaces,
 )
 timed_texts = st.one_of(
-    st.lists(_token, max_size=8).map("".join),
+    st.builds("{}{}{}".format, _spaces, st.lists(_token, max_size=24).map("".join), _spaces),
     st.text("0123456789^/. x", max_size=24),
 )
 
@@ -207,6 +211,11 @@ class TestOnePassParser:
     @example("1^1 1^0")
     @example("1^1 0^1")
     @example("1^1 1^1/0")
+    @example("1^12^3")
+    @example("3^0.825^0.08")
+    @example("1^1/23^2")
+    @example("1^1 x 0^1")
+    @example("0^1 1^1/0")
     def test_matches_tokens_then_normalize(self, text):
         try:
             expected = tokens_then_normalize(text)
@@ -223,6 +232,21 @@ class TestOnePassParser:
     def test_merges_equal_neighbours(self):
         assert parse_timed_word("1^1 1^1/2").runs == ((1, Fraction(3, 2)),)
         assert parse_timed_word("2^1 1^1 1^1 2^1") == tw("2^1 1^2 2^1")
+
+
+class TestDigitBound:
+    @pytest.mark.parametrize(
+        "block", ["1" * 4300 + " ", "1^" + "1" * 4290 + "x "], ids=["digits", "carets"]
+    )
+    def test_many_runs_just_under_the_bound_are_refused_in_linear_time(self, block):
+        # 300 blocks, 1.29 MB: a search that tries the bound's whole window
+        # at every position takes 6-8 s on them (Python 3.11, 2-vCPU host).
+        text = block * 300
+        start = time.perf_counter()
+        with pytest.raises(NotationError) as info:
+            parse_timed_word(text)
+        assert time.perf_counter() - start < 1
+        assert info.value.position == 0
 
 
 class TestParseWord:
