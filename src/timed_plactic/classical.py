@@ -10,10 +10,11 @@ works on runs with integer counts: a row is two parallel lists, ``letters``
 runs passed down from row to row. Timed insertion works on the grid 1/q of
 its durations' common denominator q; ``insertion_steps``,
 ``tableau_insert`` and ``row_insert`` are the case where every inserted
-count is 1. The insertion point is a plain bisect on the row's letters. A
-unit run that lands inside a row is a swap: one unit of the run it hits is
-bumped, and that run is shortened, overwritten, or merged into an equal
-left neighbour in place.
+count is 1. The insertion point is a plain bisect on the row's letters.
+One bump loop takes every run that lands inside a row, a unit run as much
+as a longer one: it bumps the next d units, shortening the last run it
+reaches. Its only fast paths are the append at the row's end and the
+overwrite of exactly one whole run in place.
 
 ``insertion_tableau``, and so every classical tableau, Greene profile and
 equivalence verdict of a whole word, runs the unit kernel
@@ -163,13 +164,20 @@ class Tableau(_GridTableau):
     def _row(letters, counts, q) -> Word:
         # tuple() of a list has exact size; tuple() of a generator resizes
         # as it grows, which fragmented the heap over long runs.
-        out: list[int] = []
-        for c, n in zip(letters, counts):
-            out += [c] * n
-        return tuple(out)
+        return tuple(_spelt(letters, counts))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
+
+
+def _spelt(letters, counts) -> list[int]:
+    """A classical row's runs spelt out as its list of letters: the one
+    spelling that ``Tableau.rows``, ``reading_word`` and the JSON writer
+    share."""
+    out: list[int] = []
+    for c, n in zip(letters, counts):
+        out += [c] * n
+    return out
 
 
 def shape(t: Tableau) -> tuple[int, ...]:
@@ -179,7 +187,7 @@ def shape(t: Tableau) -> tuple[int, ...]:
 
 def reading_word(t: Tableau) -> Word:
     """Rows concatenated left to right, starting from the bottom row."""
-    return tuple([c for row in reversed(t.grid) for c in Tableau._row(*row, 1)])
+    return tuple([c for row in reversed(t.grid) for c in _spelt(*row)])
 
 
 def _bump_runs(
@@ -188,7 +196,10 @@ def _bump_runs(
     """Insert the integer runs a^d of the stream into the row, in order, and
     return the bumped runs in the same parallel-list form. Each a^d goes in
     after the last entry <= a and bumps the next d units of the row (fewer
-    if the row ends first)."""
+    if the row ends first). Every a^d that lands inside the row, of one
+    unit or more, goes through one bump loop; an a^d at the row's end is
+    appended, and one that bumps exactly one whole run and does not merge
+    left overwrites that run in place."""
     out_letters: list[int] = []
     out_counts: list[int] = []
     last = 0  # the last bumped letter; letters are >= 1
@@ -201,28 +212,6 @@ def _bump_runs(
             else:
                 letters.append(a)
                 counts.append(d)
-            continue
-        if d == 1:
-            # One unit bumps one unit of run j: a swap inside the row.
-            c = letters[j]
-            if c == last:
-                out_counts[-1] += 1
-            else:
-                out_letters.append(c)
-                out_counts.append(1)
-                last = c
-            if counts[j] > 1:
-                counts[j] -= 1
-                if merge:
-                    counts[j - 1] += 1
-                else:
-                    letters.insert(j, a)
-                    counts.insert(j, 1)
-            elif merge:
-                counts[j - 1] += 1
-                del letters[j], counts[j]
-            else:
-                letters[j] = a
             continue
         k = j
         rest = d

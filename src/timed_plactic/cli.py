@@ -6,8 +6,10 @@ word is; inputs containing ``^`` parse as timed words. ``--json`` switches
 output to stable JSON (errors then go to stderr as JSON too).
 
 Exit codes: 0 success; 1 failed verification (non-equivalent words, oracle
-disagreement, failing checks); 2 parse or usage errors. The environment
-variable ``TIMED_PLACTIC_SEED`` overrides ``--seed``.
+disagreement, failing checks); 2 parse or usage errors. Each handler builds
+its whole output, text or JSON, before it prints any of it, so an error on
+the way (a numeral past the digit bound) exits 2 with nothing on stdout.
+The environment variable ``TIMED_PLACTIC_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -149,10 +151,10 @@ def _cmd_insert(args) -> int:
             payload["steps"] = [kind.to_dict(s) for s in steps]
         _print_json(payload)
     else:
+        lines = []
         for i, s in enumerate(steps or ()):
-            print(f"after {kind.step} {i + 1}:\n{_tableau_text(s, kind)}")
-            print()
-        print(_tableau_text(final, kind))
+            lines += [f"after {kind.step} {i + 1}:", _tableau_text(s, kind), ""]
+        print(*lines, _tableau_text(final, kind), sep="\n")
     return 0
 
 
@@ -176,10 +178,11 @@ def _cmd_greene(args) -> int:
     if args.json:
         _print_json(payload)
     else:
-        print(f"profile: {' '.join(map(kind.value_text, profile)) or '(empty)'}")
-        print(f"mode: {mode}" + (f" (oracle skipped: {note})" if note else ""))
+        lines = [f"profile: {' '.join(map(kind.value_text, profile)) or '(empty)'}",
+                 f"mode: {mode}" + (f" (oracle skipped: {note})" if note else "")]
         if agreement is not None:
-            print(f"agreement: {str(agreement).lower()}")
+            lines.append(f"agreement: {str(agreement).lower()}")
+        print(*lines, sep="\n")
     return 1 if agreement is False else 0
 
 
@@ -201,12 +204,13 @@ def _cmd_equiv(args) -> int:
     if args.json:
         _print_json(payload)
     else:
-        print(f"equivalent: {str(equivalent).lower()}")
-        print(f"left insertion tableau:\n{_tableau_text(ta, kind)}")
-        print(f"right insertion tableau:\n{_tableau_text(tb, kind)}")
+        lines = [f"equivalent: {str(equivalent).lower()}",
+                 f"left insertion tableau:\n{_tableau_text(ta, kind)}",
+                 f"right insertion tableau:\n{_tableau_text(tb, kind)}"]
         if args.move is not None:
-            print(f"move result: {str(moved) or '(empty)'}")
-            print(f"move reaches right word: {str(payload['move_reaches_right']).lower()}")
+            lines += [f"move result: {str(moved) or '(empty)'}",
+                      f"move reaches right word: {str(payload['move_reaches_right']).lower()}"]
+        print(*lines, sep="\n")
     return 0 if ok else 1
 
 
@@ -273,13 +277,14 @@ def _cmd_check(args) -> int:
     if args.json:
         _print_json(report)
     else:
-        print(f"seed {report['seed']}, {report['iterations']} iterations per suite")
-        for suite in report["suites"]:
-            print(f"  {suite['name']}: {suite['pass']} passed, {suite['fail']} failed")
+        lines = [f"seed {report['seed']}, {report['iterations']} iterations per suite"]
+        lines += [f"  {suite['name']}: {suite['pass']} passed, {suite['fail']} failed"
+                  for suite in report["suites"]]
         if "witness" in report:
-            print("first failure: {suite}, seed {seed}, iteration {iteration}, word '{word}'"
-                  .format(**report["witness"]))
-        print("all checks passed" if report["ok"] else "CHECK FAILURES")
+            lines.append("first failure: {suite}, seed {seed}, iteration {iteration}, word '{word}'"
+                         .format(**report["witness"]))
+        lines.append("all checks passed" if report["ok"] else "CHECK FAILURES")
+        print(*lines, sep="\n")
     return 0 if report["ok"] else 1
 
 

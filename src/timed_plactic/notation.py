@@ -48,7 +48,7 @@ from itertools import islice
 from math import gcd, lcm
 from typing import NoReturn
 
-from .classical import Tableau, Word
+from .classical import Tableau, Word, _spelt
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, _merged, normalize
@@ -301,13 +301,7 @@ def timed_word_from_dict(data: dict) -> TimedWord:
 
 
 def tableau_to_dict(t: Tableau) -> dict:
-    rows = []
-    for letters, counts in t.grid:
-        row: list[int] = []
-        for c, n in zip(letters, counts):
-            row += [c] * n
-        rows.append(row)
-    return {"rows": rows}
+    return {"rows": [_spelt(*row) for row in t.grid]}
 
 
 def tableau_from_dict(data: dict) -> Tableau:

@@ -302,3 +302,24 @@ def test_timed_words_at_the_argv_limit_exit_2_in_time(command, family):
     assert result.returncode == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
     assert message in result.stderr
+
+
+# Text outputs that pass the digit bound only part way through: the first
+# step of insert --steps fits and the second needs a denominator of 5,001
+# digits; equiv's verdict line fits and the decimal of 1/2^13000 needs
+# 13,000 digits (its JSON form 1/2^13000 fits, so --json exits 0).
+_A, _B = 10**2500 + 1, 10**2500 + 3
+_LATE_TEXT_ERRORS = {
+    "insert-steps": ["insert", f"2^1/{_A} 1^1/{_B}", "--steps"],
+    "equiv": ["equiv", f"1^1/{2**13000}", f"1^1/{2**13000}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATE_TEXT_ERRORS))
+def test_text_error_late_in_the_output_prints_nothing(name):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_LATE_TEXT_ERRORS[name])
+    assert code == 2 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: ")

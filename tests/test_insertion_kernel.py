@@ -2,12 +2,14 @@
 
 Timed insertion, and classical insertion step by step, run one kernel on
 rows of runs with integer counts. Long words over one to three letters make
-its rows short and its runs long, so every branch fires many times: a unit
-run that overwrites a whole run in place, merges into an equal left
-neighbour (deleting the run it bumped), or shortens the run it hits; a
-longer run that bumps part of a run, exactly one whole run, or several
-runs; and appends. The references are plain-list Schensted insertion and
-its expansion on the integer grid, written without the kernel.
+its rows short and its runs long, so every branch fires many times. A run
+that lands inside a row, of one unit or more, takes one bump loop: it bumps
+part of a run, exactly one whole run (overwritten in place), or several
+runs, and may merge into an equal left neighbour; a run at the row's end is
+appended. The unit runs of classical insertion step by step take the same
+loop, and ``TestUnitRunBranches`` inserts one unit each way it can land.
+The references are plain-list Schensted insertion and its expansion on the
+integer grid, written without the kernel.
 
 A whole classical word goes through a second kernel, ``_insert_units``, on
 dense counts per letter rank. It is checked row for row against the run
