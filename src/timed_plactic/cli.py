@@ -32,6 +32,7 @@ from .greene import (
 from .notation import (
     _json_integer,
     _rational_text,
+    format_timed_tableau,
     format_timed_word,
     format_word,
     human_rational,
@@ -67,6 +68,11 @@ _MAX_RUNS = 10_000
 _MAX_GRID_BITS = 2**17
 _MAX_ITERS = 10_000
 _MAX_STEP_CELLS = 200_000
+# `greene --oracle` cross-checks a timed word only up to this many letters on
+# its grid 1/q (length times q); past it the profile prints with a note. The
+# oracle's work does not grow with the grid (greene._MAX_FLOW_WORK bounds
+# it), so this limit is output policy, not a bound on cost.
+_MAX_ORACLE_LETTERS = 500
 
 
 def _resolve_seed(args) -> int:
@@ -105,7 +111,7 @@ class _Kind(NamedTuple):
     insert: Callable
     steps: Callable
     to_dict: Callable
-    row_text: Callable
+    tableau_text: Callable
     step: str  # what one insertion step inserts
     greene: Callable
     oracle: Callable
@@ -119,18 +125,34 @@ def _kind(timed: bool) -> _Kind:
     if timed:
         return _Kind(
             timed_insertion_tableau, timed_insertion_steps, timed_tableau_to_dict,
-            format_timed_word, "run", greene_timed, greene_timed_oracle,
+            format_timed_tableau, "run", greene_timed, _timed_oracle,
             _rational_text, human_rational,
         )
     return _Kind(
         insertion_tableau, insertion_steps, tableau_to_dict,
-        format_word, "letter", greene_classical, greene_classical_oracle,
+        _format_tableau, "letter", greene_classical, greene_classical_oracle,
         int, str,
     )
 
 
+def _format_tableau(t) -> str:
+    return "\n".join(map(format_word, t.rows))
+
+
 def _tableau_text(t, kind: _Kind) -> str:
-    return "\n".join(kind.row_text(row) for row in t.rows) if t.rows else "(empty)"
+    return kind.tableau_text(t) or "(empty)"
+
+
+def _timed_oracle(w: TimedWord, r: int) -> tuple:
+    size = sum(w.counts)
+    if size > _MAX_ORACLE_LETTERS:
+        # str() refuses ints past 4,300 digits; 14,000 bits stay below that
+        bits = size.bit_length()
+        shown = size if bits <= 14_000 else f"a {bits}-bit number of"
+        raise OracleSizeError(
+            f"expansion of {shown} letters exceeds the bound of {_MAX_ORACLE_LETTERS}"
+        )
+    return greene_timed_oracle(w, r)
 
 
 def _cmd_insert(args) -> int:
@@ -373,7 +395,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError, OracleSizeError, BudgetExceededError) as exc:
         return _fail(args, exc, 2)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

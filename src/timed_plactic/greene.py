@@ -47,8 +47,10 @@ def _greene_runs(letters, counts, r: int) -> tuple[int, ...]:
     (every run is used), which comes by unit k + 1 for k distinct letters:
     the k blocks of equal letters take everything. So r is capped at k, and
     a network whose runs x k x r passes _MAX_FLOW_WORK raises OracleSizeError
-    before it is built.
+    before it is built. A negative r raises ValueError before anything else.
     """
+    if r < 0:
+        raise ValueError(f"r must be a nonnegative integer, got {r}")
     # Imported here, so that commands that run no oracle start no slower.
     from heapq import heappop, heappush
 
@@ -136,8 +138,6 @@ def greene_classical_oracle(w: Word, r: int) -> tuple[int, ...]:
     insertion is right: a_i is the exact maximum total size of i pairwise
     disjoint weakly increasing subwords, for i up to r or until a_i takes
     all of w, by one min-cost flow over w's blocks of equal letters."""
-    if r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r}")
     letters = [c for c, _ in groupby(w)]
     counts = [len(list(block)) for _, block in groupby(w)]
     return _greene_runs(letters, counts, r)
@@ -149,23 +149,12 @@ def greene_classical(w: Word) -> tuple[int, ...]:
     return tuple(accumulate(shape(insertion_tableau(w))))
 
 
-def greene_timed_oracle(
-    w: TimedWord, r: int, *, max_letters: int | None = 500
-) -> tuple[Fraction, ...]:
+def greene_timed_oracle(w: TimedWord, r: int) -> tuple[Fraction, ...]:
     """The timed Greene profile of w up to rank r, greene_timed(w)[:r] when
     insertion is right: one min-cost flow over w's runs with their counts on
-    the grid 1/q (w.counts), each value divided by q. More than
-    ``max_letters`` grid letters (length(w) * q) raise OracleSizeError, as
-    does a flow past _MAX_FLOW_WORK. The flow's cost does not grow with the
-    grid size; ``max_letters`` stays as the CLI's default limit."""
-    if r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r}")
-    size = sum(w.counts)
-    if max_letters is not None and size > max_letters:
-        # str() refuses ints past 4,300 digits; 14,000 bits stay below that
-        bits = size.bit_length()
-        shown = size if bits <= 14_000 else f"a {bits}-bit number of"
-        raise OracleSizeError(f"expansion of {shown} letters exceeds the bound of {max_letters}")
+    the grid 1/q (w.counts), each value divided by q. Nothing is expanded
+    on the grid, so its size costs nothing; the one bound is the flow's work,
+    _MAX_FLOW_WORK, past which OracleSizeError is raised."""
     return tuple(Fraction(a, w.q) for a in _greene_runs(w.letters, w.counts, r))
 
 

@@ -43,6 +43,7 @@ interpreter puts on ``str()`` of an integer.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -157,10 +158,11 @@ def human_rational(d: Fraction) -> str:
     text = format_duration(d)
     if "/" not in text:
         return text
-    try:
+    if sys.float_info.min <= abs(d) <= sys.float_info.max:
         approx = f"{float(d):.6g}"
-    except OverflowError:
-        # Beyond the float range: divide in decimal instead.
+    else:
+        # Past the float range float() overflows, and below its normal range
+        # it loses digits or gives 0: divide in decimal instead.
         from decimal import Decimal
 
         approx = f"{Decimal(d.numerator) / d.denominator:.6g}"

@@ -47,7 +47,7 @@ def _classical_oracle_agreement(rng: random.Random, i: int) -> tuple:
 def _timed_oracle_agreement(rng: random.Random, i: int) -> tuple:
     w = random_timed_word(rng, max_runs=5, max_letter=4, max_den=4, max_num=2)
     profile = greene_timed(w)
-    return w, greene_timed_oracle(w, len(profile), max_letters=None) == profile
+    return w, greene_timed_oracle(w, len(profile)) == profile
 
 
 def _move_invariance(rng: random.Random, i: int) -> tuple:
@@ -88,9 +88,7 @@ def _discretization_stability(rng: random.Random, i: int) -> tuple:
     rows = len(timed_shape(timed_insertion_tableau(w)))
     # Halving every duration doubles q; the oracle's values must halve too.
     half = scale(w, Fraction(1, 2))
-    return w, greene_timed_oracle(half, rows, max_letters=None) == tuple(
-        a / 2 for a in greene_timed_oracle(w, rows, max_letters=None)
-    )
+    return w, greene_timed_oracle(half, rows) == tuple(a / 2 for a in greene_timed_oracle(w, rows))
 
 
 _SUITES = (

@@ -128,6 +128,4 @@ def check_move_invariance(w: TimedWord, m: TimedKnuthMove, r: int) -> bool:
     """True iff the Greene invariants a_1..a_r agree before and after m, each
     side's profile up to r computed by one call of the oracle."""
     w2 = apply_move(w, m)
-    return greene_timed_oracle(w, r, max_letters=None) == greene_timed_oracle(
-        w2, r, max_letters=None
-    )
+    return greene_timed_oracle(w, r) == greene_timed_oracle(w2, r)

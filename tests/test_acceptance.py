@@ -163,7 +163,7 @@ def test_05_greene_theorem_timed_randomized():
         for _ in range(500):
             w = random_timed_word(rng, max_runs=5, max_letter=4, max_den=4, max_num=2)
             profile = greene_timed(w)
-            oracle = greene_timed_oracle(w, len(profile), max_letters=None)
+            oracle = greene_timed_oracle(w, len(profile))
             assert oracle == profile, format_timed_word(w)
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"randomized timed check took {elapsed:.1f}s"
@@ -193,9 +193,7 @@ def test_07_kappa2_worked_example():
         assert greene_timed(w) == greene_timed(expected)
         # spot-check the first two invariants against the scaling oracle too
         for r in (1, 2):
-            assert greene_timed_oracle(w, r, max_letters=None) == greene_timed_oracle(
-                expected, r, max_letters=None
-            )
+            assert greene_timed_oracle(w, r) == greene_timed_oracle(expected, r)
 
 
 def test_08_move_invariance_randomized():
@@ -207,9 +205,9 @@ def test_08_move_invariance_randomized():
             moved = apply_move(w, move)
             assert timed_insertion_tableau(moved) == timed_insertion_tableau(w)
             for r in (1, 2, 3):
-                assert greene_timed_oracle(w, r, max_letters=None) == greene_timed_oracle(
-                    moved, r, max_letters=None
-                ), (format_timed_word(w), move, r)
+                assert greene_timed_oracle(w, r) == greene_timed_oracle(moved, r), (
+                    format_timed_word(w), move, r
+                )
 
 
 def test_09_embedding_compatibility():
@@ -231,7 +229,7 @@ def test_10_discretization_stability():
         for _ in range(200):
             w = random_timed_word(rng, max_runs=4, max_letter=4, max_den=4, max_num=2)
             rows = len(greene_timed(w))
-            oracle = greene_timed_oracle(w, rows, max_letters=None)
+            oracle = greene_timed_oracle(w, rows)
             fine = tuple(timed_greene_reference(w, r, refine=2) for r in range(1, rows + 1))
             assert oracle == fine, format_timed_word(w)
 

@@ -20,7 +20,7 @@ from timed_plactic import (
 )
 from timed_plactic import cli, notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
-from timed_plactic.cli import _MAX_ITERS
+from timed_plactic.cli import _MAX_ITERS, _MAX_ORACLE_LETTERS
 from timed_plactic.cli import _MAX_RUNS, main
 from timed_plactic.notation import format_timed_word, format_word
 
@@ -106,6 +106,28 @@ class TestGreene:
         assert data["mode"] == "fast"
         assert data["agreement"] is None
         assert "note" in data
+
+    def test_timed_oracle_past_the_letter_limit_gives_note(self, capsys):
+        # 500 and 501 letters on the grid 1/1: the oracle runs on the first only
+        code, out, _ = run_cli(capsys, "greene", "1^250 2^250", "--oracle", "--json")
+        data = json.loads(out)
+        assert (code, data["mode"], data["agreement"]) == (0, "both", True)
+        code, out, _ = run_cli(capsys, "greene", "1^250 2^251", "--oracle", "--json")
+        data = json.loads(out)
+        assert (code, data["mode"], data["agreement"]) == (0, "fast", None)
+        assert data["note"] == f"expansion of 501 letters exceeds the bound of {_MAX_ORACLE_LETTERS}"
+
+    def test_timed_oracle_note_is_given_before_the_oracle_runs(self, capsys, monkeypatch):
+        # The grid 1/10000019 holds 10,000,020 letters of the word.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran past the CLI's letter limit")
+
+        monkeypatch.setattr(cli, "greene_timed_oracle", refuse)
+        code, out, err = run_cli(capsys, "greene", "1^1/10000019 2^1", "--oracle")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == (
+            "mode: fast (oracle skipped: expansion of 10000020 letters exceeds the bound of 500)"
+        )
 
     def test_oracle_state_budget_gives_note(self):
         # 30 letters over 40 symbols: the worst case of a search over chain ends.
@@ -620,6 +642,11 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "greene", "1^" + "9" * 400 + "/7")
         assert code == 0
         assert out == f"profile: {'9' * 400}/7 (≈1.42857e+399)\nmode: fast\n"
+
+    def test_profile_below_the_float_range(self, capsys):
+        code, out, _ = run_cli(capsys, "greene", "1^1/3" + "0" * 400)
+        assert code == 0
+        assert out == f"profile: 1/3{'0' * 400} (≈3.33333e-401)\nmode: fast\n"
 
     def test_parse_error_exit_2_with_json_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, "insert", "3^oops", "--json")

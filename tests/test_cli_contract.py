@@ -8,15 +8,16 @@ errors are a ``SystemExit(2)`` with plain-text usage on stderr.
 Values that size real work (``--runs``, ``--iters``, word length) stay
 small: the test is about the contract, not load. ``--runs`` is also drawn
 above its ceiling, where it is refused before any work, and numerals past
-the digit bound, which are refused as notation errors. The last test is
-about load: the largest timed inputs known within one argv string, each run
-in a subprocess under a timeout.
+the digit bound, which are refused as notation errors. The argv-limit
+tests are about load: the largest timed inputs and digit strings known
+within one argv string, each run in a subprocess under a timeout.
 """
 
 import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -294,14 +295,58 @@ def test_timed_words_at_the_argv_limit_exit_2_in_time(command, family):
     assert len(word.encode()) <= 131_071
     name, *flags = command
     words = [word, word] if name == "equiv" else [word]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "timed_plactic", name, *words, *flags],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    result = _run_module([name, *words, *flags])
     assert result.returncode == 2 and result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
     assert message in result.stderr
+
+
+def _run_module(argv):
+    """``python -m timed_plactic`` on argv in a subprocess, under 30 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "timed_plactic", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+def _digit_string() -> str:
+    """131,071 random letters 1..9 (seed 1): the longest classical word one
+    argv string holds."""
+    rng = random.Random(1)
+    return "".join(str(rng.randint(1, 9)) for _ in range(131_071))
+
+
+# The digit-string half of the audit: every command on the longest digit
+# string W, and equiv --move on the ribbon R, whose tableau JSON passes the
+# digit bound before the move is applied. W's insert --steps passes the
+# --steps bound; the rest of W's commands run to the end.
+_MOVE = json.dumps({"kind": "k1", "u_len": "0", "x_len": "1/1009", "y_len": "1/1013",
+                    "z_len": "1/1019"})
+_DIGIT_AUDIT = {
+    "insert-json": (["insert", "W", "--json"], 0),
+    "greene": (["greene", "W"], 0),
+    "greene-oracle": (["greene", "W", "--oracle"], 0),
+    "equiv": (["equiv", "W", "W"], 0),
+    "render": (["render", "W", "--svg", "SVG"], 0),
+    "render-tableau": (["render", "W", "--tableau", "--svg", "SVG"], 0),
+    "insert-steps": (["insert", "W", "--steps"], 2),
+    "equiv-move-ribbon": (["equiv", "R", "R", "--move", _MOVE], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIGIT_AUDIT))
+def test_digit_strings_at_the_argv_limit_finish_in_time(tmp_path, name):
+    argv, code = _DIGIT_AUDIT[name]
+    words = {"W": _digit_string, "R": _ribbon_word, "SVG": lambda: str(tmp_path / "out.svg")}
+    argv = [words[a]() if a in words else a for a in argv]
+    assert all(len(a.encode()) <= 131_071 for a in argv)
+    result = _run_module(argv)
+    assert result.returncode == code and "Traceback" not in result.stderr
+    if code:
+        assert result.stdout == "" and len(result.stderr.splitlines()) == 1
+    else:
+        assert result.stdout and result.stderr == ""
 
 
 # Text outputs that pass the digit bound only part way through: the first

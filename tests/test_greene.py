@@ -148,25 +148,21 @@ class TestTimedOracle:
     def test_timed_row_is_its_own_best_sample(self):
         assert greene_timed_oracle(tw("1^0.5 2^0.5"), 1) == (1,)
 
-    def test_size_bound(self):
-        with pytest.raises(OracleSizeError):
-            greene_timed_oracle(tw("1^1 2^1 1^1"), 1, max_letters=2)
-
     def test_rejects_bad_rank_before_size(self):
         with pytest.raises(ValueError):
             greene_timed_oracle(tw("1^1/10000019 2^1"), -1)
         assert greene_timed_oracle(tw("1^1 2^1"), 0) == ()
 
-    def test_size_bound_is_checked_before_expanding(self):
-        # the expansion would hold 10,000,020 letters
+    def test_large_grid_is_never_expanded(self):
+        # the grid 1/10000019 holds 10,000,020 letters of the word
         w = tw("1^1/10000019 2^1")
         tracemalloc.start()
         try:
-            with pytest.raises(OracleSizeError, match="expansion of 10000020 letters"):
-                greene_timed_oracle(w, 1)
+            profile = greene_timed_oracle(w, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert profile == (Fraction(10000020, 10000019),)
         assert peak < 100_000
 
     def test_fractional_value(self):
@@ -183,7 +179,7 @@ class TestTimedProfile:
 
         w = tw(BIG_TIMED_WORD_TEXT)
         assert greene_timed(w) == BIG_TIMED_PROFILE
-        assert greene_timed_oracle(w, 6, max_letters=1000) == BIG_TIMED_PROFILE
+        assert greene_timed_oracle(w, 6) == BIG_TIMED_PROFILE
 
     def test_classical_compatibility(self):
         assert greene_timed(embed_classical(WORD_3421153)) == (3, 6, 7)
@@ -191,7 +187,7 @@ class TestTimedProfile:
     @given(small_timed_words)
     def test_oracle_agreement(self, w):
         profile = greene_timed(w)
-        assert greene_timed_oracle(w, len(profile), max_letters=None) == profile
+        assert greene_timed_oracle(w, len(profile)) == profile
 
     @given(timed_words)
     def test_profile_shape(self, w):
@@ -212,7 +208,7 @@ class TestTimedProfile:
         # The reference expands w on the grid 1/(2q), twice as fine as the
         # oracle's.
         rows = len(greene_timed(w))
-        assert greene_timed_oracle(w, rows, max_letters=None) == tuple(
+        assert greene_timed_oracle(w, rows) == tuple(
             timed_greene_reference(w, r, refine=2) for r in range(1, rows + 1)
         )
 
@@ -234,7 +230,7 @@ class TestWholeRunSearch:
 
     @given(small_timed_words)
     def test_small_timed_words(self, w):
-        assert greene_timed_oracle(w, 4, max_letters=None) == reference_profile(
+        assert greene_timed_oracle(w, 4) == reference_profile(
             (timed_greene_reference(w, r) for r in range(1, 5)), w.length
         )
 
@@ -251,7 +247,7 @@ class TestWholeRunSearch:
         assert len(w.runs) == 150 and w.length.denominator.bit_length() > 1000
         profile = greene_timed(w)
         for r in (*range(len(profile) + 2), 10**9):
-            assert greene_timed_oracle(w, r, max_letters=None) == profile[:r]
+            assert greene_timed_oracle(w, r) == profile[:r]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_classical_words_at_benchmark_scale(self, seed):
@@ -277,5 +273,5 @@ class TestIndependence:
             with pytest.raises(AssertionError):
                 fast(word)
         assert greene_classical_oracle(WORD_3421153, 3) == (3, 6, 7)
-        assert greene_timed_oracle(w, 6, max_letters=None) == BIG_TIMED_PROFILE
+        assert greene_timed_oracle(w, 6) == BIG_TIMED_PROFILE
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from timed_plactic import (
     timed_word_from_dict,
     timed_word_to_dict,
 )
+
+from timed_plactic.notation import human_rational
 
 from conftest import timed_words, tokens_then_normalize, tw, words
 
@@ -72,6 +75,21 @@ class TestFormatDuration:
     def test_roundtrip_through_parse(self, w):
         for _, dur in w.runs:
             assert parse_duration(format_duration(dur)) == dur
+
+
+class TestHumanRational:
+    @pytest.mark.parametrize(
+        "value, approx",
+        [
+            (Fraction(1, 3), "0.333333"),
+            (Fraction(sys.float_info.min) * Fraction(4, 3), "2.96677e-308"),
+            (Fraction(sys.float_info.max) / 3, "5.99231e+307"),
+            # subnormal as a float, where float() keeps only a few digits
+            (Fraction(1, 3 * 10**320), "3.33333e-321"),
+        ],
+    )
+    def test_approximation(self, value, approx):
+        assert human_rational(value) == f"{format_duration(value)} (≈{approx})"
 
 
 class TestParseTimedWord:
