@@ -26,8 +26,10 @@ updates. Every stream it passes down is all units.
 Tableaux of both kinds have one stored form and one builder. A tableau is
 stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
 smallest denominator for the whole tableau; ``rows`` is built from the grid
-on first read (``_GridTableau``). A classical tableau is the q = 1 case,
-each row its runs of equal letters. ``_tableau(cls, rows, q)`` builds
+on first read (``_GridTableau``), and no writer reads it: ``_reduced`` gives
+a row's runs as reduced fractions, ``_spelt`` as letters. A classical
+tableau is the q = 1 case, each row its runs of equal letters.
+``_tableau(cls, rows, q)`` builds
 either kind from rows in this run form on the grid 1/q and validates it
 once: no empty row, strictly increasing letters with counts >= 1, weakly
 decreasing lengths, and columns that strictly increase downward, checked
@@ -77,20 +79,19 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     _check_letters((a,))
     row = _runs(u)
     bumped, _ = _bump_runs(*row, [a], [1])
-    (new_row,) = _tableau(Tableau, [row], 1).rows
-    return (bumped[0] if bumped else None), new_row
+    return (bumped[0] if bumped else None), tuple(_spelt(*row))
 
 
 class _Value:
     """The base of the value classes: ``_fields`` names the fields, which
     ``__init__`` writes into the instance ``__dict__``. ``_key`` names the
-    attributes that equality compares and truth reads, by default the
+    attributes that equality compares, hash and truth read, by default the
     fields; a class stored in another form than its fields (a grid) names
-    that form, so equality and truth need not build the fields, and its
-    subclasses inherit that key. A value equals only an object of its own
-    class with an equal key, hashes as the tuple of its fields, is false
-    when its first key attribute is empty, and refuses assignment and
-    deletion."""
+    that form, so equality, hash and truth need not build the fields, and
+    its subclasses inherit that key. A value equals only an object of its
+    own class with an equal key, hashes as the tuple of its key's values,
+    is false when its first key attribute is empty, and refuses assignment
+    and deletion."""
 
     _fields: tuple[str, ...] = ()
 
@@ -106,7 +107,7 @@ class _Value:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self._fields))
+        return hash(self._values(self._key))
 
     def __bool__(self) -> bool:
         return bool(getattr(self, self._key[0]))
@@ -126,8 +127,8 @@ class _GridTableau(_Value):
     """The stored form of both tableau kinds: ``grid`` holds each row's
     letters and counts as tuples on the grid 1/q, with the smallest q for
     the whole tableau. ``rows``, the one field, is built from the grid by
-    the kind's ``_row`` on first read and cached; equality and truth read
-    the grid."""
+    the kind's ``_row`` on first read and cached; equality, hash, truth and
+    the writers read the grid."""
 
     _fields = ("rows",)
     _key = ("grid", "q")
@@ -144,9 +145,9 @@ class Tableau(_GridTableau):
     Invariants, enforced on construction: rows weakly increase, row lengths
     weakly decrease, columns strictly increase, and no row is empty.
 
-    ``Tableau(rows)`` keeps the rows as given, and its repr and hash read
-    them; equality reads the grid. So rows given as lists equal the same
-    rows given as tuples, though only tuples hash.
+    ``Tableau(rows)`` keeps the rows as given, and its repr reads them;
+    equality, hash and ``str`` read the grid. So rows given as lists equal
+    the same rows given as tuples, and hash as they do.
     """
 
     def __init__(self, rows: tuple[Word, ...] = ()):
@@ -167,17 +168,41 @@ class Tableau(_GridTableau):
         return tuple(_spelt(letters, counts))
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(map(str, row)) for row in self.rows)
+        return "\n".join([" ".join(map(str, _spelt(*row))) for row in self.grid])
 
 
 def _spelt(letters, counts) -> list[int]:
     """A classical row's runs spelt out as its list of letters: the one
-    spelling that ``Tableau.rows``, ``reading_word`` and the JSON writer
-    share."""
+    spelling that ``Tableau.rows``, ``reading_word``, ``row_insert`` and
+    the text and JSON writers share."""
     out: list[int] = []
     for c, n in zip(letters, counts):
         out += [c] * n
     return out
+
+
+def _reduced(letters, counts, q: int):
+    """Each run of counts on the grid 1/q as (letter, numerator,
+    denominator), its count n over q reduced by one gcd: the one step from
+    the grid to rationals that every writer of timed words and tableaux,
+    text and JSON, shares. A tableau row may pass its tableau's q, a
+    multiple of the row's own smallest q; n/q reduces to the same fraction
+    on either grid."""
+    for c, n in zip(letters, counts):
+        g = gcd(n, q)
+        yield c, n // g, q // g
+
+
+def _ratio(num: int, den: int) -> str:
+    """A reduced ratio as ``str(Fraction)`` spells it: ``p/q``, or ``p``
+    when q is 1."""
+    return f"{num}/{den}" if den > 1 else str(num)
+
+
+def _runs_text(letters, counts, q: int, spell=_ratio) -> str:
+    """The runs on the grid 1/q as ``letter^duration`` tokens, each
+    duration's reduced numerator and denominator spelt by ``spell``."""
+    return " ".join([f"{c}^{spell(n, d)}" for c, n, d in _reduced(letters, counts, q)])
 
 
 def shape(t: Tableau) -> tuple[int, ...]:

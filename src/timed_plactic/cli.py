@@ -21,7 +21,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .classical import insertion_steps, insertion_tableau
+from .classical import _spelt, insertion_steps, insertion_tableau
 from .errors import BudgetExceededError, NotationError, OracleSizeError
 from .greene import (
     greene_classical,
@@ -136,7 +136,7 @@ def _kind(timed: bool) -> _Kind:
 
 
 def _format_tableau(t) -> str:
-    return "\n".join(map(format_word, t.rows))
+    return "\n".join([format_word(_spelt(*row)) for row in t.grid])
 
 
 def _tableau_text(t, kind: _Kind) -> str:

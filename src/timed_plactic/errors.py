@@ -8,8 +8,14 @@ _QUOTE_LIMIT = 60
 
 def _quote(value) -> str:
     """The repr of value for an error message, clipped with an ellipsis so
-    that a huge word, row or nested input gives a short message."""
-    text = repr(value)
+    that a huge word, row or nested input gives a short message. A repr
+    that the interpreter refuses to write (``str()`` of an integer past its
+    digit limit raises ``ValueError``) gives a placeholder, so that the
+    error being built keeps its own type and message."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} with a numeral too long to quote>"
     return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
 
 

@@ -28,10 +28,13 @@ run, so the scan stops there. Each run is converted and checked as it is
 read; only a token that fails is found again, by ``finditer``, to give its
 error a message and a position. The counts go on the grid of one lcm,
 equal neighbours merge and the word is built without a second check.
-``timed_word_to_dict`` writes each count n as n/q reduced by one gcd. The
-tableau writers read the grid, not the rows: a timed tableau's JSON takes
-one gcd per run against the tableau's q, and a classical tableau's rows are
-its runs spelt out, so neither builds a row word.
+Every writer of a timed word or tableau, text and JSON, reads the grid: each
+count n becomes n/q reduced by one gcd (``classical._reduced``, against the
+tableau's q for a tableau row). JSON spells it ``p/q``, and text as an exact
+decimal where one exists (``_decimal_text``, which ``format_duration``
+calls with a ``Fraction``'s numerator and denominator), so no writer builds
+a row word or a ``Fraction``. A classical tableau's rows are its runs spelt
+out.
 JSON letters must be JSON integers, durations JSON strings or integers,
 and a move's ``reverse`` a JSON boolean; anything else is a
 ``NotationError``. Digits are ASCII digits only, and no numeral may run past
@@ -46,10 +49,10 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from typing import NoReturn
 
-from .classical import Tableau, Word, _spelt
+from .classical import Tableau, Word, _ratio, _reduced, _runs_text, _spelt
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, _merged, normalize
@@ -114,9 +117,15 @@ def _refuse_long_result():
 def _rational_text(d: Fraction) -> str:
     """``str(d)``, refused past the digit bound with the same verdict on
     every interpreter."""
-    if not -_TOO_LONG < d.numerator < _TOO_LONG > d.denominator:
+    return _ratio_text(d.numerator, d.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """The reduced ratio num/den spelt ``p/q`` (``classical._ratio``),
+    refused past the digit bound."""
+    if not -_TOO_LONG < num < _TOO_LONG > den:
         _refuse_long_result()
-    return str(d)
+    return _ratio(num, den)
 
 
 def parse_duration(text: str) -> Fraction:
@@ -131,21 +140,25 @@ def parse_duration(text: str) -> Fraction:
 def format_duration(d: Fraction) -> str:
     """Exact decimal string when the denominator divides a power of 10
     (``41/50`` renders as ``0.82``), otherwise ``p/q``."""
-    rest = d.denominator
-    e2 = e5 = 0
-    while rest % 2 == 0:
-        rest //= 2
-        e2 += 1
+    return _decimal_text(d.numerator, d.denominator)
+
+
+def _decimal_text(num: int, den: int) -> str:
+    """The reduced ratio num/den as an exact decimal when den divides a
+    power of 10, otherwise ``p/q``; refused past the digit bound."""
+    e2 = (den & -den).bit_length() - 1
+    rest = den >> e2
+    e5 = 0
     while rest % 5 == 0:
         rest //= 5
         e5 += 1
     if rest != 1:
-        return _rational_text(d)
+        return _ratio_text(num, den)
     digits = max(e2, e5)
-    scaled = abs(d.numerator) * 10**digits // d.denominator
+    scaled = abs(num) * 10**digits // den
     if scaled >= _TOO_LONG:
         _refuse_long_result()
-    sign = "-" if d.numerator < 0 else ""
+    sign = "-" if num < 0 else ""
     if digits == 0:
         return f"{sign}{scaled}"
     text = str(scaled).rjust(digits + 1, "0")
@@ -209,7 +222,7 @@ def _token_error(text: str, i: int) -> NoReturn:
 
 
 def format_timed_word(w: TimedWord) -> str:
-    return " ".join(f"{c}^{format_duration(d)}" for c, d in w.runs)
+    return _runs_text(w.letters, w.counts, w.q, _decimal_text)
 
 
 def parse_word(text: str) -> Word:
@@ -252,19 +265,12 @@ def parse_word_or_timed(text: str) -> Word | TimedWord:
 
 
 def _runs_json(letters, counts, q: int) -> dict:
-    # The JSON of the runs whose counts lie on the grid 1/q: each count n is
-    # n/q reduced by one gcd. A tableau row passes its tableau's q, which may
-    # be a multiple of the row's own smallest q; n/q reduces to the same
-    # fraction on either grid. Durations are positive: one chained
-    # comparison per run keeps each numeral within the digit bound.
-    runs = []
-    for c, n in zip(letters, counts):
-        g = gcd(n, q)
-        num, den = n // g, q // g
-        if not den < _TOO_LONG > num:
-            _refuse_long_result()
-        runs.append({"letter": c, "dur": f"{num}/{den}" if den > 1 else str(num)})
-    return {"runs": runs}
+    # The JSON of the runs whose counts lie on the grid 1/q, each reduced
+    # to p/q by classical._reduced. Durations are positive: one chained
+    # comparison per run keeps each numeral within the digit bound, and
+    # _refuse_long_result raises past it.
+    return {"runs": [{"letter": c, "dur": _ratio(n, d) if d < _TOO_LONG > n
+                      else _refuse_long_result()} for c, n, d in _reduced(letters, counts, q)]}
 
 
 def timed_word_to_dict(w: TimedWord) -> dict:
@@ -327,7 +333,7 @@ def timed_tableau_from_dict(data: dict) -> TimedTableau:
 
 
 def format_timed_tableau(t: TimedTableau) -> str:
-    return "\n".join(format_timed_word(row) for row in t.rows)
+    return "\n".join([_runs_text(*row, t.q, _decimal_text) for row in t.grid])
 
 
 def move_to_dict(m: TimedKnuthMove) -> dict:

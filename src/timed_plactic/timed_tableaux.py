@@ -14,8 +14,8 @@ each row's letters and counts as tuples, and ``q`` is the smallest
 denominator for the whole tableau, so ``gcd(q, *every count) == 1``. The
 form is canonical: two tableaux are equal exactly when their grids and q
 are. ``rows``, the one field, gives the rows as timed words; it is built on
-first read and cached. Shape, reading word, equality, truth and JSON
-output read the grid.
+first read and cached. Shape, reading word, equality, hash, truth, and
+text and JSON output, ``str`` and ``repr`` included, read the grid.
 
 Timed insertion puts its words on one grid the same way: the integer-run
 kernel of :mod:`.classical` inserts the counts, in the same parallel-list
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classical import Grid, Tableau, _bump_runs, _GridTableau, _insert_runs, _tableau
+from .classical import Grid, Tableau, _bump_runs, _GridTableau, _insert_runs, _runs_text, _tableau
 from .errors import NotARowError, _quote
 from .timed_words import (
     DurationLike,
@@ -64,10 +64,10 @@ class TimedTableau(_GridTableau):
     _row = staticmethod(_on_grid)
 
     def __str__(self) -> str:
-        return "\n".join(str(row) for row in self.rows)
+        return "\n".join([_runs_text(*row, self.q) for row in self.grid])
 
     def __repr__(self) -> str:
-        return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in self.rows))
+        return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in str(self).splitlines()))
 
 
 def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:

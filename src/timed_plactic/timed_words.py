@@ -21,8 +21,10 @@ have already checked (``normalize``, ``concat``, ``scale``, ``restrict``,
 ``subword``, ``apply_move``, the text parser and the insertion functions)
 build them with ``_on_grid``, which skips that second check and
 divides q and the counts by their gcd (``classical._grid_gcd``, which the
-tableau builder shares). Truth and equality read the grid
-(``_Value._key``); ``repr``, ``str`` and ``hash`` read ``runs``.
+tableau builder shares). Truth, equality and ``hash`` read the grid
+(``_Value._key``), and so do ``str`` and ``repr``: each run's count goes
+to ``p/q`` through ``classical._reduced``, one gcd per run, without a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classical import Grid, Word, _check_letters, _grid_gcd, _Value
+from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
 
 DurationLike = Union[Fraction, int, str]
 
@@ -97,7 +99,7 @@ class TimedWord(_Value):
         return concat(self, other)
 
     def __str__(self) -> str:
-        return " ".join(f"{c}^{d}" for c, d in self.runs)
+        return _runs_text(self.letters, self.counts, self.q)
 
     def __repr__(self) -> str:
         return f"TimedWord('{self}')"
@@ -303,7 +305,7 @@ def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
 
 def letter_durations(w: TimedWord) -> dict[int, Fraction]:
     """Total duration per letter (the letter-duration histogram)."""
-    out: dict[int, Fraction] = {}
-    for c, d in w.runs:
-        out[c] = out.get(c, Fraction(0)) + d
-    return out
+    totals: dict[int, int] = {}
+    for c, n in zip(w.letters, w.counts):
+        totals[c] = totals.get(c, 0) + n
+    return {c: Fraction(n, w.q) for c, n in totals.items()}

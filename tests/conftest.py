@@ -11,7 +11,15 @@ from math import lcm
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from timed_plactic import NotationError, Run, TimedWord, letter_color, normalize, parse_timed_word
+from timed_plactic import (
+    NotationError,
+    Run,
+    TimedWord,
+    format_word,
+    letter_color,
+    normalize,
+    parse_timed_word,
+)
 from timed_plactic.errors import _quote
 
 # Exact rational arithmetic makes per-example cost vary widely; the wall-clock
@@ -312,6 +320,49 @@ def fraction_column_strict(upper, lower) -> bool:
         for t in sorted(bounds)
         if t < limit
     )
+
+
+def decimal_reference(d: Fraction) -> str:
+    """d as ``format_duration`` spells it, found by trial: with the fewest
+    decimal places k (at most the denominator's bit length) that make
+    d * 10**k whole, else ``str(d)``."""
+    for k in range(d.denominator.bit_length() + 1):
+        scaled = d * 10**k
+        if scaled.denominator == 1:
+            digits = str(abs(scaled.numerator)).rjust(k + 1, "0")
+            sign = "-" if d < 0 else ""
+            return sign + (f"{digits[:-k]}.{digits[-k:]}" if k else digits)
+    return str(d)
+
+
+def word_text_reference(w, spell=str) -> str:
+    """A timed word's text run by run over its ``Fraction`` runs, each
+    duration spelt by spell: ``str()`` for spell=str, ``format_timed_word``
+    for spell=decimal_reference. A reference for the grid writers."""
+    return " ".join(f"{c}^{spell(d)}" for c, d in w.runs)
+
+
+def tableau_text_reference(t, spell=str) -> str:
+    """A timed tableau's text row by row over its ``rows``."""
+    return "\n".join(word_text_reference(row, spell) for row in t.rows)
+
+
+def tableau_repr_reference(t) -> str:
+    return "TimedTableau({})".format(" | ".join(f"'{word_text_reference(r)}'" for r in t.rows))
+
+
+def letter_durations_reference(w) -> dict:
+    """Total duration per letter, summed as ``Fraction`` runs."""
+    out: dict = {}
+    for c, d in w.runs:
+        out[c] = out.get(c, Fraction(0)) + d
+    return out
+
+
+def classical_text_reference(t, row_text=format_word) -> str:
+    """A classical tableau's text over its ``rows``, each row written by
+    row_text: ``format_word`` for the CLI's text tableau."""
+    return "\n".join(row_text(row) for row in t.rows)
 
 
 def tableau_error(rows) -> str | None:

@@ -10,7 +10,9 @@ small: the test is about the contract, not load. ``--runs`` is also drawn
 above its ceiling, where it is refused before any work, and numerals past
 the digit bound, which are refused as notation errors. The argv-limit
 tests are about load: the largest timed inputs and digit strings known
-within one argv string, each run in a subprocess under a timeout.
+within one argv string, each run in a subprocess under a timeout. So are
+the errors whose message quotes a word with numerals longer than the
+interpreter writes: each keeps its own type and condition.
 """
 
 import contextlib
@@ -368,3 +370,35 @@ def test_text_error_late_in_the_output_prints_nothing(name):
     assert code == 2 and out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("error: ")
+
+
+# Errors whose message quotes a word with numerals of 4,001 digits: str()
+# of such an integer raises ValueError on interpreters that limit it, and
+# the quote must not let that replace the error being raised.
+_C, _D = 10**4000 + 1, 10**4000 + 3
+_LONG_QUOTES = {
+    "equiv-move": (
+        ["equiv", "2^1 1^1", "2^1 1^1", "--json", "--move",
+         json.dumps({"kind": "k1", "u_len": "0", "x_len": "1", "z_len": f"1/{_C}",
+                     "y_len": f"1/{_D}"})],
+        "InvalidMoveError", "xyz-not-a-row",
+    ),
+    "render": (
+        ["render", json.dumps({"rows": [{"runs": [
+            {"letter": 2, "dur": f"1/{_C}"}, {"letter": 2, "dur": f"1/{_D}"},
+            {"letter": 1, "dur": "1"}]}]}), "--svg", "SVG", "--json"],
+        "InvalidTableauError", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_QUOTES))
+def test_error_quoting_a_long_numeral_keeps_its_type(tmp_path, name):
+    argv, kind, condition = _LONG_QUOTES[name]
+    svg = tmp_path / "out.svg"
+    result = _run_module([str(svg) if a == "SVG" else a for a in argv])
+    assert result.returncode == 2 and result.stdout == "" and not svg.exists()
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == kind and error.get("condition") == condition
+    assert "Exceeds the limit" not in error["message"]
+    assert "set_int_max_str_digits" not in error["message"]

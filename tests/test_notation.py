@@ -18,8 +18,10 @@ from timed_plactic import (
     format_timed_word,
     format_word,
     insertion_tableau,
+    letter_durations,
     move_from_dict,
     move_to_dict,
+    normalize,
     parse_duration,
     parse_timed_word,
     parse_word,
@@ -33,9 +35,21 @@ from timed_plactic import (
     timed_word_to_dict,
 )
 
+from timed_plactic import cli
 from timed_plactic.notation import human_rational
 
-from conftest import timed_words, tokens_then_normalize, tw, words
+from conftest import (
+    classical_text_reference,
+    decimal_reference,
+    letter_durations_reference,
+    tableau_repr_reference,
+    tableau_text_reference,
+    timed_words,
+    tokens_then_normalize,
+    tw,
+    word_text_reference,
+    words,
+)
 
 
 class TestParseDuration:
@@ -464,3 +478,64 @@ class TestTableauWritersReadTheGrid:
         c = insertion_tableau((3, 4, 2, 1, 1, 5, 3))
         tableau_to_dict(c)
         assert "rows" not in c.__dict__
+        # The text writers, str, repr and hash read the grid too.
+        format_timed_tableau(t), str(t), repr(t), hash(t)
+        assert "rows" not in t.__dict__
+        cli._format_tableau(c), str(c), hash(c)
+        assert "rows" not in c.__dict__
+        w = tw("3^1/7 1^2/11 4^0.25 1^5/19")
+        format_timed_word(w), str(w), repr(w), hash(w), letter_durations(w)
+        assert "runs" not in w.__dict__
+
+
+# Runs whose denominators are 2^a 5^b, so each duration has an exact
+# decimal, with letters up to 12.
+_decimal_words = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(0, 6), st.integers(0, 6)),
+    max_size=10,
+).map(lambda runs: normalize((c, Fraction(n, 2**a * 5**b)) for c, n, a, b in runs))
+_text_words = st.one_of(timed_words, _decimal_words, _coprime_words)
+
+
+class TestTextWritersReadTheGrid:
+    """The text writers, str and repr read the grid; the writers over
+    ``runs`` and ``rows`` that they replace are the reference."""
+
+    @given(st.one_of(
+        st.fractions(max_denominator=10**6),
+        st.tuples(st.integers(-10**6, 10**6), st.integers(0, 30), st.integers(0, 30)).map(
+            lambda n: Fraction(n[0], 2**n[1] * 5**n[2])),
+    ))
+    @example(Fraction(0))
+    @example(Fraction(-7, 1000))
+    def test_format_duration(self, d):
+        assert format_duration(d) == decimal_reference(d)
+
+    @given(_text_words)
+    def test_words(self, w):
+        assert format_timed_word(w) == word_text_reference(w, decimal_reference)
+        assert str(w) == word_text_reference(w)
+        assert repr(w) == f"TimedWord('{word_text_reference(w)}')"
+        assert letter_durations(w) == letter_durations_reference(w)
+        assert list(letter_durations(w)) == list(letter_durations_reference(w))
+
+    @given(st.one_of(_text_words.map(timed_insertion_tableau), _stacked_rows()))
+    @example(TimedTableau((tw("1^1/2 2^1/3"), tw("2^1/2"))))
+    @example(TimedTableau())
+    def test_timed_tableaux(self, t):
+        assert format_timed_tableau(t) == tableau_text_reference(t, decimal_reference)
+        assert str(t) == tableau_text_reference(t)
+        assert repr(t) == tableau_repr_reference(t)
+
+    @given(st.one_of(
+        words.map(insertion_tableau),
+        st.lists(st.integers(1, 30), max_size=60).map(insertion_tableau),
+        st.lists(st.integers(1, 30), max_size=60).map(insertion_tableau).map(
+            lambda t: Tableau([list(row) for row in t.rows])),
+    ))
+    @example(Tableau([[1, 2, 9], [10, 11]]))
+    @example(Tableau(((1, 12), (3,))))
+    @example(Tableau())
+    def test_classical_tableaux(self, t):
+        assert cli._format_tableau(t) == classical_text_reference(t)
+        assert str(t) == classical_text_reference(t, lambda row: " ".join(map(str, row)))
