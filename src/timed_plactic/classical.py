@@ -4,24 +4,28 @@ insertion, reading words, and Knuth moves.
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
 
-Insertion runs through two kernels. The run kernel (``_insert_runs``)
-works on runs with integer counts: a row is two parallel lists, ``letters``
-(strictly increasing) and ``counts`` (positive), and so is the stream of
-runs passed down from row to row. Timed insertion works on the grid 1/q of
-its durations' common denominator q; ``insertion_steps``,
+Insertion runs through two kernels, both on dense letter ranks. The run
+kernel (``_cascade``, behind ``_insert_runs`` and, for one row,
+``_bump_runs``) works on runs with integer counts: a row is two parallel
+lists, ``letters`` (strictly increasing) and ``counts`` (positive), and so
+is the stream of runs passed down from row to row. Timed insertion works on
+the grid 1/q of its durations' common denominator q; ``insertion_steps``,
 ``tableau_insert`` and ``row_insert`` are the case where every inserted
-count is 1. The insertion point is a plain bisect on the row's letters.
-One bump loop takes every run that lands inside a row, a unit run as much
-as a longer one: it bumps the next d units, shortening the last run it
-reaches. Its only fast paths are the append at the row's end and the
-overwrite of exactly one whole run in place.
+count is 1. A call ranks the letters of its stream and rows once and keeps
+one dense buffer, a count per rank (``_buffer``). A row pass fills it from
+the row's runs; a run a^d finds the next rank present above a in at most
+three cells or one ``bytearray.find`` and takes d units from that rank
+onward, and equal bumped ranks merge into one run. The pass writes the row
+back by walking the presence map, which leaves the buffer clear for the
+next row: in Python a pass touches only the cells of its row's and its
+stream's runs.
 
 ``insertion_tableau``, and so every classical tableau, Greene profile and
 equivalence verdict of a whole word, runs the unit kernel
-(``_insert_units``). It ranks the word's letters and keeps one row at a
-time as a dense count per rank: a letter finds the next larger rank present
-in at most three cells or one ``bytearray.find``, and a bump is two count
-updates. Every stream it passes down is all units.
+(``_insert_units``). It ranks the word's letters the same way and keeps one
+row at a time in a fresh buffer, and a letter finds its place by the same
+search. Every stream it passes down is all units, so a bump is two count
+updates, and a finished row is read off the whole buffer at C speed.
 
 Tableaux of both kinds have one stored form and one builder. A tableau is
 stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
@@ -48,7 +52,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd
 
-from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
+from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote, _text
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
@@ -215,93 +219,131 @@ def reading_word(t: Tableau) -> Word:
     return tuple([c for row in reversed(t.grid) for c in _spelt(*row)])
 
 
+def _buffer(k: int) -> tuple[list[int], bytearray]:
+    """A clear dense row over k letter ranks: a count per rank followed by
+    three nonzero sentinel cells, and a presence map of the ranks whose
+    count is nonzero, with its own sentinel at k."""
+    present = bytearray(k + 1)
+    present[k] = 1
+    return [0] * k + [1, 1, 1], present
+
+
+def _cascade(rows: list[Grid], stream_letters, stream_counts, grow: bool) -> Grid:
+    """The run kernel: pass the stream of runs a^d (letters, counts) through
+    rows top to bottom, each row rewritten in place and its bumped runs
+    feeding the next; open a row for any residue when ``grow``, or else
+    return the runs bumped out of the last row. Row by row equals run by
+    run: each row sees the same stream in order.
+
+    The call ranks the letters of the stream and the rows once, and every
+    row pass shares one dense buffer (``_buffer``); the stream passes from
+    row to row as ranks. A pass fills the buffer from the row's runs. Each
+    a^d finds the next rank present above a in at most three cells or one
+    ``find``, takes d units from that rank onward (fewer if the row ends
+    first), and adds d to a's count; equal bumped ranks in a row merge into
+    one run. The row is written back by walking ``present``, which clears
+    every cell the pass left nonzero."""
+    alpha = sorted(set(stream_letters).union(*[row[0] for row in rows]))
+    k = len(alpha)
+    rank = dict(zip(alpha, range(k)))
+    cnt, present = _buffer(k)
+    find = present.find
+    stream = [rank[c] for c in stream_letters]
+    i = 0
+    while stream:
+        if i == len(rows):
+            if not grow:
+                break
+            rows.append(([], []))
+        letters, counts = rows[i]
+        i += 1
+        for c, n in zip(letters, counts):
+            c = rank[c]
+            cnt[c] = n
+            present[c] = 1
+        out: list[int] = []
+        out_counts: list[int] = []
+        last = -1  # the last bumped rank
+        for a, d in zip(stream, stream_counts):
+            c = a + 1
+            if not cnt[c]:
+                c += 1
+                if not cnt[c]:
+                    c += 1
+                    if not cnt[c]:
+                        c = find(1, c + 1)
+            rest = d
+            while c < k:
+                n = cnt[c]
+                if n > rest:
+                    cnt[c] = n - rest
+                    n = rest
+                else:
+                    cnt[c] = 0
+                    present[c] = 0
+                if c == last:
+                    out_counts[-1] += n
+                else:
+                    out.append(c)
+                    out_counts.append(n)
+                    last = c
+                rest -= n
+                if not rest:
+                    break
+                c = find(1, c + 1)
+            n = cnt[a]
+            if not n:
+                present[a] = 1
+            cnt[a] = n + d
+        letters.clear()
+        counts.clear()
+        c = find(1)
+        while c < k:
+            letters.append(alpha[c])
+            counts.append(cnt[c])
+            cnt[c] = 0
+            present[c] = 0
+            c = find(1, c + 1)
+        stream = out
+        stream_counts = out_counts
+    return [alpha[c] for c in stream], list(stream_counts)
+
+
 def _bump_runs(
     letters: list[int], counts: list[int], stream_letters, stream_counts
 ) -> Grid:
     """Insert the integer runs a^d of the stream into the row, in order, and
     return the bumped runs in the same parallel-list form. Each a^d goes in
     after the last entry <= a and bumps the next d units of the row (fewer
-    if the row ends first). Every a^d that lands inside the row, of one
-    unit or more, goes through one bump loop; an a^d at the row's end is
-    appended, and one that bumps exactly one whole run and does not merge
-    left overwrites that run in place."""
-    out_letters: list[int] = []
-    out_counts: list[int] = []
-    last = 0  # the last bumped letter; letters are >= 1
-    for a, d in zip(stream_letters, stream_counts):
-        j = bisect_right(letters, a)
-        merge = j and letters[j - 1] == a
-        if j == len(letters):
-            if merge:
-                counts[j - 1] += d
-            else:
-                letters.append(a)
-                counts.append(d)
-            continue
-        k = j
-        rest = d
-        end = len(letters)
-        while rest and k < end:
-            c = letters[k]
-            n = counts[k]
-            if n > rest:
-                counts[k] = n - rest
-                n = rest
-            else:
-                k += 1
-            rest -= n
-            if c == last:
-                out_counts[-1] += n
-            else:
-                out_letters.append(c)
-                out_counts.append(n)
-                last = c
-        if merge:
-            counts[j - 1] += d
-            del letters[j:k], counts[j:k]
-        elif k == j + 1:
-            letters[j] = a
-            counts[j] = d
-        else:
-            letters[j:k] = (a,)
-            counts[j:k] = (d,)
-    return out_letters, out_counts
+    if the row ends first): the run kernel on one row."""
+    return _cascade([(letters, counts)], stream_letters, stream_counts, False)
 
 
 def _insert_runs(rows: list[Grid], letters, counts) -> None:
     """The insertion kernel: pass the stream of runs (letters, counts)
-    through rows top to bottom, each row's bumped runs feeding the next, and
-    open a row for any residue. Row by row equals run by run: each row sees
-    the same stream in order."""
-    i = 0
-    while letters:
-        if i == len(rows):
-            rows.append(([], []))
-        letters, counts = _bump_runs(*rows[i], letters, counts)
-        i += 1
+    through rows top to bottom and open a row for any residue."""
+    _cascade(rows, letters, counts, True)
 
 
 def _insert_units(w) -> list[Grid]:
     """Insert the classical word w into the empty tableau and return its
     rows as runs: the unit-stream kernel, for whole words only.
 
-    Letters become their ranks 0..k-1 among w's distinct letters, and a row
-    pass keeps one count per rank. A unit a goes in before the next rank
-    above a with a nonzero count: three cells are checked (the row's end is
-    three nonzero sentinel cells), then ``find`` on a presence map whose
-    own sentinel is at k. It bumps one unit of that rank (two count
+    Letters become their ranks 0..k-1 among w's distinct letters, and each
+    row pass keeps one count per rank in a fresh ``_buffer``. A unit a goes
+    in before the next rank above a with a nonzero count: three cells are
+    checked (the row's end is three nonzero sentinel cells), then ``find``
+    on the presence map. It bumps one unit of that rank (two count
     updates) or, at the row's end, appends. The bumped ranks, one per unit,
     are the next row's stream, so every stream is all units, and only one
     row is dense at a time."""
     alpha = sorted(set(w))
     k = len(alpha)
-    rank = {c: i for i, c in enumerate(alpha)}
+    rank = dict(zip(alpha, range(k)))
     stream = [rank[c] for c in w]
     rows: list[Grid] = []
     while stream:
-        cnt = [0] * k + [1, 1, 1]
-        present = bytearray(k + 1)
-        present[k] = 1
+        cnt, present = _buffer(k)
         out: list[int] = []
         for a in stream:
             c = a + 1
@@ -391,7 +433,7 @@ def _tableau(cls, rows: list[Grid], q: int):
         if lengths[i] < lengths[i + 1]:
             raise InvalidTableauError(
                 f"row {i + 1} is longer than row {i} "
-                f"({Fraction(lengths[i + 1], t.q)} > {Fraction(lengths[i], t.q)})"
+                f"({_text(Fraction(lengths[i + 1], t.q))} > {_text(Fraction(lengths[i], t.q))})"
             )
         if not _column_strict(grid[i], grid[i + 1]):
             raise InvalidTableauError(

@@ -6,16 +6,22 @@ from __future__ import annotations
 _QUOTE_LIMIT = 60
 
 
-def _quote(value) -> str:
-    """The repr of value for an error message, clipped with an ellipsis so
-    that a huge word, row or nested input gives a short message. A repr
-    that the interpreter refuses to write (``str()`` of an integer past its
-    digit limit raises ``ValueError``) gives a placeholder, so that the
-    error being built keeps its own type and message."""
+def _text(value, spell=str) -> str:
+    """spell(value) for an error message. A value that the interpreter
+    refuses to write (``str()`` of an integer past its digit limit raises
+    ``ValueError``) gives a placeholder, so that the error being built
+    keeps its own type and message."""
     try:
-        text = repr(value)
+        return spell(value)
     except ValueError:
         return f"<{type(value).__name__} with a numeral too long to quote>"
+
+
+def _quote(value) -> str:
+    """The repr of value for an error message (``_text``), clipped with an
+    ellipsis so that a huge word, row or nested input gives a short
+    message."""
+    text = _text(value, repr)
     return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classical import _Value, is_row
-from .errors import InvalidMoveError, _quote
+from .errors import InvalidMoveError, _quote, _text
 from .greene import greene_timed_oracle
 from .timed_words import TimedWord, _cut, _merged, as_duration
 from .timed_tableaux import timed_insertion_tableau
@@ -76,7 +76,9 @@ def _validate(kind: str, named: dict, q: int) -> None:
     (a, b), (left, right) = SIDE_CONDITIONS[kind]
     if sum(named[a][1]) != sum(named[b][1]):
         la, lb = (Fraction(sum(named[role][1]), q) for role in (a, b))
-        raise InvalidMoveError("length-mismatch", f"l({a}) = {la} differs from l({b}) = {lb}")
+        raise InvalidMoveError(
+            "length-mismatch", f"l({a}) = {_text(la)} differs from l({b}) = {_text(lb)}"
+        )
     last, first = named[left][0][-1], named[right][0][0]
     if not last < first:
         raise InvalidMoveError(
@@ -96,7 +98,7 @@ def apply_move(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
     if end > w.length:
         raise InvalidMoveError(
             "cuts-out-of-range",
-            f"move region [{start}, {end}) exceeds word length {w.length}",
+            f"move region [{_text(start)}, {_text(end)}) exceeds word length {_text(w.length)}",
         )
     q, (u, *factors, v) = _cut(w, (0, start, a, b, end, w.length))
     named = dict(zip(SOURCE_ORDER[m.kind, m.reverse], factors))

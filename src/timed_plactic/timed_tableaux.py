@@ -17,10 +17,13 @@ are. ``rows``, the one field, gives the rows as timed words; it is built on
 first read and cached. Shape, reading word, equality, hash, truth, and
 text and JSON output, ``str`` and ``repr`` included, read the grid.
 
-Timed insertion puts its words on one grid the same way: the integer-run
-kernel of :mod:`.classical` inserts the counts, in the same parallel-list
-form (classical insertion is its unit-duration case), and the kernel's rows
-become the returned tableau's grid; no ``Fraction`` and no row word is built.
+Timed insertion puts its words on one grid the same way, and the run
+kernel of :mod:`.classical` inserts the counts (classical insertion is its
+unit-duration case). A kernel call ranks the letters of the word and of the
+rows it is given once; each row pass holds its row as one dense count per
+rank, and the stream runs from row to row as ranks. Every row is written
+back in the parallel-list form of the grid, so the kernel's rows become the
+returned tableau's grid; no ``Fraction`` and no row word is built.
 Inserting into a tableau scales its grid onto the lcm of its q and the
 inserted row's.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import groupby
@@ -21,6 +22,22 @@ from timed_plactic import (
     parse_timed_word,
 )
 from timed_plactic.errors import _quote
+
+# str() of an integer past the interpreter's digit limit raises ValueError
+# (Python 3.11+; a limit of 0 means none). An error message prints a number
+# past it as this placeholder.
+DIGIT_LIMITED = bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+TOO_LONG_TO_PRINT = "<Fraction with a numeral too long to quote>"
+
+
+def printed(x) -> str:
+    """A number as an error message prints it: str(x), or the placeholder
+    where the interpreter refuses to write it."""
+    try:
+        return str(x)
+    except ValueError:
+        return TOO_LONG_TO_PRINT
+
 
 # Exact rational arithmetic makes per-example cost vary widely; the wall-clock
 # deadline would only add flakiness.

@@ -12,7 +12,9 @@ the digit bound, which are refused as notation errors. The argv-limit
 tests are about load: the largest timed inputs and digit strings known
 within one argv string, each run in a subprocess under a timeout. So are
 the errors whose message quotes a word with numerals longer than the
-interpreter writes: each keeps its own type and condition.
+interpreter writes, or print a sum too long to write: each keeps its own
+type and condition. So are the two one-column families at the ``--steps``
+bound, decreasing letters and decreasing runs, which pass the most rows.
 """
 
 import contextlib
@@ -402,3 +404,57 @@ def test_error_quoting_a_long_numeral_keeps_its_type(tmp_path, name):
     assert error["type"] == kind and error.get("condition") == condition
     assert "Exceeds the limit" not in error["message"]
     assert "set_int_max_str_digits" not in error["message"]
+
+
+# Errors whose message prints a sum: each denominator below has 4,001
+# digits, so the sum's has about 8,000, past what str() writes on
+# interpreters that limit it. The message must keep the error's own type and
+# condition, with a placeholder in place of the numeral.
+_LONG_SUMS = {
+    "render-longer-row": (
+        ["render", json.dumps({"rows": [
+            {"runs": [{"letter": 1, "dur": f"1/{_C}"}, {"letter": 2, "dur": f"1/{_D}"}]},
+            {"runs": [{"letter": 3, "dur": "1"}]}]}), "--svg", "SVG", "--json"],
+        "InvalidTableauError", None, "row 1 is longer than row 0 (1 > ",
+    ),
+    "equiv-move-out-of-range": (
+        ["equiv", "1^1", "1^1", "--json", "--move",
+         json.dumps({"kind": "k1", "u_len": "0", "x_len": "1", "z_len": f"1/{_C}",
+                     "y_len": f"1/{_D}"})],
+        "InvalidMoveError", "cuts-out-of-range", "move region [0, ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_SUMS))
+def test_error_printing_a_long_sum_keeps_its_type(tmp_path, name):
+    argv, kind, condition, start = _LONG_SUMS[name]
+    svg = tmp_path / "out.svg"
+    result = _run_module([str(svg) if a == "SVG" else a for a in argv])
+    assert result.returncode == 2 and result.stdout == "" and not svg.exists()
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == kind and error.get("condition") == condition
+    assert error["message"].startswith(start)
+    assert "Exceeds the limit" not in error["message"]
+
+
+# The incremental callers of the run kernel at the --steps bound, on words
+# whose tableau is one column: each step passes its letter or run through
+# every row, n(n + 1)/2 row passes in all, so a cost per row pass that grows
+# with the alphabet shows here. In a child process on a 2-vCPU host the 631
+# letters take about 1 s and the 630 runs, on a grid of 276 digits, about
+# 3 s.
+_DECREASING_STEPS = {
+    "letters": lambda: ",".join(str(x) for x in range(631, 0, -1)),
+    "runs": lambda: " ".join(f"{x}^1/{x + 1}" for x in range(630, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECREASING_STEPS))
+def test_decreasing_steps_at_the_bound_finish_in_time(name):
+    result = _run_module(["insert", _DECREASING_STEPS[name](), "--steps", "--json"])
+    assert result.returncode == 0 and result.stderr == ""
+    out = json.loads(result.stdout)
+    n = len(out["steps"])
+    assert n == (631 if name == "letters" else 630)
+    assert out["steps"][-1]["rows"] == out["rows"] and len(out["rows"]) == n

@@ -1,15 +1,18 @@
 """Differential tests of the insertion kernels, branch by branch.
 
 Timed insertion, and classical insertion step by step, run one kernel on
-rows of runs with integer counts. Long words over one to three letters make
-its rows short and its runs long, so every branch fires many times. A run
-that lands inside a row, of one unit or more, takes one bump loop: it bumps
-part of a run, exactly one whole run (overwritten in place), or several
-runs, and may merge into an equal left neighbour; a run at the row's end is
-appended. The unit runs of classical insertion step by step take the same
-loop, and ``TestUnitRunBranches`` inserts one unit each way it can land.
-The references are plain-list Schensted insertion and its expansion on the
-integer grid, written without the kernel.
+rows of runs with integer counts, each row held as a dense count per letter
+rank while the stream passes through it. Long words over one to three
+letters make its rows short and its runs long, so every case fires many
+times. A run that lands inside a row, of one unit or more, bumps part of a
+run, exactly one whole run, or several runs, and may merge into an equal
+left neighbour; a run at the row's end is appended. The unit runs of
+classical insertion step by step take the same pass, and
+``TestUnitRunBranches`` inserts one unit each way it can land. The
+references are plain-list Schensted insertion and its expansion on the
+integer grid, written without the kernel. ``TestRunKernelFamilies`` checks
+every entry point of the run kernel against them on huge letters, wide
+alphabets, far next letters and back-to-back calls.
 
 A whole classical word goes through a second kernel, ``_insert_units``, on
 dense counts per letter rank. It is checked row for row against the run
@@ -20,14 +23,19 @@ next larger letter far away, and huge letters.
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timed_plactic import (
+    Run,
     Tableau,
+    TimedWord,
     concat,
+    embed_classical,
+    embed_classical_tableau,
     insertion_steps,
     insertion_tableau,
     normalize,
@@ -38,7 +46,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
-from timed_plactic.classical import _insert_runs, _insert_units
+from timed_plactic.classical import _bump_runs, _insert_runs, _insert_units
 
 from conftest import grid_reference, grid_row_insert, schensted_rows, tw
 
@@ -215,3 +223,116 @@ class TestWholeWordKernel:
             return min(times)
 
         assert best(insertion_tableau) <= 3 * best(_run_kernel_rows)
+
+
+def _family(name):
+    """Timed words whose runs are 2 to 7 cells long on the grid 1/q."""
+    rng = random.Random(name)
+
+    def dur():
+        return Fraction(rng.randint(2, 7), 3)
+
+    if name == "near-1e18":
+        return normalize([(10**18 + rng.randint(-9, 9), dur()) for _ in range(300)])
+    if name == "2000-distinct":
+        return normalize([(c, dur()) for c in rng.sample(range(1, 10**6), 2000)])
+    # K^1/2 1^1/3 K^1/2 2^1/3 ... K^1/2 (K-1)^1/3 for K = 300: on the grid
+    # 1/6 each low letter's next larger letter in the first row is K.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return normalize([run for i in range(1, 300) for run in ((300, half), (i, third))])
+
+
+_FAMILIES = ["near-1e18", "2000-distinct", "alternating"]
+
+
+def _as_words(rows, q):
+    """Kernel rows on the grid 1/q as timed words."""
+    return tuple(TimedWord(tuple(Run(c, Fraction(n, q)) for c, n in zip(*row))) for row in rows)
+
+
+def _on(w, q):
+    """w's letters and counts on the grid 1/q, a multiple of w.q, as lists."""
+    return list(w.letters), [n * (q // w.q) for n in w.counts]
+
+
+def _halves(w):
+    half = len(w.runs) // 2
+    return normalize(w.runs[:half]), normalize(w.runs[half:])
+
+
+def _samples(n):
+    """About ten step indices out of n, the first and last among them."""
+    return sorted({0, n - 1, *range(0, n, max(1, n // 8))})
+
+
+class TestRunKernelFamilies:
+    """Every entry point of the run kernel against the plain-list
+    references, with counts above 1."""
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_insert_runs(self, name):
+        w = _family(name)
+        rows = []
+        _insert_runs(rows, *_on(w, w.q))
+        assert _as_words(rows, w.q) == grid_reference(w)
+        assert timed_insertion_tableau(w).rows == grid_reference(w)
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_bump_runs(self, name):
+        base, u = _halves(_family(name))
+        row = timed_insertion_tableau(base).rows[0]
+        q = row.q * u.q // gcd(row.q, u.q)
+        letters, counts = _on(row, q)
+        bumped = _bump_runs(letters, counts, *_on(u, q))
+        expected = grid_row_insert(row, u)
+        assert (_as_words([bumped], q)[0], _as_words([(letters, counts)], q)[0]) == expected
+        assert timed_row_insert_word(row, u) == expected
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_tableau_insert(self, name):
+        base, rest = _halves(_family(name))
+        row = timed_insertion_tableau(rest).rows[0]
+        result = timed_tableau_insert(timed_insertion_tableau(base), row)
+        assert result.rows == grid_reference(concat(base, row))
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_timed_insertion_steps(self, name):
+        w = _family(name)
+        steps = timed_insertion_steps(w)
+        assert len(steps) == len(w.runs)
+        for i in _samples(len(steps)):
+            assert steps[i].rows == grid_reference(normalize(w.runs[: i + 1])), i
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_insertion_steps(self, name):
+        # The word's first 1,500 grid cells as classical letters.
+        w = _family(name)
+        cells = tuple(c for c, n in zip(w.letters, w.counts) for _ in range(n))[:1500]
+        steps = insertion_steps(cells)
+        for i in _samples(len(steps)):
+            expected = grid_reference(embed_classical(cells[: i + 1]))
+            assert embed_classical_tableau(steps[i]).rows == expected, i
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_back_to_back_calls(self, name):
+        # Each call reuses one buffer for all its row passes; a cell left
+        # set by one row, or by an earlier call's rows, would show in the
+        # rows that follow. Chunked calls must give the one-call rows.
+        w = _family(name)
+        letters, counts = _on(w, w.q)
+        rows = []
+        for start in range(0, len(letters), 37):
+            _insert_runs(rows, letters[start:start + 37], counts[start:start + 37])
+        assert _as_words(rows, w.q) == grid_reference(w)
+        base, u = _halves(w)
+        row = timed_insertion_tableau(base).rows[0]
+        q = row.q * u.q // gcd(row.q, u.q)
+        row_letters, row_counts = _on(row, q)
+        u_letters, u_counts = _on(u, q)
+        bumped = []
+        for start in range(0, len(u_letters), 37):
+            bumped.append(_bump_runs(row_letters, row_counts, u_letters[start:start + 37],
+                                     u_counts[start:start + 37]))
+        pieces = [run for out in bumped for run in _as_words([out], q)[0].runs]
+        assert (normalize(pieces), _as_words([(row_letters, row_counts)], q)[0]) == (
+            grid_row_insert(row, u))

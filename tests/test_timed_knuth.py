@@ -25,12 +25,15 @@ from timed_plactic.randomgen import random_kappa_instance, random_timed_word
 from timed_plactic.timed_knuth import SOURCE_ORDER
 
 from conftest import (
+    DIGIT_LIMITED,
     fraction_cut,
     fraction_length,
     nonempty_timed_words,
     KAPPA2_MOVE_KWARGS,
     KAPPA2_RESULT_TEXT,
     KAPPA2_SOURCE_TEXT,
+    printed,
+    TOO_LONG_TO_PRINT,
     tw,
     words,
 )
@@ -139,6 +142,28 @@ class TestMoveValidation:
             apply_move(tw(word), TimedKnuthMove(kind, 0, *cuts))
         assert err.value.condition == condition
         assert str(err.value) == message
+
+    def test_length_mismatch_message_past_the_digit_limit(self):
+        # l(z) = 1/c and l(y) = 1/d, each denominator of 4,401 digits.
+        c, d = 10**4400 + 1, 10**4400 + 3
+        w = normalize([(1, 1), (3, Fraction(1, c)), (2, Fraction(1, d))])
+        with pytest.raises(InvalidMoveError) as err:
+            apply_move(w, TimedKnuthMove("k1", 0, 1, Fraction(1, c), Fraction(1, d)))
+        assert err.value.condition == "length-mismatch"
+        lz, ly = printed(Fraction(1, c)), printed(Fraction(1, d))
+        assert str(err.value) == f"l(z) = {lz} differs from l(y) = {ly}"
+        assert (lz == TOO_LONG_TO_PRINT) == DIGIT_LIMITED
+
+    def test_out_of_range_message_past_the_digit_limit(self):
+        # The region ends at 1 + 1/a + 1/b, a denominator of about 8,000
+        # digits, past the word's length 1.
+        a, b = 10**4000 + 1, 10**4000 + 3
+        with pytest.raises(InvalidMoveError) as err:
+            apply_move(tw("1^1"), TimedKnuthMove("k1", 0, 1, Fraction(1, a), Fraction(1, b)))
+        assert err.value.condition == "cuts-out-of-range"
+        end = printed(1 + Fraction(1, a) + Fraction(1, b))
+        assert str(err.value) == f"move region [0, {end}) exceeds word length 1"
+        assert (end == TOO_LONG_TO_PRINT) == DIGIT_LIMITED
 
 
 class TestKappa1:

@@ -36,6 +36,7 @@ from timed_plactic import timed_tableaux
 from timed_plactic.timed_words import _grid, _to_grid
 
 from conftest import (
+    DIGIT_LIMITED,
     INSERT_EXAMPLE_RESULT_A,
     INSERT_EXAMPLE_RESULT_B,
     INSERT_EXAMPLE_ROW_A,
@@ -53,6 +54,8 @@ from conftest import (
     nonempty_timed_words,
     tableau_error,
     timed_tableau_error,
+    printed,
+    TOO_LONG_TO_PRINT,
     timed_words,
     tw,
     words,
@@ -79,6 +82,17 @@ class TestTimedTableauInvariants:
 
     def test_accepts_interleaved_breakpoints(self):
         TimedTableau((tw("1^0.5 2^0.5"), tw("2^0.25 3^0.5")))
+
+    def test_longer_row_message_past_the_digit_limit(self):
+        # Row 0 is 1/a + 1/b long, a denominator of about 8,000 digits: the
+        # error keeps its type, with a placeholder for the length.
+        a, b = 10**4000 + 1, 10**4000 + 3
+        top = normalize([(1, Fraction(1, a)), (2, Fraction(1, b))])
+        with pytest.raises(InvalidTableauError) as info:
+            TimedTableau((top, tw("3^1")))
+        length = printed(Fraction(1, a) + Fraction(1, b))
+        assert str(info.value) == f"row 1 is longer than row 0 (1 > {length})"
+        assert (length == TOO_LONG_TO_PRINT) == DIGIT_LIMITED
 
 
 def timed_rows_with(durations):
