@@ -49,8 +49,9 @@ from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from math import gcd
+from operator import lt
 
 from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote, _text
 
@@ -61,6 +62,13 @@ Grid = tuple[list[int], list[int]]
 
 
 def _check_letters(letters) -> None:
+    """Refuse any letter that is not an integer >= 1 (``bool`` is not a
+    letter). ``letters`` is a sequence. The test runs at C speed when every
+    letter's type is exactly ``int``; otherwise, or when a letter is below
+    1, the loop names the first bad letter, and accepts an ``int``
+    subclass such as an ``IntEnum`` member."""
+    if set(map(type, letters)) <= {int} and min(letters, default=1) >= 1:
+        return
     for c in letters:
         if not isinstance(c, int) or isinstance(c, bool) or c < 1:
             raise ValueError(f"letters must be integers >= 1, got {c!r}")
@@ -418,15 +426,20 @@ def _tableau(cls, rows: list[Grid], q: int):
     naming the first violation: an empty row, a row that is not a timed row
     (letters not strictly increasing, or a count below 1), a row longer than
     the one above, or two rows not strictly increasing downward. Rows are
-    built only to quote a bad one."""
+    built only to quote a bad one.
+
+    The counts are copied unchanged when they are already on the smallest
+    grid (always for classical rows), and a row's letters are checked for
+    strict increase by one ``map`` of ``operator.lt`` over neighbours."""
     g = _grid_gcd(q, [n for _, counts in rows for n in counts]) if q > 1 else 1
     t = object.__new__(cls)
-    grid = tuple([(tuple(letters), tuple([n // g for n in counts])) for letters, counts in rows])
+    grid = tuple([(tuple(letters), tuple(counts) if g == 1 else tuple([n // g for n in counts]))
+                  for letters, counts in rows])
     t.__dict__.update(grid=grid, q=q // g)
     for i, (letters, counts) in enumerate(grid):
         if not letters:
             raise InvalidTableauError(f"row {i} is empty")
-        if min(counts) < 1 or any(a >= b for a, b in zip(letters, letters[1:])):
+        if min(counts) < 1 or not all(map(lt, letters, islice(letters, 1, None))):
             raise InvalidTableauError(f"row {i} is not a timed row: {_quote(t.rows[i])}")
     lengths = [sum(counts) for _, counts in grid]
     for i in range(len(grid) - 1):

@@ -2,7 +2,8 @@
 
 Text grammar:
   - classical word: a string of digits when letters stay below 10
-    (``3421153``), or comma-separated integers (``12,3,11``);
+    (``3421153``), or comma-separated integers (``12,3,11``), with
+    optional whitespace around each integer and leading zeros;
   - timed word: ``<letter>^<duration>`` tokens, whitespace optional between
     them, where a duration is a decimal numeral (``12``, ``0.45``, ``3.25``)
     or a fraction ``p/q``. Without whitespace, a token's duration is the
@@ -21,6 +22,11 @@ JSON schemas:
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
 binary float. One helper reads a numeral's matched digits as a numerator
 and a denominator, and ``parse_duration`` makes a ``Fraction`` of them.
+A classical word in the spelling that ``format_word`` writes is read at C
+speed: a digit string by one ``bytes.translate`` of its ASCII bytes, and
+comma-separated integers with no whitespace and no leading zero by one
+``json.loads`` of the text in brackets. Every other spelling, and every
+error, takes the loop that reads letter by letter and names the bad one.
 ``parse_timed_word`` builds no ``Fraction``, and no match object per run:
 one ``findall`` returns every run's digit groups, and the pattern's last
 alternative takes the rest of the text from the first token that is not a
@@ -45,6 +51,7 @@ interpreter puts on ``str()`` of an integer.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -70,6 +77,12 @@ _DURATION_RE = re.compile(_NUMERAL)
 # run starts. Taking the rest makes findall stop at the first error, as a
 # reading run by run does, instead of scanning on past it.
 _TOKEN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
+# The comma spelling that format_word writes, which json.loads reads as the
+# elements of a JSON array: integers without a leading zero (so each is at
+# least 1), one comma between two, and no whitespace.
+_COMMA_WORD_RE = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)+")
+# ASCII digit bytes to the letters they spell.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 # int() refuses more than 4,300 digits by default, a limit that varies with
 # the interpreter. Refusing every longer run of digits and decimal points
 # before anything is converted gives one verdict everywhere. A window starts
@@ -226,12 +239,21 @@ def format_timed_word(w: TimedWord) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Parse a classical word: digit string or comma-separated integers."""
+    """Parse a classical word: digit string or comma-separated integers.
+
+    The spellings that ``format_word`` writes take a fast path: a digit
+    string is one ``bytes.translate`` of its ASCII bytes, and a comma word
+    with no whitespace and no leading zero (``_COMMA_WORD_RE``, tested after
+    the digit bound) is one ``json.loads`` of ``[text]``. A comma word with
+    whitespace or a leading zero, and every error, goes through the loop
+    that reads letter by letter, so an error names the first bad part."""
     s = text.strip()
     if not s:
         return ()
     if "," in s:
         _check_digits(text)
+        if _COMMA_WORD_RE.fullmatch(text):
+            return tuple(json.loads(f"[{text}]"))
         letters = []
         for part in s.split(","):
             part = part.strip()
@@ -245,7 +267,7 @@ def parse_word(text: str) -> Word:
     if s.isascii() and s.isdigit():
         if "0" in s:
             raise NotationError("digit-string words cannot contain the letter 0")
-        return tuple(int(ch) for ch in s)
+        return tuple(s.encode().translate(_DIGIT_VALUES))
     raise NotationError(f"not a word: {_quote(text)}")
 
 

@@ -1,3 +1,6 @@
+import re
+from enum import IntEnum
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -15,6 +18,7 @@ from timed_plactic import (
     knuth_equivalent,
     knuth_equivalent_bfs,
     knuth_neighbors,
+    normalize,
     reading_word,
     row_insert,
     shape,
@@ -79,6 +83,47 @@ class TestRowInsert:
     def test_row_letters_are_checked(self, u, a, bad):
         with pytest.raises(ValueError, match=rf"^letters must be integers >= 1, got {bad}$"):
             row_insert(u, a)
+
+
+class TestLetterCheckFallback:
+    """The letter check tests every letter's type and the least letter at C
+    speed; when that fails, its loop names the first bad letter, and an int
+    subclass still passes."""
+
+    CASES = [((3, True, 0), "True"), ((2, 0, 1.5), "0"), ((1, 2.0), "2.0")]
+
+    @staticmethod
+    def _refused(bad):
+        return pytest.raises(ValueError, match=rf"^letters must be integers >= 1, got {re.escape(bad)}$")
+
+    @pytest.mark.parametrize("w, bad", CASES)
+    def test_insertion_tableau(self, w, bad):
+        with self._refused(bad):
+            insertion_tableau(w)
+
+    @pytest.mark.parametrize("w, bad", CASES)
+    def test_normalize(self, w, bad):
+        with self._refused(bad):
+            normalize([(c, Fraction(1)) for c in w])
+
+    # row_insert needs a weakly increasing row and checks it before the
+    # inserted letter: the same letters, split so that the named one is the
+    # first bad letter checked.
+    @pytest.mark.parametrize(
+        "u, a, bad", [((True, 3), 0, "True"), ((0, 2), 1.5, "0"), ((1, 2.0), 3, "2.0")]
+    )
+    def test_row_insert(self, u, a, bad):
+        with self._refused(bad):
+            row_insert(u, a)
+
+    def test_int_enum_letters_are_accepted(self):
+        class Letter(IntEnum):
+            TWO = 2
+
+        w = (1, Letter.TWO, 3)
+        assert insertion_tableau(w).rows == ((1, 2, 3),)
+        assert row_insert(w, 2) == (3, (1, 2, 2))
+        assert normalize([(c, Fraction(1)) for c in w]).letters == (1, 2, 3)
 
 
 class TestTableau:

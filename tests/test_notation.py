@@ -35,7 +35,7 @@ from timed_plactic import (
     timed_word_to_dict,
 )
 
-from timed_plactic import cli
+from timed_plactic import cli, notation
 from timed_plactic.notation import human_rational
 
 from conftest import (
@@ -313,6 +313,48 @@ class TestParseWord:
 
     def test_large_letters_roundtrip(self):
         assert parse_word(format_word((12, 3, 11))) == (12, 3, 11)
+
+    @given(
+        st.lists(st.one_of(st.integers(1, 30), st.integers(1, 2**70)), min_size=2, max_size=12)
+        .map(tuple),
+        st.integers(0, 11),
+    )
+    @example((12, 3, 11), 1)
+    @example((2**64 + 1, 1), 0)
+    def test_writer_spelling_parses_as_its_loop_path_variants(self, w, zero_at):
+        # At least two letters: the one-letter word 12 is spelt "12", which
+        # reads as the digit string 1 2.
+        text = format_word(w)
+        assert parse_word(text) == w
+        if "," not in text:
+            return
+        # The writer's comma spelling takes the JSON fast path; a space after
+        # each comma, a leading zero on one letter and whitespace around the
+        # text each take the loop, and all must read the same word.
+        assert notation._COMMA_WORD_RE.fullmatch(text)
+        parts = text.split(",")
+        zero_at %= len(parts)
+        zeroed = ",".join(["0" + p if j == zero_at else p for j, p in enumerate(parts)])
+        for variant in (", ".join(parts), zeroed, f" \t{text}\n"):
+            assert not notation._COMMA_WORD_RE.fullmatch(variant)
+            assert parse_word(variant) == w
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,,2", "not a letter: ''"),
+            ("1,2,", "not a letter: ''"),
+            (",1", "not a letter: ''"),
+            ("1,0,2", "letters must be at least 1, got '0'"),
+            ("1,²", "not a letter: '²'"),
+            ("1," + "9" * 4301, "numeral of more than 4300 digits (at position 2)"),
+        ],
+    )
+    def test_comma_errors_keep_their_messages(self, text, message):
+        with pytest.raises(NotationError) as info:
+            parse_word(text)
+        assert type(info.value) is NotationError
+        assert str(info.value) == message
 
     def test_dispatch(self):
         assert parse_word_or_timed("31") == (3, 1)
