@@ -27,13 +27,18 @@ speed: a digit string by one ``bytes.translate`` of its ASCII bytes, and
 comma-separated integers with no whitespace and no leading zero by one
 ``json.loads`` of the text in brackets. Every other spelling, and every
 error, takes the loop that reads letter by letter and names the bad one.
-``parse_timed_word`` builds no ``Fraction``, and no match object per run:
-one ``findall`` returns every run's digit groups, and the pattern's last
-alternative takes the rest of the text from the first token that is not a
-run, so the scan stops there. Each run is converted and checked as it is
-read; only a token that fails is found again, by ``finditer``, to give its
-error a message and a position. The counts go on the grid of one lcm,
-equal neighbours merge and the word is built without a second check.
+``parse_timed_word`` builds no ``Fraction``. A timed word in the spelling
+of ``str()`` and of the JSON durations, runs ``<letter>^p`` or
+``<letter>^p/q`` joined by single spaces with no leading zero, is read by
+one ``json.loads`` of its runs as rows of an array. Decimals, unspaced
+runs, other whitespace and every error take the loop, which builds no
+match object per run: one ``findall`` returns every run's digit groups,
+and the pattern's last alternative takes the rest of the text from the
+first token that is not a run, so the scan stops there. Each run is
+converted and checked as it is read; only a token that fails is found
+again, by ``finditer``, to give its error a message and a position. On
+either path the counts go on the grid of one lcm, equal neighbours merge
+and the word is built without a second check.
 Every writer of a timed word or tableau, text and JSON, reads the grid: each
 count n becomes n/q reduced by one gcd (``classical._reduced``, against the
 tableau's q for a tableau row). JSON spells it ``p/q``, and text as an exact
@@ -55,14 +60,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat, zip_longest
 from math import lcm
+from operator import eq, floordiv, mul
 from typing import NoReturn
 
 from .classical import Tableau, Word, _ratio, _reduced, _runs_text, _spelt
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import TimedWord, _merged, normalize
+from .timed_words import TimedWord, _merged, _on_grid, normalize
 from .timed_tableaux import TimedTableau
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
@@ -77,6 +83,12 @@ _DURATION_RE = re.compile(_NUMERAL)
 # run starts. Taking the rest makes findall stop at the first error, as a
 # reading run by run does, instead of scanning on past it.
 _TOKEN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
+# The spelling of str(TimedWord) and of _runs_json's durations: runs
+# <letter>^<p> or <letter>^<p>/<q> joined by single spaces, every numeral
+# without a leading zero (so each is at least 1). Every text it matches is
+# a valid word.
+_RUN = r"[1-9][0-9]*\^[1-9][0-9]*(?:/[1-9][0-9]*)?"
+_RUN_WORD_RE = re.compile(rf"{_RUN}(?: {_RUN})*")
 # The comma spelling that format_word writes, which json.loads reads as the
 # elements of a JSON array: integers without a leading zero (so each is at
 # least 1), one comma between two, and no whitespace.
@@ -198,11 +210,27 @@ def human_rational(d: Fraction) -> str:
 def parse_timed_word(text: str) -> TimedWord:
     """Parse the timed-word grammar; errors carry the offending position.
 
-    One ``findall`` reads every run's digit groups. Each run is checked as it
-    is converted, its counts then go on the grid of their lcm, and equal
-    neighbours merge (``1^1 1^1/2`` is ``1^3/2``), so the word is built in
-    normal form without a second check."""
+    The spelling of ``str()`` (``_RUN_WORD_RE``, tested after the digit
+    bound: ``p`` or ``p/q`` durations, single spaces, no leading zero) is
+    read by one ``json.loads`` of its runs as rows of a JSON array. Any
+    other spelling (decimals, unspaced runs, other whitespace) and every
+    error take the loop: one ``findall`` reads every run's digit groups,
+    and each run is checked as it is converted. Either way the counts go on
+    the grid of their lcm, and equal neighbours merge (``1^1 1^1/2`` is
+    ``1^3/2``), so the word is built in normal form without a second
+    check."""
     _check_digits(text)
+    if _RUN_WORD_RE.fullmatch(text):
+        # The sentinel row [0, 0, 1] gives the transpose three columns even
+        # when no duration has a denominator; a missing one is 1.
+        rows = "[[0,0,1],[" + text.replace("^", ",").replace("/", ",").replace(" ", "],[") + "]]"
+        letters, nums, dens = zip_longest(*json.loads(rows), fillvalue=1)
+        letters, nums, dens = letters[1:], nums[1:], dens[1:]
+        grid = lcm(*dens)
+        counts = list(map(mul, nums, map(floordiv, repeat(grid), dens)))
+        if any(map(eq, letters, islice(letters, 1, None))):
+            return _merged(zip(letters, counts), grid)
+        return _on_grid(letters, counts, grid)
     runs: list[tuple[int, int, int]] = []
     for letter, p, q, whole, frac, integer, rest in _TOKEN_RE.findall(text):
         if rest:

@@ -266,6 +266,81 @@ class TestOnePassParser:
         assert parse_timed_word("2^1 1^1 1^1 2^1") == tw("2^1 1^2 2^1")
 
 
+big_letters = st.one_of(st.integers(1, 30), st.integers(1, 2**70))
+big_durations = st.one_of(
+    st.fractions(min_value=Fraction(1, 10), max_value=Fraction(5), max_denominator=10),
+    st.builds(Fraction, st.integers(1, 2**80), st.integers(1, 2**80)),
+)
+
+
+class TestRunWordFastPath:
+    """The spelling of ``str()`` (``_RUN_WORD_RE``) is read by one JSON
+    decode; every other spelling takes the loop. Both must read the same
+    word, and an error never takes the fast path."""
+
+    @given(
+        st.lists(st.tuples(big_letters, big_durations), min_size=1, max_size=10).map(normalize),
+        st.integers(0, 9),
+    )
+    @example(tw("1^1/2 12^3/4 1^2"), 1)
+    @example(tw("3^2"), 0)
+    @example(tw(f"{2**70}^{2**80}/{2**80 - 1} 1^1"), 0)
+    def test_str_spelling_parses_as_its_loop_path_variants(self, w, zero_at):
+        text = str(w)
+        assert notation._RUN_WORD_RE.fullmatch(text)
+        assert parse_timed_word(text) == w
+        runs = text.split(" ")
+        zero_at %= len(runs)
+        variants = [
+            " ".join(["0" + r if j == zero_at else r for j, r in enumerate(runs)]),
+            text + " ",
+        ]
+        if len(runs) > 1:
+            variants.append("  ".join(runs))
+        if format_timed_word(w) != text:
+            variants.append(format_timed_word(w))
+        for variant in variants:
+            assert not notation._RUN_WORD_RE.fullmatch(variant)
+            assert parse_timed_word(variant) == w
+
+    @pytest.mark.parametrize(
+        "text, runs",
+        [
+            ("1^1 1^1/2", ((1, Fraction(3, 2)),)),
+            ("2^1 1^1 1^1 2^1/3", ((2, 1), (1, 2), (2, Fraction(1, 3)))),
+            ("2^2/4", ((2, Fraction(1, 2)),)),
+            ("7^3", ((7, 3),)),
+            ("12^1/3 10^2 11^5/6", ((12, Fraction(1, 3)), (10, 2), (11, Fraction(5, 6)))),
+        ],
+        ids=["merge", "merge-inside", "not-reduced", "one-run", "letters-above-9"],
+    )
+    def test_fast_path_words(self, text, runs):
+        assert notation._RUN_WORD_RE.fullmatch(text)
+        word = parse_timed_word(text)
+        assert word.runs == runs
+        assert word == tokens_then_normalize(text)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("1^2^3", "expected <letter>^<duration> (at position 0)", 0),
+            ("1^1/2/3", "expected <letter>^<duration> (at position 0)", 0),
+            ("0^1", "letters must be at least 1 (at position 0)", 0),
+            ("1^0", "durations must be positive (at position 2)", 2),
+            ("1^1/0", "zero denominator in '1/0'", None),
+            ("1^1 x", "expected <letter>^<duration> (at position 4)", 4),
+            ("1^1 0^1", "letters must be at least 1 (at position 4)", 4),
+        ],
+    )
+    def test_errors_just_outside_the_fast_path_keep_their_messages(self, text, message, position):
+        assert not notation._RUN_WORD_RE.fullmatch(text)
+        with pytest.raises(NotationError) as info:
+            parse_timed_word(text)
+        assert type(info.value) is NotationError
+        assert str(info.value) == message
+        assert info.value.position == position
+
+
 class TestDigitBound:
     @pytest.mark.parametrize(
         "block", ["1" * 4300 + " ", "1^" + "1" * 4290 + "x "], ids=["digits", "carets"]
