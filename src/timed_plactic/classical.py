@@ -71,7 +71,7 @@ def _check_letters(letters) -> None:
         return
     for c in letters:
         if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-            raise ValueError(f"letters must be integers >= 1, got {c!r}")
+            raise ValueError(f"letters must be integers >= 1, got {_quote(c)}")
 
 
 def is_row(w: Word) -> bool:

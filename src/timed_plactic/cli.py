@@ -22,7 +22,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .classical import _spelt, insertion_steps, insertion_tableau
-from .errors import BudgetExceededError, NotationError, OracleSizeError
+from .errors import BudgetExceededError, NotationError, OracleSizeError, _quote
 from .greene import (
     greene_classical,
     greene_classical_oracle,
@@ -81,7 +81,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise NotationError(f"TIMED_PLACTIC_SEED must be an integer, got {env!r}")
+            raise NotationError(f"TIMED_PLACTIC_SEED must be an integer, got {_quote(env)}")
     return args.seed
 
 

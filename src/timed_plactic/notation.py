@@ -31,14 +31,12 @@ error, takes the loop that reads letter by letter and names the bad one.
 of ``str()`` and of the JSON durations, runs ``<letter>^p`` or
 ``<letter>^p/q`` joined by single spaces with no leading zero, is read by
 one ``json.loads`` of its runs as rows of an array. Decimals, unspaced
-runs, other whitespace and every error take the loop, which builds no
-match object per run: one ``findall`` returns every run's digit groups,
-and the pattern's last alternative takes the rest of the text from the
-first token that is not a run, so the scan stops there. Each run is
-converted and checked as it is read; only a token that fails is found
-again, by ``finditer``, to give its error a message and a position. On
-either path the counts go on the grid of one lcm, equal neighbours merge
-and the word is built without a second check.
+runs, other whitespace and every error take the loop: one ``finditer``
+pass reads each run once and checks it where it is matched, so an error
+has its position at hand, and the pattern's last alternative takes the
+rest of the text from the first token that is not a run, so the scan
+stops there. Either path hands each run's letter, numerator and
+denominator to ``timed_words._from_ratios``, which forms the grid.
 Every writer of a timed word or tableau, text and JSON, reads the grid: each
 count n becomes n/q reduced by one gcd (``classical._reduced``, against the
 tableau's q for a tableau row). JSON spells it ``p/q``, and text as an exact
@@ -60,15 +58,12 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, repeat, zip_longest
-from math import lcm
-from operator import eq, floordiv, mul
-from typing import NoReturn
+from itertools import zip_longest
 
 from .classical import Tableau, Word, _ratio, _reduced, _runs_text, _spelt
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
-from .timed_words import TimedWord, _merged, _on_grid, normalize
+from .timed_words import TimedWord, _from_ratios, normalize
 from .timed_tableaux import TimedTableau
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
@@ -80,8 +75,8 @@ _DURATION_RE = re.compile(_NUMERAL)
 # adjacent runs like 3^0.825^0.08 split unambiguously (the numeral
 # backtracks until the rest starts a new <letter>^ token), or, in the last
 # group, the rest of the text from the first non-space character where no
-# run starts. Taking the rest makes findall stop at the first error, as a
-# reading run by run does, instead of scanning on past it.
+# run starts. Taking the rest makes finditer stop at the first error
+# instead of scanning on past it.
 _TOKEN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
 # The spelling of str(TimedWord) and of _runs_json's durations: runs
 # <letter>^<p> or <letter>^<p>/<q> joined by single spaces, every numeral
@@ -214,52 +209,33 @@ def parse_timed_word(text: str) -> TimedWord:
     bound: ``p`` or ``p/q`` durations, single spaces, no leading zero) is
     read by one ``json.loads`` of its runs as rows of a JSON array. Any
     other spelling (decimals, unspaced runs, other whitespace) and every
-    error take the loop: one ``findall`` reads every run's digit groups,
-    and each run is checked as it is converted. Either way the counts go on
-    the grid of their lcm, and equal neighbours merge (``1^1 1^1/2`` is
-    ``1^3/2``), so the word is built in normal form without a second
-    check."""
+    error take the loop, one ``finditer`` match per run: a letter below 1,
+    then a zero denominator, then a zero duration is refused with the
+    run's position. Either way ``_from_ratios`` puts the runs on the grid
+    of their lcm and merges equal neighbours (``1^1 1^1/2`` is ``1^3/2``),
+    so the word is built in normal form without a second check."""
     _check_digits(text)
     if _RUN_WORD_RE.fullmatch(text):
         # The sentinel row [0, 0, 1] gives the transpose three columns even
         # when no duration has a denominator; a missing one is 1.
         rows = "[[0,0,1],[" + text.replace("^", ",").replace("/", ",").replace(" ", "],[") + "]]"
         letters, nums, dens = zip_longest(*json.loads(rows), fillvalue=1)
-        letters, nums, dens = letters[1:], nums[1:], dens[1:]
-        grid = lcm(*dens)
-        counts = list(map(mul, nums, map(floordiv, repeat(grid), dens)))
-        if any(map(eq, letters, islice(letters, 1, None))):
-            return _merged(zip(letters, counts), grid)
-        return _on_grid(letters, counts, grid)
-    runs: list[tuple[int, int, int]] = []
-    for letter, p, q, whole, frac, integer, rest in _TOKEN_RE.findall(text):
-        if rest:
-            _token_error(text, len(runs))
-        letter = int(letter)
-        if p:
-            num, den = int(p), int(q)
-        elif whole:
-            num, den = int(whole + frac), 10 ** len(frac)
-        else:
-            num, den = int(integer), 1
-        if letter < 1 or not den or not num:
-            _token_error(text, len(runs))
-        runs.append((letter, num, den))
-    grid = lcm(*(den for _, _, den in runs))
-    return _merged(((c, num * (grid // den)) for c, num, den in runs), grid)
-
-
-def _token_error(text: str, i: int) -> NoReturn:
-    """Raise the error of token ``i`` of a timed word, the first one that
-    fails: a letter below 1, then a zero denominator, then a zero duration."""
-    m = next(islice(_TOKEN_RE.finditer(text), i, None))
-    if m[7] is not None:
-        raise NotationError("expected <letter>^<duration>", m.start())
-    if int(m[1]) < 1:
-        raise NotationError("letters must be at least 1", m.start())
-    at = m.end(1) + 1
-    _numeral(*m.group(2, 3, 4, 5, 6), text[at:m.end()])  # raises on a zero denominator
-    raise NotationError("durations must be positive", at)
+        return _from_ratios(letters[1:], nums[1:], dens[1:])
+    letters, nums, dens = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        if m[7] is not None:
+            raise NotationError("expected <letter>^<duration>", m.start())
+        letter = int(m[1])
+        if letter < 1:
+            raise NotationError("letters must be at least 1", m.start())
+        at = m.end(1) + 1
+        num, den = _numeral(*m.group(2, 3, 4, 5, 6), text[at:m.end()])
+        if not num:
+            raise NotationError("durations must be positive", at)
+        letters.append(letter)
+        nums.append(num)
+        dens.append(den)
+    return _from_ratios(letters, nums, dens)
 
 
 def format_timed_word(w: TimedWord) -> str:

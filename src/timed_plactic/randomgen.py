@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .classical import Word
+from .errors import _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import Run, TimedWord, concat, restrict
 
@@ -76,7 +77,7 @@ def random_kappa_instance(
     most 2.
     """
     if kind not in ("k1", "k2"):
-        raise ValueError(f"kind must be 'k1' or 'k2', got {kind!r}")
+        raise ValueError(f"kind must be 'k1' or 'k2', got {_quote(kind)}")
     for _ in range(1000):
         row = random_timed_row(rng, max_den=max_den)
         total = row.length

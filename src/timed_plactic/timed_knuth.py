@@ -41,7 +41,7 @@ class TimedKnuthMove(_Value):
 
     def __init__(self, kind: str, position, cut1, cut2, cut3, reverse: bool = False):
         if kind not in ("k1", "k2"):
-            raise ValueError(f"move kind must be 'k1' or 'k2', got {kind!r}")
+            raise ValueError(f"move kind must be 'k1' or 'k2', got {_quote(kind)}")
         position = as_duration(position)
         cuts = []
         for i, cut in enumerate((cut1, cut2, cut3), 1):

@@ -25,6 +25,13 @@ tableau builder shares). Truth, equality and ``hash`` read the grid
 (``_Value._key``), and so do ``str`` and ``repr``: each run's count goes
 to ``p/q`` through ``classical._reduced``, one gcd per run, without a
 ``Fraction``.
+
+A q is formed in four places. A word made from ratios, whether read from
+text by either path of ``notation.parse_timed_word`` or from ``Fraction``
+runs by ``TimedWord(...)`` and ``normalize``, gets the lcm of its
+denominators from ``_from_ratios``. Work on several words takes ``_grid``,
+a cut takes the lcm of w.q and its points' denominators (``_cut``), and
+``scale`` multiplies q by the factor's denominator.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import lcm
+from operator import eq, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
+from .errors import _quote
 
 DurationLike = Union[Fraction, int, str]
 
@@ -45,7 +54,7 @@ def as_duration(x: DurationLike) -> Fraction:
     """Coerce to an exact Fraction; floats are refused since they are inexact."""
     if isinstance(x, (float, bool)):
         raise TypeError(
-            f"durations must be exact (int, str, or Fraction), got {x!r}; "
+            f"durations must be exact (int, str, or Fraction), got {_quote(x)}; "
             f"write the value as a string such as '0.82' or '41/50'"
         )
     if type(x) is Fraction:
@@ -72,7 +81,7 @@ class TimedWord(_Value):
         for letter, dur in runs:
             _check_letters((letter,))
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
-                raise ValueError(f"run durations must be positive Fractions, got {dur!r}")
+                raise ValueError(f"run durations must be positive Fractions, got {_quote(dur)}")
         for a, b in zip(runs, runs[1:]):
             if a.letter == b.letter:
                 raise ValueError(
@@ -121,8 +130,20 @@ def _on_grid(letters, counts, q: int) -> TimedWord:
 def _word(runs) -> TimedWord:
     """The word of positive ``Fraction`` runs, equal neighbours merged, on the
     lcm of their denominators."""
-    q = lcm(*(d.denominator for _, d in runs))
-    return _merged(((c, d.numerator * (q // d.denominator)) for c, d in runs), q)
+    return _from_ratios([c for c, _ in runs], [d.numerator for _, d in runs],
+                        [d.denominator for _, d in runs])
+
+
+def _from_ratios(letters, nums, dens) -> TimedWord:
+    """The word of the positive runs letters[i]^(nums[i]/dens[i]), equal
+    neighbours merged, on the grid of the lcm of the denominators: the one
+    place where a word read from text or ``Fraction`` runs forms its q.
+    ``letters`` is a sequence; the ratios need not be reduced."""
+    q = lcm(*dens)
+    counts = list(map(mul, nums, map(floordiv, repeat(q), dens)))
+    if any(map(eq, letters, islice(letters, 1, None))):
+        return _merged(zip(letters, counts), q)
+    return _on_grid(letters, counts, q)
 
 
 def _merged(runs, q: int) -> TimedWord:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,12 @@ import pytest
 from timed_plactic import (
     BudgetExceededError,
     NotARowError,
+    Run,
+    TimedKnuthMove,
     TimedTableau,
+    TimedWord,
+    as_duration,
+    insertion_tableau,
     knuth_equivalent_bfs,
     parse_timed_word,
     row_insert,
@@ -23,6 +29,7 @@ from timed_plactic.cli import _MAX_GRID_BITS
 from timed_plactic.cli import _MAX_ITERS, _MAX_ORACLE_LETTERS
 from timed_plactic.cli import _MAX_RUNS, main
 from timed_plactic.notation import format_timed_word, format_word
+from timed_plactic.randomgen import random_kappa_instance
 
 from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
 
@@ -579,6 +586,48 @@ class TestErrors:
         with pytest.raises((NotARowError, BudgetExceededError)) as info:
             call()
         assert len(str(info.value)) < 200 and "..." in str(info.value)
+
+    class _LongRepr(float):
+        def __repr__(self):
+            return "0." + "5" * 5000
+
+    @pytest.mark.parametrize(
+        "call, error, prefix",
+        [
+            (lambda: insertion_tableau((-10**5000,)), ValueError,
+             "letters must be integers >= 1, got "),
+            (lambda: as_duration(TestErrors._LongRepr(0.5)), TypeError,
+             "durations must be exact (int, str, or Fraction), got "),
+            (lambda: TimedWord((Run(1, Fraction(-10**5000, 3)),)), ValueError,
+             "run durations must be positive Fractions, got "),
+            (lambda: TimedKnuthMove("k" * 5000, 0, 1, 1, 1), ValueError,
+             "move kind must be 'k1' or 'k2', got "),
+            (lambda: random_kappa_instance(random.Random(1), "k" * 5000), ValueError,
+             "kind must be 'k1' or 'k2', got "),
+        ],
+        ids=["classical-letter", "as-duration", "timed-word-duration", "move-kind",
+             "random-kind"],
+    )
+    def test_caller_values_are_quoted_clipped(self, call, error, prefix):
+        # A huge value is clipped, or, past the interpreter's limit on
+        # writing an integer, named by a placeholder; either way the error
+        # keeps its own type and message.
+        with pytest.raises(error) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith(prefix)
+        assert len(message) < 200
+        assert "..." in message or "too long to quote>" in message
+
+    def test_env_seed_is_quoted_clipped(self, capsys, monkeypatch):
+        monkeypatch.setenv("TIMED_PLACTIC_SEED", "x" * 5000)
+        code, out, err = run_cli(capsys, "random", "--json")
+        assert code == 2 and out == ""
+        assert len(err) < 200
+        error = json.loads(err)["error"]
+        assert error["type"] == "NotationError"
+        assert error["message"].startswith("TIMED_PLACTIC_SEED must be an integer, got 'xxx")
+        assert error["message"].endswith("...")
 
     @pytest.mark.parametrize(
         "argv, position",

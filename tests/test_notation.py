@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import time
@@ -339,6 +340,44 @@ class TestRunWordFastPath:
         assert type(info.value) is NotationError
         assert str(info.value) == message
         assert info.value.position == position
+
+
+def _random_runs() -> list[str]:
+    """10,000 runs over letters 1..12 with durations p/q, p and q up to 8."""
+    rng = random.Random(1)
+    return [
+        f"{rng.randint(1, 12)}^{Fraction(rng.randint(1, 8), rng.randint(1, 8))}"
+        for _ in range(10_000)
+    ]
+
+
+class TestLoopPathAtScale:
+    """A long word with two spaces between runs takes the loop, which checks
+    each run where it is matched: a bad run anywhere gives the error,
+    message and position of a token-by-token reading."""
+
+    RUNS = _random_runs()
+
+    def test_word_matches_tokens_then_normalize(self):
+        text = "  ".join(self.RUNS)
+        assert not notation._RUN_WORD_RE.fullmatch(text)
+        word = parse_timed_word(text)
+        assert word == tokens_then_normalize(text)
+        assert word == parse_timed_word(" ".join(self.RUNS))
+
+    @pytest.mark.parametrize("index", [0, 4_999, 9_999])
+    @pytest.mark.parametrize("bad", ["0^1", "1^0", "1^1/0", "x"])
+    def test_bad_run_matches_tokens_then_normalize(self, index, bad):
+        runs = list(self.RUNS)
+        runs[index] = bad
+        text = "  ".join(runs)
+        with pytest.raises(NotationError) as expected:
+            tokens_then_normalize(text)
+        with pytest.raises(NotationError) as info:
+            parse_timed_word(text)
+        assert type(info.value) is NotationError
+        assert str(info.value) == str(expected.value)
+        assert info.value.position == expected.value.position
 
 
 class TestDigitBound:
