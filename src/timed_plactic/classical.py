@@ -4,12 +4,12 @@ insertion, reading words, and Knuth moves.
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
 
-Insertion runs through two kernels, both on dense letter ranks. The run
-kernel (``_cascade``, behind ``_insert_runs`` and, for one row,
-``_bump_runs``) works on runs with integer counts: a row is two parallel
-lists, ``letters`` (strictly increasing) and ``counts`` (positive), and so
-is the stream of runs passed down from row to row. Timed insertion works on
-the grid 1/q of its durations' common denominator q; ``insertion_steps``,
+Insertion runs through two kernels. The run kernel (``_cascade``, behind
+``_insert_runs`` and, for one row, ``_bump_runs``) works on dense letter
+ranks and on runs with integer counts: a row is two parallel lists,
+``letters`` (strictly increasing) and ``counts`` (positive), and so is the
+stream of runs passed down from row to row. Timed insertion works on the
+grid 1/q of its durations' common denominator q; ``insertion_steps``,
 ``tableau_insert`` and ``row_insert`` are the case where every inserted
 count is 1. A call ranks the letters of its stream and rows once and keeps
 one dense buffer, a count per rank (``_buffer``). A row pass fills it from
@@ -22,10 +22,10 @@ stream's runs.
 
 ``insertion_tableau``, and so every classical tableau, Greene profile and
 equivalence verdict of a whole word, runs the unit kernel
-(``_insert_units``). It ranks the word's letters the same way and keeps one
-row at a time in a fresh buffer, and a letter finds its place by the same
-search. Every stream it passes down is all units, so a bump is two count
-updates, and a finished row is read off the whole buffer at C speed.
+(``_insert_units``): Schensted's own loop on rows spelt out as letters.
+Each letter walks down the rows, one bisection per row step at most, and
+each finished row is read as runs. A word makes n + sum((i - 1) * l_i) row
+steps, which its tableau's shape l fixes.
 
 Tableaux of both kinds have one stored form and one builder. A tableau is
 stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import islice
 from math import gcd
 from operator import lt
 
@@ -228,9 +228,9 @@ def reading_word(t: Tableau) -> Word:
 
 
 def _buffer(k: int) -> tuple[list[int], bytearray]:
-    """A clear dense row over k letter ranks: a count per rank followed by
-    three nonzero sentinel cells, and a presence map of the ranks whose
-    count is nonzero, with its own sentinel at k."""
+    """The run kernel's clear dense row over k letter ranks: a count per
+    rank followed by three nonzero sentinel cells, and a presence map of the
+    ranks whose count is nonzero, with its own sentinel at k."""
     present = bytearray(k + 1)
     present[k] = 1
     return [0] * k + [1, 1, 1], present
@@ -335,46 +335,25 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
 
 def _insert_units(w) -> list[Grid]:
     """Insert the classical word w into the empty tableau and return its
-    rows as runs: the unit-stream kernel, for whole words only.
+    rows as runs: Schensted's own loop on spelt rows, for whole words only.
 
-    Letters become their ranks 0..k-1 among w's distinct letters, and each
-    row pass keeps one count per rank in a fresh ``_buffer``. A unit a goes
-    in before the next rank above a with a nonzero count: three cells are
-    checked (the row's end is three nonzero sentinel cells), then ``find``
-    on the presence map. It bumps one unit of that rank (two count
-    updates) or, at the row's end, appends. The bumped ranks, one per unit,
-    are the next row's stream, so every stream is all units, and only one
-    row is dense at a time."""
-    alpha = sorted(set(w))
-    k = len(alpha)
-    rank = dict(zip(alpha, range(k)))
-    stream = [rank[c] for c in w]
-    rows: list[Grid] = []
-    while stream:
-        cnt, present = _buffer(k)
-        out: list[int] = []
-        for a in stream:
-            c = a + 1
-            if not cnt[c]:
-                c += 1
-                if not cnt[c]:
-                    c += 1
-                    if not cnt[c]:
-                        c = present.find(1, c + 1)
-            if c < k:
-                out.append(c)
-                n = cnt[c] - 1
-                cnt[c] = n
-                if not n:
-                    present[c] = 0
-            n = cnt[a]
-            if not n:
-                present[a] = 1
-            cnt[a] = n + 1
-        del cnt[k:]
-        rows.append((list(compress(alpha, cnt)), list(filter(None, cnt))))
-        stream = out
-    return rows
+    Each letter walks down the rows. It is appended to a row whose last
+    entry it is at least, and stops; otherwise ``bisect_right`` finds the
+    first entry above it, which it takes the place of, and the bumped entry
+    walks on to the next row. A letter that passes every row opens a new
+    one. The letters are compared as they are, with no ranking, and each
+    finished row is read as runs by ``_runs``."""
+    spelt: list[list[int]] = []
+    for a in w:
+        for row in spelt:
+            if a >= row[-1]:
+                row.append(a)
+                break
+            i = bisect_right(row, a)
+            row[i], a = a, row[i]
+        else:
+            spelt.append([a])
+    return [_runs(row) for row in spelt]
 
 
 def _runs(row: Word) -> Grid:

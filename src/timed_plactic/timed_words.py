@@ -51,7 +51,9 @@ DurationLike = Union[Fraction, int, str]
 
 
 def as_duration(x: DurationLike) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused since they are inexact."""
+    """Coerce to an exact Fraction; floats are refused since they are inexact.
+    A string in exponent notation is refused too: a few characters such as
+    ``"1e-1000000"`` would build an integer of millions of bits."""
     if isinstance(x, (float, bool)):
         raise TypeError(
             f"durations must be exact (int, str, or Fraction), got {_quote(x)}; "
@@ -59,6 +61,11 @@ def as_duration(x: DurationLike) -> Fraction:
         )
     if type(x) is Fraction:
         return x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(
+            f"durations must not use exponent notation, got {_quote(x)}; "
+            f"write the value as a string such as '0.82' or '41/50'"
+        )
     return Fraction(x)
 
 

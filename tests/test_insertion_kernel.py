@@ -14,10 +14,12 @@ integer grid, written without the kernel. ``TestRunKernelFamilies`` checks
 every entry point of the run kernel against them on huge letters, wide
 alphabets, far next letters and back-to-back calls.
 
-A whole classical word goes through a second kernel, ``_insert_units``, on
-dense counts per letter rank. It is checked row for row against the run
-kernel on the families that stress its scan: many rows, many symbols, a
-next larger letter far away, and huge letters.
+A whole classical word goes through a second kernel, ``_insert_units``,
+Schensted's loop on rows spelt out as letters, with one bisection per row
+step. It is checked row for row against the run kernel on the families
+where the two kernels' costs differ most: many rows (decreasing words,
+doubled or not, and permutations), rows of thousands of letters over two
+symbols, a next larger letter far away, and huge letters.
 """
 
 import random
@@ -192,9 +194,15 @@ class TestWholeWordKernel:
             _alternating(300),
             tuple(random.Random(0).randint(1, 200) for _ in range(1000)),
             tuple(10**18 + random.Random(1).randint(-9, 9) for _ in range(1000)),
+            tuple(range(1500, 0, -1)),
+            tuple(x for m in range(500, 0, -1) for x in (m, m)),
+            tuple(random.Random(2).sample(range(1, 3001), 3000)),
+            tuple(random.Random(3).choices((1, 2), k=20_000)),
+            tuple(random.Random(4).choices(range(2**63, 2**66, 2**50), k=1000)),
         ],
         ids=["empty", "one", "seven", "huge-one", "decreasing-500", "alternating-300",
-             "1000-over-200", "near-1e18"],
+             "1000-over-200", "near-1e18", "decreasing-1500", "doubled-decreasing-500",
+             "permutation-3000", "20000-over-2", "past-2^64"],
     )
     def test_families(self, w):
         assert _insert_units(w) == _run_kernel_rows(w)
@@ -208,9 +216,8 @@ class TestWholeWordKernel:
 
     def test_far_next_letter_is_bounded(self):
         # 21,798 letters whose next larger letter lies up to 10,898 ranks
-        # away: the presence map's find keeps each unit's scan in C. A
-        # scan cell by cell in Python reads 100 times the run kernel or
-        # more here.
+        # away: bisection keeps each letter's search in C. A scan cell by
+        # cell in Python reads 100 times the run kernel or more here.
         w = _alternating(10_900)
         assert _insert_units(w) == _run_kernel_rows(w)
 

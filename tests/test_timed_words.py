@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,6 +36,7 @@ from timed_plactic import (
     timed_word_to_dict,
     value_at,
 )
+from timed_plactic.errors import _quote
 
 from conftest import durations, fraction_cut, letters, timed_words, tw, words
 
@@ -68,6 +73,31 @@ class TestAsDuration:
     def test_float_refused(self):
         with pytest.raises(TypeError):
             as_duration(0.82)
+
+    @pytest.mark.parametrize("text", ["1e-3", "2E5", "1e" + "0" * 100])
+    def test_exponent_notation_refused(self, text):
+        with pytest.raises(ValueError, match="^durations must not use exponent notation") as info:
+            as_duration(text)
+        assert _quote(text) in str(info.value) and len(str(info.value)) < 200
+
+    def test_exponent_string_is_refused_at_once(self):
+        # Read as a Fraction, "1e-1000000" builds a 3.3-million-bit
+        # denominator before value_at can cut the word.
+        code = (
+            "from timed_plactic import parse_timed_word, value_at\n"
+            "try:\n"
+            "    value_at(parse_timed_word('1^1 2^1'), '1e-1000000')\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(
+            "durations must not use exponent notation, got '1e-1000000'"
+        )
 
 
 class TestNormalize:
