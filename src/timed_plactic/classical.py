@@ -4,28 +4,16 @@ insertion, reading words, and Knuth moves.
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
 
-Insertion runs through two kernels. The run kernel (``_cascade``, behind
-``_insert_runs`` and, for one row, ``_bump_runs``) works on dense letter
-ranks and on runs with integer counts: a row is two parallel lists,
-``letters`` (strictly increasing) and ``counts`` (positive), and so is the
-stream of runs passed down from row to row. Timed insertion works on the
-grid 1/q of its durations' common denominator q; ``insertion_steps``,
-``tableau_insert`` and ``row_insert`` are the case where every inserted
-count is 1. A call ranks the letters of its stream and rows once and keeps
-one dense buffer, a count per rank (``_buffer``). A row pass fills it from
-the row's runs; a run a^d finds the next rank present above a in at most
-three cells or one ``bytearray.find`` and takes d units from that rank
-onward, and equal bumped ranks merge into one run. The pass writes the row
-back by walking the presence map, which leaves the buffer clear for the
-next row: in Python a pass touches only the cells of its row's and its
-stream's runs.
-
-``insertion_tableau``, and so every classical tableau, Greene profile and
-equivalence verdict of a whole word, runs the unit kernel
-(``_insert_units``): Schensted's own loop on rows spelt out as letters.
-Each letter walks down the rows, one bisection per row step at most, and
-each finished row is read as runs. A word makes n + sum((i - 1) * l_i) row
-steps, which its tableau's shape l fixes.
+Every classical insertion runs one kernel, ``_insert_units``: Schensted's
+own loop on rows spelt out as letters. Each letter walks down the rows,
+one bisection per row step at most, and the rows are read as runs. A word
+makes n + sum((i - 1) * l_i) row steps, which its tableau's shape l fixes.
+``insertion_tableau`` starts from no rows, ``insertion_steps`` keeps one
+list of spelt rows across its letters, ``tableau_insert`` spells out the
+tableau's grid, and ``row_insert`` inserts into its one row and reads the
+bumped letter off the row below. Timed insertion runs its own kernel, on
+runs with integer counts, in :mod:`.timed_tableaux`; the self-check
+compares the two through the timed embedding.
 
 Tableaux of both kinds have one stored form and one builder. A tableau is
 stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
@@ -39,8 +27,7 @@ once: no empty row, strictly increasing letters with counts >= 1, weakly
 decreasing lengths, and columns that strictly increase downward, checked
 with one comparison per run. ``Tableau(rows)`` checks each row's letters
 and order, then passes the rows' runs; the insertion functions pass the
-kernel's own runs (at most one run per letter in a row), and
-``tableau_insert`` starts the kernel from the tableau's grid.
+kernel's own runs (at most one run per letter in a row).
 """
 
 from __future__ import annotations
@@ -57,7 +44,7 @@ from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quo
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
-# kernel's row and stream form, and every grid word's.
+# form of every grid word and tableau row, and the timed kernel's stream.
 Grid = tuple[list[int], list[int]]
 
 
@@ -89,9 +76,9 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
         raise NotARowError(f"row_insert needs a weakly increasing word, got {_quote(u)}")
     _check_letters(u)
     _check_letters((a,))
-    row = _runs(u)
-    bumped, _ = _bump_runs(*row, [a], [1])
-    return (bumped[0] if bumped else None), tuple(_spelt(*row))
+    spelt = [list(u)] if u else []
+    _insert_units(spelt, (a,))
+    return (spelt[1][0] if len(spelt) > 1 else None), tuple(spelt[0])
 
 
 class _Value:
@@ -185,8 +172,8 @@ class Tableau(_GridTableau):
 
 def _spelt(letters, counts) -> list[int]:
     """A classical row's runs spelt out as its list of letters: the one
-    spelling that ``Tableau.rows``, ``reading_word``, ``row_insert`` and
-    the text and JSON writers share."""
+    spelling that ``Tableau.rows``, ``reading_word``, ``tableau_insert``
+    and the text and JSON writers share."""
     out: list[int] = []
     for c, n in zip(letters, counts):
         out += [c] * n
@@ -227,123 +214,17 @@ def reading_word(t: Tableau) -> Word:
     return tuple([c for row in reversed(t.grid) for c in _spelt(*row)])
 
 
-def _buffer(k: int) -> tuple[list[int], bytearray]:
-    """The run kernel's clear dense row over k letter ranks: a count per
-    rank followed by three nonzero sentinel cells, and a presence map of the
-    ranks whose count is nonzero, with its own sentinel at k."""
-    present = bytearray(k + 1)
-    present[k] = 1
-    return [0] * k + [1, 1, 1], present
-
-
-def _cascade(rows: list[Grid], stream_letters, stream_counts, grow: bool) -> Grid:
-    """The run kernel: pass the stream of runs a^d (letters, counts) through
-    rows top to bottom, each row rewritten in place and its bumped runs
-    feeding the next; open a row for any residue when ``grow``, or else
-    return the runs bumped out of the last row. Row by row equals run by
-    run: each row sees the same stream in order.
-
-    The call ranks the letters of the stream and the rows once, and every
-    row pass shares one dense buffer (``_buffer``); the stream passes from
-    row to row as ranks. A pass fills the buffer from the row's runs. Each
-    a^d finds the next rank present above a in at most three cells or one
-    ``find``, takes d units from that rank onward (fewer if the row ends
-    first), and adds d to a's count; equal bumped ranks in a row merge into
-    one run. The row is written back by walking ``present``, which clears
-    every cell the pass left nonzero."""
-    alpha = sorted(set(stream_letters).union(*[row[0] for row in rows]))
-    k = len(alpha)
-    rank = dict(zip(alpha, range(k)))
-    cnt, present = _buffer(k)
-    find = present.find
-    stream = [rank[c] for c in stream_letters]
-    i = 0
-    while stream:
-        if i == len(rows):
-            if not grow:
-                break
-            rows.append(([], []))
-        letters, counts = rows[i]
-        i += 1
-        for c, n in zip(letters, counts):
-            c = rank[c]
-            cnt[c] = n
-            present[c] = 1
-        out: list[int] = []
-        out_counts: list[int] = []
-        last = -1  # the last bumped rank
-        for a, d in zip(stream, stream_counts):
-            c = a + 1
-            if not cnt[c]:
-                c += 1
-                if not cnt[c]:
-                    c += 1
-                    if not cnt[c]:
-                        c = find(1, c + 1)
-            rest = d
-            while c < k:
-                n = cnt[c]
-                if n > rest:
-                    cnt[c] = n - rest
-                    n = rest
-                else:
-                    cnt[c] = 0
-                    present[c] = 0
-                if c == last:
-                    out_counts[-1] += n
-                else:
-                    out.append(c)
-                    out_counts.append(n)
-                    last = c
-                rest -= n
-                if not rest:
-                    break
-                c = find(1, c + 1)
-            n = cnt[a]
-            if not n:
-                present[a] = 1
-            cnt[a] = n + d
-        letters.clear()
-        counts.clear()
-        c = find(1)
-        while c < k:
-            letters.append(alpha[c])
-            counts.append(cnt[c])
-            cnt[c] = 0
-            present[c] = 0
-            c = find(1, c + 1)
-        stream = out
-        stream_counts = out_counts
-    return [alpha[c] for c in stream], list(stream_counts)
-
-
-def _bump_runs(
-    letters: list[int], counts: list[int], stream_letters, stream_counts
-) -> Grid:
-    """Insert the integer runs a^d of the stream into the row, in order, and
-    return the bumped runs in the same parallel-list form. Each a^d goes in
-    after the last entry <= a and bumps the next d units of the row (fewer
-    if the row ends first): the run kernel on one row."""
-    return _cascade([(letters, counts)], stream_letters, stream_counts, False)
-
-
-def _insert_runs(rows: list[Grid], letters, counts) -> None:
-    """The insertion kernel: pass the stream of runs (letters, counts)
-    through rows top to bottom and open a row for any residue."""
-    _cascade(rows, letters, counts, True)
-
-
-def _insert_units(w) -> list[Grid]:
-    """Insert the classical word w into the empty tableau and return its
-    rows as runs: Schensted's own loop on spelt rows, for whole words only.
+def _insert_units(spelt: list[list[int]], w) -> list[Grid]:
+    """The classical kernel: insert the letters of w into the rows
+    ``spelt``, each a nonempty list of its letters, in place, and return
+    the rows as runs. Schensted's own loop.
 
     Each letter walks down the rows. It is appended to a row whose last
     entry it is at least, and stops; otherwise ``bisect_right`` finds the
     first entry above it, which it takes the place of, and the bumped entry
     walks on to the next row. A letter that passes every row opens a new
     one. The letters are compared as they are, with no ranking, and each
-    finished row is read as runs by ``_runs``."""
-    spelt: list[list[int]] = []
+    row is read as runs by ``_runs``."""
     for a in w:
         for row in spelt:
             if a >= row[-1]:
@@ -437,27 +318,21 @@ def _tableau(cls, rows: list[Grid], q: int):
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
     _check_letters((a,))
-    rows = [(list(letters), list(counts)) for letters, counts in t.grid]
-    _insert_runs(rows, [a], [1])
-    return _tableau(Tableau, rows, 1)
+    return _tableau(Tableau, _insert_units([_spelt(*row) for row in t.grid], (a,)), 1)
 
 
 def insertion_tableau(w: Word) -> Tableau:
     """Schensted insertion of the letters of w, left to right, into the
     empty tableau."""
     _check_letters(w)
-    return _tableau(Tableau, _insert_units(w), 1)
+    return _tableau(Tableau, _insert_units([], w), 1)
 
 
 def insertion_steps(w: Word) -> list[Tableau]:
     """The tableau after each successive letter of w (len(w) entries)."""
     _check_letters(w)
-    rows: list[Grid] = []
-    steps: list[Tableau] = []
-    for a in w:
-        _insert_runs(rows, [a], [1])
-        steps.append(_tableau(Tableau, rows, 1))
-    return steps
+    spelt: list[list[int]] = []
+    return [_tableau(Tableau, _insert_units(spelt, (a,)), 1) for a in w]
 
 
 def knuth_neighbors(w: Word) -> set[Word]:

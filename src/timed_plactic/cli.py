@@ -62,8 +62,10 @@ from .timed_tableaux import (
 # of its printed durations. `check` costs about 1 ms per iteration, so its
 # iteration count is capped too. `insert --steps` prints one tableau per
 # letter or run, n(n+1)/2 letters or runs in all for n of them, so it is
-# capped on that sum: 631 letters print in ~0.3 s, and 631 runs with
-# distinct prime denominators in ~2 s and ~75 MB.
+# capped on that sum. At the cap 631 random digits print in ~0.4 s; the
+# decreasing word 631,...,1, whose steps hold as many rows as letters, in
+# ~1.8 s and ~100 MB; and 631 runs with distinct prime denominators in ~2 s
+# and ~75 MB.
 _MAX_RUNS = 10_000
 _MAX_GRID_BITS = 2**17
 _MAX_ITERS = 10_000

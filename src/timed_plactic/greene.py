@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 
 from .classical import Word, insertion_tableau, shape
-from .errors import OracleSizeError
+from .errors import OracleSizeError, _text
 from .timed_words import TimedWord
 from .timed_tableaux import timed_insertion_tableau, timed_shape
 
@@ -50,7 +50,7 @@ def _greene_runs(letters, counts, r: int) -> tuple[int, ...]:
     before it is built. A negative r raises ValueError before anything else.
     """
     if r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r}")
+        raise ValueError(f"r must be a nonnegative integer, got {_text(r)}")
     # Imported here, so that commands that run no oracle start no slower.
     from heapq import heappop, heappush
 

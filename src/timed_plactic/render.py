@@ -10,6 +10,7 @@ six fractional digits, so repeated renders are byte-identical.
 
 from __future__ import annotations
 
+from .errors import _text
 from .notation import _TOO_LONG, _refuse_long_result
 from .timed_words import TimedWord
 from .timed_tableaux import TimedTableau
@@ -51,7 +52,7 @@ def render_svg(obj: TimedWord | TimedTableau, unit_scale: int = 100) -> str:
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
     if unit_scale <= 0:
-        raise ValueError(f"unit_scale must be positive, got {unit_scale}")
+        raise ValueError(f"unit_scale must be positive, got {_text(unit_scale)}")
 
     q, rh = obj.q, _ROW_HEIGHT
     width = _px(max((sum(counts) for _, counts in grid), default=0) * unit_scale, q)

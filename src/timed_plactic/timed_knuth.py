@@ -47,10 +47,10 @@ class TimedKnuthMove(_Value):
         for i, cut in enumerate((cut1, cut2, cut3), 1):
             value = as_duration(cut)
             if value <= 0:
-                raise ValueError(f"cut{i} must be positive, got {value}")
+                raise ValueError(f"cut{i} must be positive, got {_text(value)}")
             cuts.append(value)
         if position < 0:
-            raise ValueError(f"position must be nonnegative, got {position}")
+            raise ValueError(f"position must be nonnegative, got {_text(position)}")
         self.__dict__.update(zip(self._fields, (kind, position, *cuts, reverse)))
 
     @property

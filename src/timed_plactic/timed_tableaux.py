@@ -17,15 +17,22 @@ are. ``rows``, the one field, gives the rows as timed words; it is built on
 first read and cached. Shape, reading word, equality, hash, truth, and
 text and JSON output, ``str`` and ``repr`` included, read the grid.
 
-Timed insertion puts its words on one grid the same way, and the run
-kernel of :mod:`.classical` inserts the counts (classical insertion is its
-unit-duration case). A kernel call ranks the letters of the word and of the
-rows it is given once; each row pass holds its row as one dense count per
-rank, and the stream runs from row to row as ranks. Every row is written
-back in the parallel-list form of the grid, so the kernel's rows become the
-returned tableau's grid; no ``Fraction`` and no row word is built.
-Inserting into a tableau scales its grid onto the lcm of its q and the
-inserted row's.
+Timed insertion puts its words on one grid the same way, and its run
+kernel (``_cascade``, behind ``_insert_runs`` and, for one row,
+``_bump_runs``) inserts the counts. A kernel call ranks the letters of the
+word and of the rows it is given once and keeps one dense buffer, a count
+per rank (``_buffer``). A row pass fills it from the row's runs; a run a^d
+finds the next rank present above a in at most three cells or one
+``bytearray.find`` and takes d units from that rank onward, and equal
+bumped ranks merge into one run. The pass writes the row back by walking
+the presence map, which leaves the buffer clear for the next row, and the
+stream runs from row to row as ranks. Every row is written back in the
+parallel-list form of the grid, so the kernel's rows become the returned
+tableau's grid; no ``Fraction`` and no row word is built. Inserting into a
+tableau scales its grid onto the lcm of its q and the inserted row's.
+Classical insertion, the unit-duration case, runs Schensted's own loop
+(``classical._insert_units``); the self-check compares the two kernels
+through ``embed_classical``.
 
 Both kinds of tableau are built and validated once, by one builder,
 ``classical._tableau``. ``TimedTableau(rows)``, for user and JSON input,
@@ -39,8 +46,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classical import Grid, Tableau, _bump_runs, _GridTableau, _insert_runs, _runs_text, _tableau
-from .errors import NotARowError, _quote
+from .classical import Grid, Tableau, _GridTableau, _runs_text, _tableau
+from .errors import NotARowError, _quote, _text
 from .timed_words import (
     DurationLike,
     Run,
@@ -52,6 +59,112 @@ from .timed_words import (
     as_duration,
     is_timed_row,
 )
+
+
+def _buffer(k: int) -> tuple[list[int], bytearray]:
+    """The run kernel's clear dense row over k letter ranks: a count per
+    rank followed by three nonzero sentinel cells, and a presence map of the
+    ranks whose count is nonzero, with its own sentinel at k."""
+    present = bytearray(k + 1)
+    present[k] = 1
+    return [0] * k + [1, 1, 1], present
+
+
+def _cascade(rows: list[Grid], stream_letters, stream_counts, grow: bool) -> Grid:
+    """The run kernel: pass the stream of runs a^d (letters, counts) through
+    rows top to bottom, each row rewritten in place and its bumped runs
+    feeding the next; open a row for any residue when ``grow``, or else
+    return the runs bumped out of the last row. Row by row equals run by
+    run: each row sees the same stream in order.
+
+    The call ranks the letters of the stream and the rows once, and every
+    row pass shares one dense buffer (``_buffer``); the stream passes from
+    row to row as ranks. A pass fills the buffer from the row's runs. Each
+    a^d finds the next rank present above a in at most three cells or one
+    ``find``, takes d units from that rank onward (fewer if the row ends
+    first), and adds d to a's count; equal bumped ranks in a row merge into
+    one run. The row is written back by walking ``present``, which clears
+    every cell the pass left nonzero."""
+    alpha = sorted(set(stream_letters).union(*[row[0] for row in rows]))
+    k = len(alpha)
+    rank = dict(zip(alpha, range(k)))
+    cnt, present = _buffer(k)
+    find = present.find
+    stream = [rank[c] for c in stream_letters]
+    i = 0
+    while stream:
+        if i == len(rows):
+            if not grow:
+                break
+            rows.append(([], []))
+        letters, counts = rows[i]
+        i += 1
+        for c, n in zip(letters, counts):
+            c = rank[c]
+            cnt[c] = n
+            present[c] = 1
+        out: list[int] = []
+        out_counts: list[int] = []
+        last = -1  # the last bumped rank
+        for a, d in zip(stream, stream_counts):
+            c = a + 1
+            if not cnt[c]:
+                c += 1
+                if not cnt[c]:
+                    c += 1
+                    if not cnt[c]:
+                        c = find(1, c + 1)
+            rest = d
+            while c < k:
+                n = cnt[c]
+                if n > rest:
+                    cnt[c] = n - rest
+                    n = rest
+                else:
+                    cnt[c] = 0
+                    present[c] = 0
+                if c == last:
+                    out_counts[-1] += n
+                else:
+                    out.append(c)
+                    out_counts.append(n)
+                    last = c
+                rest -= n
+                if not rest:
+                    break
+                c = find(1, c + 1)
+            n = cnt[a]
+            if not n:
+                present[a] = 1
+            cnt[a] = n + d
+        letters.clear()
+        counts.clear()
+        c = find(1)
+        while c < k:
+            letters.append(alpha[c])
+            counts.append(cnt[c])
+            cnt[c] = 0
+            present[c] = 0
+            c = find(1, c + 1)
+        stream = out
+        stream_counts = out_counts
+    return [alpha[c] for c in stream], list(stream_counts)
+
+
+def _bump_runs(
+    letters: list[int], counts: list[int], stream_letters, stream_counts
+) -> Grid:
+    """Insert the integer runs a^d of the stream into the row, in order, and
+    return the bumped runs in the same parallel-list form. Each a^d goes in
+    after the last entry <= a and bumps the next d units of the row (fewer
+    if the row ends first): the run kernel on one row."""
+    return _cascade([(letters, counts)], stream_letters, stream_counts, False)
+
+
+def _insert_runs(rows: list[Grid], letters, counts) -> None:
+    """The insertion kernel: pass the stream of runs (letters, counts)
+    through rows top to bottom and open a row for any residue."""
+    _cascade(rows, letters, counts, True)
 
 
 class TimedTableau(_GridTableau):
@@ -99,7 +212,7 @@ def timed_row_insert(
         raise NotARowError(f"timed_row_insert needs a timed row, got {_quote(w)}")
     dur = as_duration(duration)
     if dur <= 0:
-        raise ValueError(f"inserted duration must be positive, got {dur}")
+        raise ValueError(f"inserted duration must be positive, got {_text(dur)}")
     return timed_row_insert_word(w, TimedWord((Run(letter, dur),)))
 
 

@@ -45,7 +45,7 @@ from operator import eq, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
-from .errors import _quote
+from .errors import _quote, _text
 
 DurationLike = Union[Fraction, int, str]
 
@@ -92,7 +92,7 @@ class TimedWord(_Value):
         for a, b in zip(runs, runs[1:]):
             if a.letter == b.letter:
                 raise ValueError(
-                    f"adjacent runs carry the same letter {a.letter}; use normalize()"
+                    f"adjacent runs carry the same letter {_text(a.letter)}; use normalize()"
                 )
         self.__dict__.update(_word(runs).__dict__)
 
@@ -174,7 +174,7 @@ def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
     for letter, raw in runs:
         dur = as_duration(raw)
         if dur.numerator < 0:
-            raise ValueError(f"run durations must be nonnegative, got {dur}")
+            raise ValueError(f"run durations must be nonnegative, got {_text(dur)}")
         if dur.numerator:
             kept.append((letter, dur))
     w = _word(kept)
@@ -195,7 +195,7 @@ def value_at(w: TimedWord, t: DurationLike) -> int:
     half-open interval [prefix, prefix + duration)."""
     t = as_duration(t)
     if t < 0 or t >= w.length:
-        raise ValueError(f"time {t} outside [0, {w.length})")
+        raise ValueError(f"time {_text(t)} outside [0, {_text(w.length)})")
     return w.letters[bisect_right(list(accumulate(w.counts)), t * w.q)]
 
 
@@ -247,7 +247,7 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     """
     a, b = as_duration(a), as_duration(b)
     if not (0 <= a <= b <= w.length):
-        raise ValueError(f"window [{a}, {b}) outside [0, {w.length}]")
+        raise ValueError(f"window [{_text(a)}, {_text(b)}) outside [0, {_text(w.length)}]")
     q, (piece,) = _cut(w, (a, b))
     return _on_grid(*piece, q)
 
@@ -266,10 +266,10 @@ class TimeSample(_Value):
             if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
                 raise ValueError("interval endpoints must be Fractions")
             if a < 0 or a >= b:
-                raise ValueError(f"bad interval [{a}, {b})")
+                raise ValueError(f"bad interval [{_text(a)}, {_text(b)})")
             if prev_end is not None and a <= prev_end:
                 raise ValueError(
-                    f"intervals must be strictly separated; [{a}, {b}) touches "
+                    f"intervals must be strictly separated; [{_text(a)}, {_text(b)}) touches "
                     f"or overlaps the previous one"
                 )
             prev_end = b
@@ -284,7 +284,7 @@ class TimeSample(_Value):
         for a, b in pairs:
             a, b = as_duration(a), as_duration(b)
             if a > b:
-                raise ValueError(f"bad interval [{a}, {b})")
+                raise ValueError(f"bad interval [{_text(a)}, {_text(b)})")
             if a < b:
                 cleaned.append((a, b))
         cleaned.sort()
@@ -306,7 +306,7 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
     sample's intervals, concatenated in order. Its length is the measure."""
     if sample.intervals and sample.intervals[-1][1] > w.length:
         raise ValueError(
-            f"sample reaches {sample.intervals[-1][1]}, beyond word length {w.length}"
+            f"sample reaches {_text(sample.intervals[-1][1])}, beyond word length {_text(w.length)}"
         )
     q, pieces = _cut(w, [p for interval in sample.intervals for p in interval])
     return _merged((run for piece in pieces[::2] for run in zip(*piece)), q)
@@ -327,7 +327,7 @@ def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
     """Multiply every duration by a positive rational factor."""
     factor = as_duration(factor)
     if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
+        raise ValueError(f"scale factor must be positive, got {_text(factor)}")
     return _on_grid(w.letters, [n * factor.numerator for n in w.counts], w.q * factor.denominator)
 
 

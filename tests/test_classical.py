@@ -278,19 +278,12 @@ class TestInsertionChecksTheKernelsRows:
     def check(cls, wrapper, rows):
         grid = [_runs(row) for row in rows]
 
-        def units(w):
+        def units(spelt, w):
             return [(list(ls), list(cs)) for ls, cs in grid]
 
-        def kernel(out, letters, counts):
-            out[:] = units(letters)
-
         expected = _constructor_error(rows)
-        # insertion_tableau runs the whole-word kernel, the others the run
-        # kernel: each emits the stack.
-        with (
-            mock.patch.object(classical, "_insert_runs", kernel),
-            mock.patch.object(classical, "_insert_units", units),
-        ):
+        # Every wrapper runs the one classical kernel, which emits the stack.
+        with mock.patch.object(classical, "_insert_units", units):
             if expected is None:
                 assert cls.WRAPPERS[wrapper]((1,)) == Tableau(rows)
             else:
@@ -323,7 +316,7 @@ class TestInsertionChecksTheKernelsRows:
         self.check(wrapper, rows)
 
     def test_zero_counts_are_refused(self):
-        def units(w):
+        def units(spelt, w):
             return [([1, 2], [1, 0])]
 
         with mock.patch.object(classical, "_insert_units", units):

@@ -15,14 +15,22 @@ from timed_plactic import (
     TimedKnuthMove,
     TimedTableau,
     TimedWord,
+    TimeSample,
     as_duration,
+    greene_classical_oracle,
     insertion_tableau,
     knuth_equivalent_bfs,
+    normalize,
     parse_timed_word,
+    render_svg,
+    restrict,
     row_insert,
+    scale,
+    subword,
     timed_row_insert,
     timed_row_insert_word,
     timed_tableau_insert,
+    value_at,
 )
 from timed_plactic import cli, notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
@@ -618,6 +626,51 @@ class TestErrors:
         assert message.startswith(prefix)
         assert len(message) < 200
         assert "..." in message or "too long to quote>" in message
+
+    HUGE = 10**5000
+
+    @pytest.mark.parametrize(
+        "call, prefix",
+        [
+            (lambda: value_at(parse_timed_word("1^1"), TestErrors.HUGE), "time "),
+            (lambda: restrict(parse_timed_word("1^1"), 0, TestErrors.HUGE), "window [0, "),
+            (lambda: subword(parse_timed_word("1^1"),
+                             TimeSample(((Fraction(0), Fraction(TestErrors.HUGE)),))),
+             "sample reaches "),
+            (lambda: scale(parse_timed_word("1^1"), -TestErrors.HUGE),
+             "scale factor must be positive, got "),
+            (lambda: normalize([(1, -TestErrors.HUGE)]), "run durations must be nonnegative, got "),
+            (lambda: TimedWord((Run(TestErrors.HUGE, Fraction(1)),) * 2),
+             "adjacent runs carry the same letter "),
+            (lambda: TimeSample(((Fraction(TestErrors.HUGE), Fraction(1)),)), "bad interval ["),
+            (lambda: TimeSample(((Fraction(0), Fraction(2)),
+                                 (Fraction(1), Fraction(TestErrors.HUGE)))),
+             "intervals must be strictly separated; [1, "),
+            (lambda: TimeSample.from_intervals([(TestErrors.HUGE, 1)]), "bad interval ["),
+            (lambda: timed_row_insert(parse_timed_word("1^1"), 2, -TestErrors.HUGE),
+             "inserted duration must be positive, got "),
+            (lambda: TimedKnuthMove("k1", -TestErrors.HUGE, 1, 1, 1),
+             "position must be nonnegative, got "),
+            (lambda: TimedKnuthMove("k1", 0, 1, -TestErrors.HUGE, 1),
+             "cut2 must be positive, got "),
+            (lambda: greene_classical_oracle((1, 2), -TestErrors.HUGE),
+             "r must be a nonnegative integer, got "),
+            (lambda: render_svg(parse_timed_word("1^1"), -TestErrors.HUGE),
+             "unit_scale must be positive, got "),
+        ],
+        ids=["value-at", "restrict", "subword", "scale", "normalize", "adjacent-letter",
+             "time-sample", "time-sample-separated", "from-intervals", "timed-row-insert",
+             "move-position", "move-cut", "oracle-r", "unit-scale"],
+    )
+    def test_numerals_past_the_digit_limit_keep_the_message(self, call, prefix):
+        # str() of an integer past 4,300 digits raises the interpreter's own
+        # ValueError; each message names such a value by a placeholder.
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith(prefix)
+        assert "too long to quote>" in message and "Exceeds the limit" not in message
+        assert len(message) < 200
 
     def test_env_seed_is_quoted_clipped(self, capsys, monkeypatch):
         monkeypatch.setenv("TIMED_PLACTIC_SEED", "x" * 5000)

@@ -265,9 +265,8 @@ class TestIndependence:
             raise AssertionError("the oracle called insertion")
 
         w = tw(BIG_TIMED_WORD_TEXT)
-        for module in (classical, timed_tableaux):
-            monkeypatch.setattr(module, "_insert_runs", refuse)
-            monkeypatch.setattr(module, "_bump_runs", refuse)
+        monkeypatch.setattr(timed_tableaux, "_insert_runs", refuse)
+        monkeypatch.setattr(timed_tableaux, "_bump_runs", refuse)
         monkeypatch.setattr(classical, "_insert_units", refuse)
         for fast, word in ((greene_classical, WORD_3421153), (greene_timed, w)):
             with pytest.raises(AssertionError):

@@ -1,25 +1,27 @@
-"""Differential tests of the insertion kernels, branch by branch.
+"""Differential tests of the two insertion kernels, branch by branch.
 
-Timed insertion, and classical insertion step by step, run one kernel on
-rows of runs with integer counts, each row held as a dense count per letter
+Timed insertion runs the run kernel (``timed_tableaux._cascade``) on rows
+of runs with integer counts, each row held as a dense count per letter
 rank while the stream passes through it. Long words over one to three
 letters make its rows short and its runs long, so every case fires many
 times. A run that lands inside a row, of one unit or more, bumps part of a
 run, exactly one whole run, or several runs, and may merge into an equal
-left neighbour; a run at the row's end is appended. The unit runs of
-classical insertion step by step take the same pass, and
-``TestUnitRunBranches`` inserts one unit each way it can land. The
-references are plain-list Schensted insertion and its expansion on the
-integer grid, written without the kernel. ``TestRunKernelFamilies`` checks
-every entry point of the run kernel against them on huge letters, wide
-alphabets, far next letters and back-to-back calls.
+left neighbour; a run at the row's end is appended. The references are
+plain-list Schensted insertion and its expansion on the integer grid,
+written without the kernel. ``TestRunKernelFamilies`` checks every entry
+point of the run kernel against them on huge letters, wide alphabets, far
+next letters and back-to-back calls.
 
-A whole classical word goes through a second kernel, ``_insert_units``,
+Every classical entry point runs the other kernel, ``classical._insert_units``:
 Schensted's loop on rows spelt out as letters, with one bisection per row
-step. It is checked row for row against the run kernel on the families
-where the two kernels' costs differ most: many rows (decreasing words,
-doubled or not, and permutations), rows of thousands of letters over two
-symbols, a next larger letter far away, and huge letters.
+step. ``TestUnitRunBranches`` inserts one letter each way it can land.
+``TestWholeWordKernel`` checks it row for row against the run kernel on
+the all-unit stream, on the families where the two kernels' costs differ
+most: many rows (decreasing words, doubled or not, and permutations), rows
+of thousands of letters over two symbols, a next larger letter far away,
+and huge letters. ``TestIncrementalOnManyRows`` checks ``insertion_steps``
+and ``tableau_insert``, which carry spelt rows from letter to letter or
+spell out a tableau's grid, on the words with the most rows.
 """
 
 import random
@@ -48,7 +50,8 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
-from timed_plactic.classical import _bump_runs, _insert_runs, _insert_units
+from timed_plactic.classical import _insert_units
+from timed_plactic.timed_tableaux import _bump_runs, _insert_runs
 
 from conftest import grid_reference, grid_row_insert, schensted_rows, tw
 
@@ -158,6 +161,16 @@ class TestTimedOnMultiUnitCounts:
         assert result.rows == grid_reference(concat(base, row))
 
 
+# Classical words whose tableaux have many rows, or rows of thousands of
+# letters over two symbols.
+_MANY_ROWS = {
+    "decreasing-1500": tuple(range(1500, 0, -1)),
+    "doubled-decreasing-500": tuple(x for m in range(500, 0, -1) for x in (m, m)),
+    "permutation-3000": tuple(random.Random(2).sample(range(1, 3001), 3000)),
+    "20000-over-2": tuple(random.Random(3).choices((1, 2), k=20_000)),
+}
+
+
 def _run_kernel_rows(w):
     rows = []
     _insert_runs(rows, w, [1] * len(w))
@@ -171,7 +184,7 @@ def _alternating(k):
 
 
 class TestWholeWordKernel:
-    """``_insert_units(w)`` gives the rows of ``_insert_runs`` on the
+    """``_insert_units([], w)`` gives the rows of ``_insert_runs`` on the
     all-unit stream of w."""
 
     @settings(max_examples=150)
@@ -181,7 +194,7 @@ class TestWholeWordKernel:
         | st.lists(st.integers(1, 10**6), max_size=60).map(tuple)
     )
     def test_hypothesis_words(self, w):
-        assert _insert_units(w) == _run_kernel_rows(w)
+        assert _insert_units([], w) == _run_kernel_rows(w)
 
     @pytest.mark.parametrize(
         "w",
@@ -192,26 +205,22 @@ class TestWholeWordKernel:
             (10**18,),
             tuple(range(500, 0, -1)),
             _alternating(300),
-            tuple(random.Random(0).randint(1, 200) for _ in range(1000)),
-            tuple(10**18 + random.Random(1).randint(-9, 9) for _ in range(1000)),
-            tuple(range(1500, 0, -1)),
-            tuple(x for m in range(500, 0, -1) for x in (m, m)),
-            tuple(random.Random(2).sample(range(1, 3001), 3000)),
-            tuple(random.Random(3).choices((1, 2), k=20_000)),
+            tuple(random.Random(0).choices(range(1, 201), k=1000)),
+            tuple(10**18 + d for d in random.Random(1).choices(range(-9, 10), k=1000)),
+            *_MANY_ROWS.values(),
             tuple(random.Random(4).choices(range(2**63, 2**66, 2**50), k=1000)),
         ],
         ids=["empty", "one", "seven", "huge-one", "decreasing-500", "alternating-300",
-             "1000-over-200", "near-1e18", "decreasing-1500", "doubled-decreasing-500",
-             "permutation-3000", "20000-over-2", "past-2^64"],
+             "1000-over-200", "near-1e18", *_MANY_ROWS, "past-2^64"],
     )
     def test_families(self, w):
-        assert _insert_units(w) == _run_kernel_rows(w)
+        assert _insert_units([], w) == _run_kernel_rows(w)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_scale(self, seed):
         rng = random.Random(seed)
         w = tuple(rng.randint(1, 20) for _ in range(1000))
-        assert _insert_units(w) == _run_kernel_rows(w)
+        assert _insert_units([], w) == _run_kernel_rows(w)
         assert insertion_tableau(w).rows == schensted_rows(w)
 
     def test_far_next_letter_is_bounded(self):
@@ -219,7 +228,7 @@ class TestWholeWordKernel:
         # away: bisection keeps each letter's search in C. A scan cell by
         # cell in Python reads 100 times the run kernel or more here.
         w = _alternating(10_900)
-        assert _insert_units(w) == _run_kernel_rows(w)
+        assert _insert_units([], w) == _run_kernel_rows(w)
 
         def best(f):
             times = []
@@ -230,6 +239,26 @@ class TestWholeWordKernel:
             return min(times)
 
         assert best(insertion_tableau) <= 3 * best(_run_kernel_rows)
+
+
+class TestIncrementalOnManyRows:
+    """``insertion_steps`` keeps one list of spelt rows across its letters
+    and ``tableau_insert`` spells out a tableau's grid: both against
+    plain-list Schensted insertion on the words with the most rows. Steps
+    stop at 631 letters, the most that ``insert --steps`` prints."""
+
+    @pytest.mark.parametrize("name", _MANY_ROWS)
+    def test_insertion_steps(self, name):
+        w = _MANY_ROWS[name][:631]
+        steps = insertion_steps(w)
+        assert len(steps) == len(w)
+        for i in _samples(len(w)):
+            assert steps[i].rows == schensted_rows(w[: i + 1]), i
+
+    @pytest.mark.parametrize("name", _MANY_ROWS)
+    def test_tableau_insert(self, name):
+        w = _MANY_ROWS[name]
+        assert tableau_insert(insertion_tableau(w[:-1]), w[-1]).rows == schensted_rows(w)
 
 
 def _family(name):
