@@ -6,45 +6,45 @@ tableaux are immutable and validated on construction.
 
 Every classical insertion runs one kernel, ``_insert_units``: Schensted's
 own loop on rows spelt out as letters. Each letter walks down the rows,
-one bisection per row step at most, and the rows are read as runs. A word
-makes n + sum((i - 1) * l_i) row steps, which its tableau's shape l fixes.
-``insertion_tableau`` starts from no rows, ``insertion_steps`` keeps one
-list of spelt rows across its letters, ``tableau_insert`` spells out the
-tableau's grid, and ``row_insert`` inserts into its one row and reads the
-bumped letter off the row below. Timed insertion runs its own kernel, on
-runs with integer counts, in :mod:`.timed_tableaux`; the self-check
-compares the two through the timed embedding.
+one bisection per row step at most. A word makes n + sum((i - 1) * l_i)
+row steps, which its tableau's shape l fixes. ``insertion_tableau`` starts
+from no rows, ``insertion_steps`` keeps one list of spelt rows across its
+letters, ``tableau_insert`` copies the tableau's spelt rows into lists,
+and ``row_insert`` inserts into its one row and reads the bumped letter off
+the row below. Timed insertion runs its own kernel, on runs with integer
+counts, in :mod:`.timed_tableaux`; the self-check compares the two through
+the timed embedding.
 
-Tableaux of both kinds have one stored form and one builder. A tableau is
-stored as ``grid``, each row's letters and counts as tuples, and ``q``, the
-smallest denominator for the whole tableau; ``rows`` is built from the grid
-on first read (``_GridTableau``), and no writer reads it: ``_reduced`` gives
-a row's runs as reduced fractions, ``_spelt`` as letters. A classical
-tableau is the q = 1 case, each row its runs of equal letters.
-``_tableau(cls, rows, q)`` builds
-either kind from rows in this run form on the grid 1/q and validates it
-once: no empty row, strictly increasing letters with counts >= 1, weakly
-decreasing lengths, and columns that strictly increase downward, checked
-with one comparison per run. ``Tableau(rows)`` checks each row's letters
-and order, then passes the rows' runs; the insertion functions pass the
-kernel's own runs (at most one run per letter in a row).
+Each kind of tableau has one stored form and one builder. A classical
+tableau is stored as ``spelt``, its rows as tuples of letters: the rows
+the kernel spelt, frozen. Equality, hash, truth, ``shape``,
+``reading_word``, ``str`` and the text and JSON writers read them, and
+``rows`` is the same tuples unless ``Tableau(rows)`` was given others. The
+insertion functions check the kernel's rows once, with every loop over rows
+and letters at C speed (``_valid``): no empty row, rows weakly increasing,
+lengths weakly decreasing, and columns strictly increasing downward. Only
+when that fails does ``_checked``, which ``Tableau(rows)`` runs on its
+rows, name the first violation. ``grid``, each row's runs on the grid 1/q
+for q = 1, the form a timed tableau stores, is built on first read by
+``embed_classical_tableau`` alone. A timed tableau is stored on its grid
+and built by ``timed_tableaux._tableau``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import gcd
-from operator import lt
+from operator import eq, ge, le, lt
 
-from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote, _text
+from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
-# form of every grid word and tableau row, and the timed kernel's stream.
+# form of every grid word and timed tableau row, and the timed kernel's
+# stream.
 Grid = tuple[list[int], list[int]]
 
 
@@ -63,7 +63,7 @@ def _check_letters(letters) -> None:
 
 def is_row(w: Word) -> bool:
     """True when w is weakly increasing; the empty word counts as a row."""
-    return all(a <= b for a, b in zip(w, w[1:]))
+    return all(map(le, w, w[1:]))
 
 
 def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
@@ -85,12 +85,12 @@ class _Value:
     """The base of the value classes: ``_fields`` names the fields, which
     ``__init__`` writes into the instance ``__dict__``. ``_key`` names the
     attributes that equality compares, hash and truth read, by default the
-    fields; a class stored in another form than its fields (a grid) names
-    that form, so equality, hash and truth need not build the fields, and
-    its subclasses inherit that key. A value equals only an object of its
-    own class with an equal key, hashes as the tuple of its key's values,
-    is false when its first key attribute is empty, and refuses assignment
-    and deletion."""
+    fields; a class stored in another form than its fields (a grid, or
+    spelt rows) names that form, so equality, hash and truth need not build
+    the fields, and its subclasses inherit that key. A value equals only an
+    object of its own class with an equal key, hashes as the tuple of its
+    key's values, is false when its first key attribute is empty, and
+    refuses assignment and deletion."""
 
     _fields: tuple[str, ...] = ()
 
@@ -122,62 +122,38 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _GridTableau(_Value):
-    """The stored form of both tableau kinds: ``grid`` holds each row's
-    letters and counts as tuples on the grid 1/q, with the smallest q for
-    the whole tableau. ``rows``, the one field, is built from the grid by
-    the kind's ``_row`` on first read and cached; equality, hash, truth and
-    the writers read the grid."""
-
-    _fields = ("rows",)
-    _key = ("grid", "q")
-
-    @cached_property
-    def rows(self) -> tuple:
-        return tuple([self._row(*row, self.q) for row in self.grid])
-
-
-class Tableau(_GridTableau):
-    """Semistandard Young tableau; rows stored top row first, as the q = 1
-    grid of their runs.
+class Tableau(_Value):
+    """Semistandard Young tableau; rows stored top row first, spelt out as
+    tuples of letters.
 
     Invariants, enforced on construction: rows weakly increase, row lengths
     weakly decrease, columns strictly increase, and no row is empty.
 
     ``Tableau(rows)`` keeps the rows as given, and its repr reads them;
-    equality, hash and ``str`` read the grid. So rows given as lists equal
-    the same rows given as tuples, and hash as they do.
+    equality, hash, truth and ``str`` read ``spelt``, the rows as tuples. So
+    rows given as lists equal the same rows given as tuples, and hash as
+    they do. ``grid``, each row's runs on the grid 1/q for q = 1, is built
+    on first read, for the timed embedding.
     """
+
+    _fields = ("rows",)
+    _key = ("spelt",)
+    q = 1
 
     def __init__(self, rows: tuple[Word, ...] = ()):
         self.__dict__["rows"] = rows
-        for i, row in enumerate(rows):
-            if not row:
-                raise InvalidTableauError(f"row {i} is empty")
-            # Letters first: _runs would merge 1 and True.
-            _check_letters(row)
-            if not is_row(row):
-                raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
-        self.__dict__.update(_tableau(Tableau, [_runs(row) for row in rows], 1).__dict__)
+        self.__dict__["spelt"] = _checked(rows)
 
-    @staticmethod
-    def _row(letters, counts, q) -> Word:
-        # tuple() of a list has exact size; tuple() of a generator resizes
-        # as it grows, which fragmented the heap over long runs.
-        return tuple(_spelt(letters, counts))
+    @cached_property
+    def rows(self) -> tuple[Word, ...]:
+        return self.spelt
+
+    @cached_property
+    def grid(self) -> tuple[tuple[Word, Word], ...]:
+        return tuple([tuple(map(tuple, _runs(row))) for row in self.spelt])
 
     def __str__(self) -> str:
-        return "\n".join([" ".join(map(str, _spelt(*row))) for row in self.grid])
-
-
-def _spelt(letters, counts) -> list[int]:
-    """A classical row's runs spelt out as its list of letters: the one
-    spelling that ``Tableau.rows``, ``reading_word``, ``tableau_insert``
-    and the text and JSON writers share."""
-    out: list[int] = []
-    for c, n in zip(letters, counts):
-        out += [c] * n
-    return out
+        return "\n".join([" ".join(map(str, row)) for row in self.spelt])
 
 
 def _reduced(letters, counts, q: int):
@@ -206,25 +182,24 @@ def _runs_text(letters, counts, q: int, spell=_ratio) -> str:
 
 def shape(t: Tableau) -> tuple[int, ...]:
     """Row lengths, top row first (an integer partition)."""
-    return tuple([sum(counts) for _, counts in t.grid])
+    return tuple(map(len, t.spelt))
 
 
 def reading_word(t: Tableau) -> Word:
     """Rows concatenated left to right, starting from the bottom row."""
-    return tuple([c for row in reversed(t.grid) for c in _spelt(*row)])
+    return tuple(chain.from_iterable(reversed(t.spelt)))
 
 
-def _insert_units(spelt: list[list[int]], w) -> list[Grid]:
+def _insert_units(spelt: list[list[int]], w) -> list[list[int]]:
     """The classical kernel: insert the letters of w into the rows
     ``spelt``, each a nonempty list of its letters, in place, and return
-    the rows as runs. Schensted's own loop.
+    them. Schensted's own loop.
 
     Each letter walks down the rows. It is appended to a row whose last
     entry it is at least, and stops; otherwise ``bisect_right`` finds the
     first entry above it, which it takes the place of, and the bumped entry
     walks on to the next row. A letter that passes every row opens a new
-    one. The letters are compared as they are, with no ranking, and each
-    row is read as runs by ``_runs``."""
+    one. The letters are compared as they are, with no ranking."""
     for a in w:
         for row in spelt:
             if a >= row[-1]:
@@ -234,7 +209,7 @@ def _insert_units(spelt: list[list[int]], w) -> list[Grid]:
             row[i], a = a, row[i]
         else:
             spelt.append([a])
-    return [_runs(row) for row in spelt]
+    return spelt
 
 
 def _runs(row: Word) -> Grid:
@@ -252,24 +227,6 @@ def _runs(row: Word) -> Grid:
     return letters, counts
 
 
-def _column_strict(upper: Grid, lower: Grid) -> bool:
-    # Grid rows, upper at least as long as lower. Rows increase left to
-    # right, so over each run of lower the upper row is largest at the run's
-    # last grid cell: one comparison per run of lower is exact.
-    u_letters, u_counts = upper
-    k = 0
-    u_end = u_counts[0]
-    l_end = 0
-    for letter, n in zip(*lower):
-        l_end += n
-        while u_end < l_end:
-            k += 1
-            u_end += u_counts[k]
-        if u_letters[k] >= letter:
-            return False
-    return True
-
-
 def _grid_gcd(q: int, counts) -> int:
     """``gcd(q, *counts)``, the factor that puts counts on the grid 1/q onto
     the smallest grid. It starts from the gcd of q and two sums of the
@@ -279,60 +236,80 @@ def _grid_gcd(q: int, counts) -> int:
     return gcd(gcd(q, sum(counts), sum(counts[::2])), *counts)
 
 
-def _tableau(cls, rows: list[Grid], q: int):
-    """The one tableau builder and validator, for both kinds: the tableau of
-    class cls whose rows are given as runs on the grid 1/q (q = 1 for
-    classical rows), stored on its smallest grid. Raises InvalidTableauError
-    naming the first violation: an empty row, a row that is not a timed row
-    (letters not strictly increasing, or a count below 1), a row longer than
-    the one above, or two rows not strictly increasing downward. Rows are
-    built only to quote a bad one.
-
-    The counts are copied unchanged when they are already on the smallest
-    grid (always for classical rows), and a row's letters are checked for
-    strict increase by one ``map`` of ``operator.lt`` over neighbours."""
-    g = _grid_gcd(q, [n for _, counts in rows for n in counts]) if q > 1 else 1
-    t = object.__new__(cls)
-    grid = tuple([(tuple(letters), tuple(counts) if g == 1 else tuple([n // g for n in counts]))
-                  for letters, counts in rows])
-    t.__dict__.update(grid=grid, q=q // g)
-    for i, (letters, counts) in enumerate(grid):
-        if not letters:
+def _checked(rows) -> tuple[Word, ...]:
+    """The classical tableau validator: ``rows`` as a tuple of tuples, the
+    tableau's stored form, once they are checked. Raises InvalidTableauError
+    naming the first violation: an empty row, a row that is not weakly
+    increasing, a row longer than the one above, or two rows not strictly
+    increasing downward. Each row's letters are checked by
+    ``_check_letters``, which raises ValueError, after the row's emptiness
+    and before its order. A row and a pair of rows are each checked by one
+    ``map`` of ``operator.le`` or ``operator.lt``."""
+    for i, row in enumerate(rows):
+        if not row:
             raise InvalidTableauError(f"row {i} is empty")
-        if min(counts) < 1 or not all(map(lt, letters, islice(letters, 1, None))):
-            raise InvalidTableauError(f"row {i} is not a timed row: {_quote(t.rows[i])}")
-    lengths = [sum(counts) for _, counts in grid]
-    for i in range(len(grid) - 1):
-        if lengths[i] < lengths[i + 1]:
+        _check_letters(row)
+        if not is_row(row):
+            raise InvalidTableauError(f"row {i} is not weakly increasing: {_quote(row)}")
+    rows = tuple(map(tuple, rows))
+    for i in range(1, len(rows)):
+        upper, lower = rows[i - 1], rows[i]
+        if len(upper) < len(lower):
             raise InvalidTableauError(
-                f"row {i + 1} is longer than row {i} "
-                f"({_text(Fraction(lengths[i + 1], t.q))} > {_text(Fraction(lengths[i], t.q))})"
+                f"row {i} is longer than row {i - 1} ({len(lower)} > {len(upper)})"
             )
-        if not _column_strict(grid[i], grid[i + 1]):
-            raise InvalidTableauError(
-                f"rows {i} and {i + 1} are not strictly increasing downward"
-            )
+        if not all(map(lt, upper, lower)):
+            raise InvalidTableauError(f"rows {i - 1} and {i} are not strictly increasing downward")
+    return rows
+
+
+def _valid(rows: tuple[Word, ...]) -> bool:
+    """Whether rows of integer letters, as tuples, form a tableau: what
+    ``_checked`` checks, with every loop over rows and letters at C speed.
+    A row of integers is weakly increasing when ``sorted`` leaves it as it
+    is, and a pair of rows is checked by a ``map`` of ``operator.lt`` made
+    by ``map`` itself."""
+    lengths = list(map(len, rows))
+    return (
+        all(lengths)
+        and all(map(eq, map(sorted, rows), map(list, rows)))
+        and all(map(ge, lengths, islice(lengths, 1, None)))
+        and all(map(all, map(map, repeat(lt), rows, islice(rows, 1, None))))
+    )
+
+
+def _kernel_tableau(spelt: list[list[int]]) -> Tableau:
+    """The tableau whose rows are the kernel's spelt rows, stored as tuples
+    once ``_valid`` accepts them; otherwise ``_checked`` names the first
+    violation. The kernel's letters were checked on the way in."""
+    rows = tuple(map(tuple, spelt))
+    if not _valid(rows):
+        _checked(rows)
+    t = object.__new__(Tableau)
+    t.__dict__["spelt"] = rows
     return t
 
 
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
     _check_letters((a,))
-    return _tableau(Tableau, _insert_units([_spelt(*row) for row in t.grid], (a,)), 1)
+    return _kernel_tableau(_insert_units(list(map(list, t.spelt)), (a,)))
 
 
 def insertion_tableau(w: Word) -> Tableau:
     """Schensted insertion of the letters of w, left to right, into the
     empty tableau."""
     _check_letters(w)
-    return _tableau(Tableau, _insert_units([], w), 1)
+    return _kernel_tableau(_insert_units([], w))
 
 
 def insertion_steps(w: Word) -> list[Tableau]:
-    """The tableau after each successive letter of w (len(w) entries)."""
+    """The tableau after each successive letter of w (len(w) entries). One
+    list of spelt rows is kept across the letters, and each tableau holds
+    its own tuples of them, so a later letter changes no earlier tableau."""
     _check_letters(w)
     spelt: list[list[int]] = []
-    return [_tableau(Tableau, _insert_units(spelt, (a,)), 1) for a in w]
+    return [_kernel_tableau(_insert_units(spelt, (a,))) for a in w]
 
 
 def knuth_neighbors(w: Word) -> set[Word]:

@@ -21,7 +21,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .classical import _spelt, insertion_steps, insertion_tableau
+from .classical import insertion_steps, insertion_tableau
 from .errors import BudgetExceededError, NotationError, OracleSizeError, _quote
 from .greene import (
     greene_classical,
@@ -64,7 +64,7 @@ from .timed_tableaux import (
 # letter or run, n(n+1)/2 letters or runs in all for n of them, so it is
 # capped on that sum. At the cap 631 random digits print in ~0.4 s; the
 # decreasing word 631,...,1, whose steps hold as many rows as letters, in
-# ~1.8 s and ~100 MB; and 631 runs with distinct prime denominators in ~2 s
+# ~1 s and ~80 MB; and 631 runs with distinct prime denominators in ~2 s
 # and ~75 MB.
 _MAX_RUNS = 10_000
 _MAX_GRID_BITS = 2**17
@@ -138,7 +138,7 @@ def _kind(timed: bool) -> _Kind:
 
 
 def _format_tableau(t) -> str:
-    return "\n".join([format_word(_spelt(*row)) for row in t.grid])
+    return "\n".join(map(format_word, t.spelt))
 
 
 def _tableau_text(t, kind: _Kind) -> str:

@@ -42,8 +42,8 @@ count n becomes n/q reduced by one gcd (``classical._reduced``, against the
 tableau's q for a tableau row). JSON spells it ``p/q``, and text as an exact
 decimal where one exists (``_decimal_text``, which ``format_duration``
 calls with a ``Fraction``'s numerator and denominator), so no writer builds
-a row word or a ``Fraction``. A classical tableau's rows are its runs spelt
-out.
+a row word or a ``Fraction``. A classical tableau's writers read its
+spelt rows, the tuples of letters it is stored as.
 JSON letters must be JSON integers, durations JSON strings or integers,
 and a move's ``reverse`` a JSON boolean; anything else is a
 ``NotationError``. Digits are ASCII digits only, and no numeral may run past
@@ -60,7 +60,7 @@ import sys
 from fractions import Fraction
 from itertools import zip_longest
 
-from .classical import Tableau, Word, _ratio, _reduced, _runs_text, _spelt
+from .classical import Tableau, Word, _ratio, _reduced, _runs_text
 from .errors import NotationError, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, _from_ratios, normalize
@@ -335,7 +335,7 @@ def timed_word_from_dict(data: dict) -> TimedWord:
 
 
 def tableau_to_dict(t: Tableau) -> dict:
-    return {"rows": [_spelt(*row) for row in t.grid]}
+    return {"rows": list(map(list, t.spelt))}
 
 
 def tableau_from_dict(data: dict) -> Tableau:

@@ -8,8 +8,7 @@ counts on the grid 1/q, two parallel lists, and lengths and column
 strictness are integer comparisons. Both rows are step functions, so this
 settles every t exactly.
 
-A tableau is stored on one integer grid, as a timed word is, in the form
-that classical tableaux share (``classical._GridTableau``): ``grid`` holds
+A tableau is stored on one integer grid, as a timed word is: ``grid`` holds
 each row's letters and counts as tuples, and ``q`` is the smallest
 denominator for the whole tableau, so ``gcd(q, *every count) == 1``. The
 form is canonical: two tableaux are equal exactly when their grids and q
@@ -34,20 +33,25 @@ Classical insertion, the unit-duration case, runs Schensted's own loop
 (``classical._insert_units``); the self-check compares the two kernels
 through ``embed_classical``.
 
-Both kinds of tableau are built and validated once, by one builder,
-``classical._tableau``. ``TimedTableau(rows)``, for user and JSON input,
-keeps the rows it was given and passes them on their grid. The insertion
-functions pass the kernel's own rows and q, which become the grid without a
-second check. ``embed_classical_tableau`` passes a classical tableau's grid
-with q = 1.
+Each kind of tableau has one stored form and one builder. A timed tableau
+is built and validated once, by ``_tableau``. ``TimedTableau(rows)``, for
+user and JSON input, keeps the rows it was given and passes them on their
+grid. The insertion functions pass the kernel's own rows and q, which
+become the grid without a second check. ``embed_classical_tableau`` passes
+a classical tableau's grid with q = 1: the only place a classical
+tableau's rows are read as runs. A classical tableau is stored as its rows
+spelt out as letters (:mod:`.classical`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
+from operator import lt
 
-from .classical import Grid, Tableau, _GridTableau, _runs_text, _tableau
-from .errors import NotARowError, _quote, _text
+from .classical import Grid, Tableau, _grid_gcd, _runs_text, _Value
+from .errors import InvalidTableauError, NotARowError, _quote, _text
 from .timed_words import (
     DurationLike,
     Run,
@@ -167,23 +171,83 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
     _cascade(rows, letters, counts, True)
 
 
-class TimedTableau(_GridTableau):
+class TimedTableau(_Value):
     """Stack of timed rows, top row first; validated on construction, and
-    stored as ``grid`` and ``q``."""
+    stored as ``grid`` and ``q``. ``rows``, the one field, is built from
+    the grid on first read and cached; equality, hash, truth and the
+    writers read the grid."""
+
+    _fields = ("rows",)
+    _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
         self.__dict__["rows"] = rows
         q = _grid(*rows)
         grid = [_to_grid(row, q) for row in rows]
-        self.__dict__.update(_tableau(TimedTableau, grid, q).__dict__)
+        self.__dict__.update(_tableau(grid, q).__dict__)
 
-    _row = staticmethod(_on_grid)
+    @cached_property
+    def rows(self) -> tuple[TimedWord, ...]:
+        return tuple([_on_grid(*row, self.q) for row in self.grid])
 
     def __str__(self) -> str:
         return "\n".join([_runs_text(*row, self.q) for row in self.grid])
 
     def __repr__(self) -> str:
         return "TimedTableau({})".format(" | ".join(f"'{row}'" for row in str(self).splitlines()))
+
+
+def _column_strict(upper: Grid, lower: Grid) -> bool:
+    # Grid rows, upper at least as long as lower. Rows increase left to
+    # right, so over each run of lower the upper row is largest at the run's
+    # last grid cell: one comparison per run of lower is exact.
+    u_letters, u_counts = upper
+    k = 0
+    u_end = u_counts[0]
+    l_end = 0
+    for letter, n in zip(*lower):
+        l_end += n
+        while u_end < l_end:
+            k += 1
+            u_end += u_counts[k]
+        if u_letters[k] >= letter:
+            return False
+    return True
+
+
+def _tableau(rows: list[Grid], q: int) -> TimedTableau:
+    """The one timed tableau builder and validator: the tableau whose rows
+    are given as runs on the grid 1/q, stored on its smallest grid. Raises
+    InvalidTableauError naming the first violation: an empty row, a row that
+    is not a timed row (letters not strictly increasing, or a count below
+    1), a row longer than the one above, or two rows not strictly increasing
+    downward. Rows are built only to quote a bad one.
+
+    The counts are copied unchanged when they are already on the smallest
+    grid, and a row's letters are checked for strict increase by one ``map``
+    of ``operator.lt`` over neighbours."""
+    g = _grid_gcd(q, [n for _, counts in rows for n in counts]) if q > 1 else 1
+    t = object.__new__(TimedTableau)
+    grid = tuple([(tuple(letters), tuple(counts) if g == 1 else tuple([n // g for n in counts]))
+                  for letters, counts in rows])
+    t.__dict__.update(grid=grid, q=q // g)
+    for i, (letters, counts) in enumerate(grid):
+        if not letters:
+            raise InvalidTableauError(f"row {i} is empty")
+        if min(counts) < 1 or not all(map(lt, letters, islice(letters, 1, None))):
+            raise InvalidTableauError(f"row {i} is not a timed row: {_quote(t.rows[i])}")
+    lengths = [sum(counts) for _, counts in grid]
+    for i in range(len(grid) - 1):
+        if lengths[i] < lengths[i + 1]:
+            raise InvalidTableauError(
+                f"row {i + 1} is longer than row {i} "
+                f"({_text(Fraction(lengths[i + 1], t.q))} > {_text(Fraction(lengths[i], t.q))})"
+            )
+        if not _column_strict(grid[i], grid[i + 1]):
+            raise InvalidTableauError(
+                f"rows {i} and {i + 1} are not strictly increasing downward"
+            )
+    return t
 
 
 def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
@@ -236,7 +300,7 @@ def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     k = q // t.q
     rows = [(list(letters), [n * k for n in counts]) for letters, counts in t.grid]
     _insert_runs(rows, *_to_grid(v, q))
-    return _tableau(TimedTableau, rows, q)
+    return _tableau(rows, q)
 
 
 def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
@@ -244,7 +308,7 @@ def timed_insertion_tableau(w: TimedWord) -> TimedTableau:
     tableau."""
     rows: list[Grid] = []
     _insert_runs(rows, w.letters, w.counts)
-    return _tableau(TimedTableau, rows, w.q)
+    return _tableau(rows, w.q)
 
 
 def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
@@ -253,11 +317,11 @@ def timed_insertion_steps(w: TimedWord) -> list[TimedTableau]:
     steps: list[TimedTableau] = []
     for c, n in zip(w.letters, w.counts):
         _insert_runs(rows, [c], [n])
-        steps.append(_tableau(TimedTableau, rows, w.q))
+        steps.append(_tableau(rows, w.q))
     return steps
 
 
 def embed_classical_tableau(t: Tableau) -> TimedTableau:
     """Reinterpret a classical tableau with every letter held for duration 1:
     its grid is the timed tableau's grid for q = 1."""
-    return _tableau(TimedTableau, t.grid, 1)
+    return _tableau(t.grid, 1)

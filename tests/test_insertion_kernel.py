@@ -21,7 +21,10 @@ most: many rows (decreasing words, doubled or not, and permutations), rows
 of thousands of letters over two symbols, a next larger letter far away,
 and huge letters. ``TestIncrementalOnManyRows`` checks ``insertion_steps``
 and ``tableau_insert``, which carry spelt rows from letter to letter or
-spell out a tableau's grid, on the words with the most rows.
+copy a tableau's spelt rows, on the words with the most rows.
+``TestWholeWordKernel`` also compares the two kernels through the timed
+embedding at the classical benchmark's scale and on the 631 decreasing
+letters.
 """
 
 import random
@@ -50,7 +53,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
-from timed_plactic.classical import _insert_units
+from timed_plactic.classical import _insert_units, _runs
 from timed_plactic.timed_tableaux import _bump_runs, _insert_runs
 
 from conftest import grid_reference, grid_row_insert, schensted_rows, tw
@@ -184,8 +187,8 @@ def _alternating(k):
 
 
 class TestWholeWordKernel:
-    """``_insert_units([], w)`` gives the rows of ``_insert_runs`` on the
-    all-unit stream of w."""
+    """``_insert_units([], w)`` spells out the rows of ``_insert_runs`` on
+    the all-unit stream of w: read as runs, they are the same rows."""
 
     @settings(max_examples=150)
     @given(
@@ -194,7 +197,7 @@ class TestWholeWordKernel:
         | st.lists(st.integers(1, 10**6), max_size=60).map(tuple)
     )
     def test_hypothesis_words(self, w):
-        assert _insert_units([], w) == _run_kernel_rows(w)
+        assert [_runs(r) for r in _insert_units([], w)] == _run_kernel_rows(w)
 
     @pytest.mark.parametrize(
         "w",
@@ -214,21 +217,31 @@ class TestWholeWordKernel:
              "1000-over-200", "near-1e18", *_MANY_ROWS, "past-2^64"],
     )
     def test_families(self, w):
-        assert _insert_units([], w) == _run_kernel_rows(w)
+        assert [_runs(r) for r in _insert_units([], w)] == _run_kernel_rows(w)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_scale(self, seed):
         rng = random.Random(seed)
         w = tuple(rng.randint(1, 20) for _ in range(1000))
-        assert _insert_units([], w) == _run_kernel_rows(w)
+        assert [_runs(r) for r in _insert_units([], w)] == _run_kernel_rows(w)
         assert insertion_tableau(w).rows == schensted_rows(w)
+        assert embed_classical_tableau(insertion_tableau(w)) == timed_insertion_tableau(
+            embed_classical(w)
+        )
+
+    def test_decreasing_631_through_the_embedding(self):
+        # The word at the --steps bound whose tableau has the most rows.
+        w = tuple(range(631, 0, -1))
+        assert embed_classical_tableau(insertion_tableau(w)) == timed_insertion_tableau(
+            embed_classical(w)
+        )
 
     def test_far_next_letter_is_bounded(self):
         # 21,798 letters whose next larger letter lies up to 10,898 ranks
         # away: bisection keeps each letter's search in C. A scan cell by
         # cell in Python reads 100 times the run kernel or more here.
         w = _alternating(10_900)
-        assert _insert_units([], w) == _run_kernel_rows(w)
+        assert [_runs(r) for r in _insert_units([], w)] == _run_kernel_rows(w)
 
         def best(f):
             times = []
@@ -243,9 +256,11 @@ class TestWholeWordKernel:
 
 class TestIncrementalOnManyRows:
     """``insertion_steps`` keeps one list of spelt rows across its letters
-    and ``tableau_insert`` spells out a tableau's grid: both against
+    and ``tableau_insert`` copies a tableau's spelt rows: both against
     plain-list Schensted insertion on the words with the most rows. Steps
-    stop at 631 letters, the most that ``insert --steps`` prints."""
+    stop at 631 letters, the most that ``insert --steps`` prints. Each step
+    is read only after the last letter went in, so a step that shared rows
+    with the kernel's lists would show later letters; each holds tuples."""
 
     @pytest.mark.parametrize("name", _MANY_ROWS)
     def test_insertion_steps(self, name):
@@ -254,6 +269,7 @@ class TestIncrementalOnManyRows:
         assert len(steps) == len(w)
         for i in _samples(len(w)):
             assert steps[i].rows == schensted_rows(w[: i + 1]), i
+            assert all(type(row) is tuple for row in steps[i].rows), i
 
     @pytest.mark.parametrize("name", _MANY_ROWS)
     def test_tableau_insert(self, name):

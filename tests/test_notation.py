@@ -628,17 +628,19 @@ class TestTableauWritersReadTheGrid:
         assert data == json.dumps(tableau_to_dict(Tableau(t.rows)))
 
     def test_no_rows_are_built(self):
+        # A timed tableau's writers read its grid and build no rows; a
+        # classical tableau's read its spelt rows and build no grid.
         t = timed_insertion_tableau(tw("3^1/7 1^2/11 4^3/13 2^1/17 1^5/19 3^1/23"))
         timed_tableau_to_dict(t)
         assert "rows" not in t.__dict__
         c = insertion_tableau((3, 4, 2, 1, 1, 5, 3))
         tableau_to_dict(c)
-        assert "rows" not in c.__dict__
-        # The text writers, str, repr and hash read the grid too.
+        assert "grid" not in c.__dict__
+        # The text writers, str, repr and hash read the stored form too.
         format_timed_tableau(t), str(t), repr(t), hash(t)
         assert "rows" not in t.__dict__
-        cli._format_tableau(c), str(c), hash(c)
-        assert "rows" not in c.__dict__
+        cli._format_tableau(c), str(c), repr(c), hash(c)
+        assert "grid" not in c.__dict__
         w = tw("3^1/7 1^2/11 4^0.25 1^5/19")
         format_timed_word(w), str(w), repr(w), hash(w), letter_durations(w)
         assert "runs" not in w.__dict__

@@ -351,21 +351,23 @@ TIMED = SimpleNamespace(
     tableau=TimedTableau, built=built_tableaux(), words=timed_words, inserted=timed_rows,
     insertion=timed_insertion_tableau, steps=timed_insertion_steps,
     insert=timed_tableau_insert, shape=timed_shape, reading_word=timed_reading_word,
-    row=_timed_row, length=lambda row: row.length, concat=concat,
+    row=_timed_row, length=lambda row: row.length, concat=concat, derived="rows",
 )
 CLASSICAL = SimpleNamespace(
     tableau=Tableau, built=built_classical_tableaux(), words=words, inserted=letters,
     insertion=insertion_tableau, steps=insertion_steps,
     insert=tableau_insert, shape=shape, reading_word=reading_word,
-    row=_classical_row, length=len, concat=lambda *rows: sum(rows, ()),
+    row=_classical_row, length=len, concat=lambda *rows: sum(rows, ()), derived="grid",
 )
 kinds = st.sampled_from([TIMED, CLASSICAL])
 
 
 class TestTableauGrid:
-    """A tableau of either kind is stored as its rows' letters and counts
-    on one smallest grid 1/q, q = 1 for a classical one; its rows are built
-    from that grid on first read."""
+    """A timed tableau is stored as its rows' letters and counts on one
+    smallest grid 1/q, and its rows are built from that grid on first read.
+    A classical tableau is stored as its rows spelt out as letters, and its
+    grid, the same form for q = 1, is built from them on first read. Each
+    kind's readers build nothing (``derived``)."""
 
     @given(st.data())
     def test_one_canonical_grid(self, data):
@@ -412,11 +414,10 @@ class TestTableauGrid:
         assert bool(t) is bool(w) and u and t != u
         for tableau in (t, u, *kind.steps(w)):
             assert tableau == tableau and (tableau == kind.tableau()) is not bool(tableau)
-            assert kind.shape(tableau) == tuple(
-                Fraction(sum(counts), tableau.q) for _, counts in tableau.grid
-            )
+            shape = kind.shape(tableau)
             kind.reading_word(tableau)
-            assert "rows" not in tableau.__dict__
+            assert kind.derived not in tableau.__dict__
+            assert shape == tuple(Fraction(sum(counts), tableau.q) for _, counts in tableau.grid)
         assert kind.shape(t) == tuple(kind.length(row) for row in t.rows)
         assert kind.reading_word(t) == kind.concat(*reversed(t.rows))
         assert t.__dict__["rows"] is t.rows
@@ -431,9 +432,10 @@ class TestTableauGrid:
 
     def test_equality_reads_the_grid_not_the_given_rows(self):
         # Rows given as lists equal the same rows given as tuples, and hash
-        # as they do; the repr reads the rows as given.
+        # as they do; the repr reads the rows as given. A classical
+        # tableau's stored form is its rows spelt out as tuples.
         t, u = Tableau([[1, 2], [3]]), Tableau(((1, 2), (3,)))
-        assert t == u and t.grid == u.grid and repr(t) != repr(u)
+        assert t == u and t.spelt == u.spelt and repr(t) != repr(u)
         assert hash(t) == hash(u)
         assert TimedTableau([tw("1^1/2")]) == TimedTableau((tw("1^1/2"),))
 
