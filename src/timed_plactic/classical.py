@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd
@@ -239,13 +240,15 @@ def _grid_gcd(q: int, counts) -> int:
 def _checked(rows) -> tuple[Word, ...]:
     """The classical tableau validator: ``rows`` as a tuple of tuples, the
     tableau's stored form, once they are checked. Raises InvalidTableauError
-    naming the first violation: an empty row, a row that is not weakly
-    increasing, a row longer than the one above, or two rows not strictly
-    increasing downward. Each row's letters are checked by
-    ``_check_letters``, which raises ValueError, after the row's emptiness
-    and before its order. A row and a pair of rows are each checked by one
-    ``map`` of ``operator.le`` or ``operator.lt``."""
+    naming the first violation: a row that is not a sequence, an empty row,
+    a row that is not weakly increasing, a row longer than the one above,
+    or two rows not strictly increasing downward. Each row's letters are
+    checked by ``_check_letters``, which raises ValueError, after the row's
+    emptiness and before its order. A row and a pair of rows are each
+    checked by one ``map`` of ``operator.le`` or ``operator.lt``."""
     for i, row in enumerate(rows):
+        if not isinstance(row, Sequence):
+            raise InvalidTableauError(f"row {i} is not a sequence of letters: {_quote(row)}")
         if not row:
             raise InvalidTableauError(f"row {i} is empty")
         _check_letters(row)

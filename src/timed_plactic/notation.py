@@ -3,7 +3,9 @@
 Text grammar:
   - classical word: a string of digits when letters stay below 10
     (``3421153``), or comma-separated integers (``12,3,11``), with
-    optional whitespace around each integer and leading zeros;
+    optional whitespace around each integer and leading zeros; a word of
+    one letter may end with one comma (``12,``), as ``format_word`` spells
+    a one-letter word above 9;
   - timed word: ``<letter>^<duration>`` tokens, whitespace optional between
     them, where a duration is a decimal numeral (``12``, ``0.45``, ``3.25``)
     or a fraction ``p/q``. Without whitespace, a token's duration is the
@@ -24,9 +26,10 @@ binary float. One helper reads a numeral's matched digits as a numerator
 and a denominator, and ``parse_duration`` makes a ``Fraction`` of them.
 A classical word in the spelling that ``format_word`` writes is read at C
 speed: a digit string by one ``bytes.translate`` of its ASCII bytes, and
-comma-separated integers with no whitespace and no leading zero by one
-``json.loads`` of the text in brackets. Every other spelling, and every
-error, takes the loop that reads letter by letter and names the bad one.
+two or more comma-separated integers with no whitespace and no leading zero
+by one ``json.loads`` of the text in brackets. Every other spelling (the
+one-letter ``12,`` among them), and every error, takes the loop that reads
+letter by letter and names the bad one.
 ``parse_timed_word`` builds no ``Fraction``. A timed word in the spelling
 of ``str()`` and of the JSON durations, runs ``<letter>^p`` or
 ``<letter>^p/q`` joined by single spaces with no leading zero, is read by
@@ -249,8 +252,10 @@ def parse_word(text: str) -> Word:
     string is one ``bytes.translate`` of its ASCII bytes, and a comma word
     with no whitespace and no leading zero (``_COMMA_WORD_RE``, tested after
     the digit bound) is one ``json.loads`` of ``[text]``. A comma word with
-    whitespace or a leading zero, and every error, goes through the loop
-    that reads letter by letter, so an error names the first bad part."""
+    whitespace or a leading zero, a one-letter word with its one trailing
+    comma (``12,``), and every error, go through the loop that reads letter
+    by letter, so an error names the first bad part. A trailing comma after
+    more than one letter is an error."""
     s = text.strip()
     if not s:
         return ()
@@ -258,8 +263,12 @@ def parse_word(text: str) -> Word:
         _check_digits(text)
         if _COMMA_WORD_RE.fullmatch(text):
             return tuple(json.loads(f"[{text}]"))
+        parts = s.split(",")
+        if len(parts) == 2 and not parts[1]:
+            # "12,": the comma spelling of a one-letter word.
+            del parts[1]
         letters = []
-        for part in s.split(","):
+        for part in parts:
             part = part.strip()
             if not (part.isascii() and part.isdigit()):
                 raise NotationError(f"not a letter: {_quote(part)}")
@@ -276,10 +285,15 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
+    """A digit string when every letter is below 10, else the letters
+    joined by commas. A one-letter word above 9 ends with a comma, ``12,``,
+    since ``12`` reads as the digit string 1 2."""
     if not w:
         return ""
     if max(w) <= 9:
         return "".join(map(str, w))
+    if len(w) == 1:
+        return f"{w[0]},"
     return ",".join(map(str, w))
 
 

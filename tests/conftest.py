@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -388,6 +389,8 @@ def tableau_error(rows) -> str | None:
     reads as the grid validator words it; a quoted row is clipped as the
     library's messages clip it."""
     for i, row in enumerate(rows):
+        if not isinstance(row, Sequence):
+            return f"row {i} is not a sequence of letters: {_quote(row)}"
         if not row:
             return f"row {i} is empty"
         for c in row:

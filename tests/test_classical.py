@@ -150,6 +150,24 @@ class TestTableau:
         with pytest.raises(ValueError):
             Tableau(((0, 1),))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((0,), "row 0 is not a sequence of letters: 0"),
+            ((None,), "row 0 is not a sequence of letters: None"),
+            ((5,), "row 0 is not a sequence of letters: 5"),
+            (((1, 2), 3), "row 1 is not a sequence of letters: 3"),
+            (((1, 2), {3}), "row 1 is not a sequence of letters: {3}"),
+            ((1.5,), "row 0 is not a sequence of letters: 1.5"),
+            (((1,), ()), "row 1 is empty"),
+            (((1,), []), "row 1 is empty"),
+        ],
+    )
+    def test_rows_that_are_not_sequences_are_named(self, rows, message):
+        with pytest.raises(InvalidTableauError) as info:
+            Tableau(rows)
+        assert str(info.value) == message == tableau_error(rows)
+
 
 # Short rows of letters 1..5, some sorted, some not.
 _letter_lists = st.lists(st.integers(1, 5), min_size=1, max_size=5)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -32,6 +33,7 @@ from timed_plactic import (
     timed_tableau_insert,
     value_at,
 )
+from timed_plactic import __main__ as entry
 from timed_plactic import cli, notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
 from timed_plactic.cli import _MAX_ITERS, _MAX_ORACLE_LETTERS
@@ -91,6 +93,12 @@ class TestInsert:
         code, out, _ = run_cli(capsys, "insert", "")
         assert code == 0
         assert out == "(empty)\n"
+
+    def test_one_letter_rows_above_9_read_back(self, capsys):
+        code, out, _ = run_cli(capsys, "insert", "13,12")
+        assert code == 0
+        assert out == "12,\n13,\n"
+        assert [notation.parse_word(row) for row in out.splitlines()] == [(12,), (13,)]
 
 
 class TestGreene:
@@ -771,6 +779,39 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "113\n245\n3\n"
+
+
+class TestProcessEntry:
+    """``__main__.run``, the process entry: it exits with the code that
+    ``cli.main`` returned, and freezes the garbage collector only once the
+    command's output is written."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_exits_with_mains_code_and_freezes_after_its_output(self, capsys, monkeypatch, code):
+        events = []
+
+        def fake_main():
+            print(f"output {code}")
+            events.append("main")
+            return code
+
+        monkeypatch.setattr(entry, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", capsys.readouterr().out)))
+        with pytest.raises(SystemExit) as info:
+            entry.run()
+        assert info.value.code == code
+        assert events == ["main", ("freeze", f"output {code}\n")]
+
+    def test_an_exception_from_main_propagates_with_no_freeze(self, monkeypatch):
+        def fake_main():
+            raise RuntimeError("main failed")
+
+        frozen = []
+        monkeypatch.setattr(entry, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        with pytest.raises(RuntimeError, match="main failed"):
+            entry.run()
+        assert frozen == []
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():

@@ -428,6 +428,21 @@ class TestParseWord:
     def test_large_letters_roundtrip(self):
         assert parse_word(format_word((12, 3, 11))) == (12, 3, 11)
 
+    @given(st.lists(st.one_of(st.integers(1, 30), st.integers(1, 2**70)), max_size=6).map(tuple))
+    @example((12,))
+    @example((10,))
+    @example((9,))
+    @example((2**64 + 1,))
+    def test_every_word_roundtrips_one_letter_words_too(self, w):
+        assert parse_word(format_word(w)) == w
+
+    @pytest.mark.parametrize(
+        "w, text", [((12,), "12,"), ((10,), "10,"), ((9,), "9"), ((12, 3), "12,3"), ((1, 2), "12")]
+    )
+    def test_one_letter_above_9_is_spelt_with_a_trailing_comma(self, w, text):
+        assert format_word(w) == text
+        assert parse_word(text) == parse_word(f" {text} ") == w
+
     @given(
         st.lists(st.one_of(st.integers(1, 30), st.integers(1, 2**70)), min_size=2, max_size=12)
         .map(tuple),
@@ -436,8 +451,8 @@ class TestParseWord:
     @example((12, 3, 11), 1)
     @example((2**64 + 1, 1), 0)
     def test_writer_spelling_parses_as_its_loop_path_variants(self, w, zero_at):
-        # At least two letters: the one-letter word 12 is spelt "12", which
-        # reads as the digit string 1 2.
+        # At least two letters: the one-letter word 12 is spelt "12,", which
+        # the JSON fast path does not read.
         text = format_word(w)
         assert parse_word(text) == w
         if "," not in text:
