@@ -73,7 +73,11 @@ def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
     Appends when a is at least every entry of u. Otherwise the leftmost entry
     greater than a is replaced by a and returned as the bumped letter.
     """
-    if not is_row(u):
+    try:
+        row = isinstance(u, Sequence) and is_row(u)
+    except TypeError:  # letters that do not compare
+        row = False
+    if not row:
         raise NotARowError(f"row_insert needs a weakly increasing word, got {_quote(u)}")
     _check_letters(u)
     _check_letters((a,))
@@ -295,6 +299,8 @@ def _kernel_tableau(spelt: list[list[int]]) -> Tableau:
 
 def tableau_insert(t: Tableau, a: int) -> Tableau:
     """Insert a into t, bumping row by row; a surviving bump opens a new row."""
+    if not isinstance(t, Tableau):
+        raise InvalidTableauError(f"tableau_insert needs a tableau, got {_quote(t)}")
     _check_letters((a,))
     return _kernel_tableau(_insert_units(list(map(list, t.spelt)), (a,)))
 

@@ -10,15 +10,20 @@ disagreement, failing checks); 2 parse or usage errors. Each handler builds
 its whole output, text or JSON, before it prints any of it, so an error on
 the way (a numeral past the digit bound) exits 2 with nothing on stdout.
 The environment variable ``TIMED_PLACTIC_SEED`` overrides ``--seed``.
+
+``main`` reads argv from one table of the commands, ``_COMMANDS``, with no
+argparse: a usage error prints usage to stderr and exits 2, in plain text
+also under ``--json``, and ``-h`` prints help built from the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from .classical import insertion_steps, insertion_tableau
@@ -312,67 +317,265 @@ def _cmd_check(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="timed-plactic",
-        description=(
-            "Schensted insertion, Knuth equivalence, and Greene invariants "
-            "for classical and timed words."
-        ),
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The table's two classes are plain classes: each NamedTuple costs a process
+# ~0.15 ms to define.
+class _Option:
+    """An option of the command table: a switch when ``value`` is None,
+    otherwise an option that takes one value and converts it with
+    ``value``."""
 
-    p = sub.add_parser("insert", parents=[common], help="insertion tableau of a word")
-    p.add_argument("input", help="classical or timed word")
-    p.add_argument("--steps", action="store_true", help="show intermediate tableaux")
-    p.set_defaults(handler=_cmd_insert)
+    def __init__(self, help: str, value: Callable | None = None, default=None,
+                 metavar: str = "", required: bool = False):
+        self.help, self.value, self.default = help, value, default
+        self.metavar, self.required = metavar, required
 
-    p = sub.add_parser("greene", parents=[common], help="Greene invariant profile")
-    p.add_argument("input", help="classical or timed word")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against the min-cost flow oracle",
-    )
-    p.set_defaults(handler=_cmd_greene)
 
-    p = sub.add_parser("equiv", parents=[common], help="decide Knuth equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument(
-        "--move",
-        metavar="JSON",
-        default=None,
-        help="apply this move to the left word and compare with the right",
-    )
-    p.set_defaults(handler=_cmd_equiv)
+class _Command:
+    """A command: its handler, its help line, its positionals (name ->
+    help, each taking one token, in this order) and its options (option ->
+    _Option, in the order that help lists them)."""
 
-    p = sub.add_parser("render", parents=[common], help="render an SVG figure")
-    p.add_argument("input", help="word, timed word, or tableau JSON")
-    p.add_argument("--svg", required=True, metavar="PATH", help="output file")
-    p.add_argument(
-        "--tableau",
-        action="store_true",
-        help="render the insertion tableau instead of the ribbon",
-    )
-    p.add_argument("--scale", type=int, default=100, help="pixels per unit duration")
-    p.set_defaults(handler=_cmd_render)
+    def __init__(self, handler: Callable, help: str, positionals: dict, options: dict):
+        self.handler, self.help = handler, help
+        self.positionals, self.options = positionals, options
 
-    p = sub.add_parser("random", parents=[common], help="generate a random timed word")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--letters", type=int, default=4)
-    p.add_argument("--max-den", type=int, default=4, dest="max_den")
-    p.add_argument("--max-num", type=int, default=3, dest="max_num")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_random)
 
-    p = sub.add_parser("check", parents=[common], help="run the self-check suites")
-    p.add_argument("--iters", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_check)
-    return parser
+_PROG = "timed-plactic"
+_ABOUT = ("Schensted insertion, Knuth equivalence, and Greene invariants for\n"
+          "classical and timed words.")
+_HELP = _Option("show this help message and exit")
+_MAIN = {"-h": _HELP, "--help": _HELP}  # the options before the command
+_JSON = {"--json": _Option("emit JSON output")}
+_WORD = "classical or timed word"
+_SEED = "random seed; TIMED_PLACTIC_SEED overrides it"
+
+# The six commands: what ``main`` reads from argv, and the handler it runs.
+# Every command also takes -h and --help.
+_COMMANDS = {
+    "insert": _Command(_cmd_insert, "insertion tableau of a word", {"input": _WORD}, {
+        **_JSON,
+        "--steps": _Option("show intermediate tableaux"),
+    }),
+    "greene": _Command(_cmd_greene, "Greene invariant profile", {"input": _WORD}, {
+        **_JSON,
+        "--oracle": _Option("cross-check against the min-cost flow oracle"),
+    }),
+    "equiv": _Command(_cmd_equiv, "decide Knuth equivalence", {"left": _WORD, "right": _WORD}, {
+        **_JSON,
+        "--move": _Option("apply this move to the left word and compare with the right",
+                          str, metavar="JSON"),
+    }),
+    "render": _Command(_cmd_render, "render an SVG figure",
+                       {"input": "word, timed word, or tableau JSON"}, {
+        **_JSON,
+        "--svg": _Option("output file", str, metavar="PATH", required=True),
+        "--tableau": _Option("render the insertion tableau instead of the ribbon"),
+        "--scale": _Option("pixels per unit duration", int, 100),
+    }),
+    "random": _Command(_cmd_random, "generate a random timed word", {}, {
+        **_JSON,
+        "--runs": _Option("number of runs", int, 5),
+        "--letters": _Option("largest letter", int, 4),
+        "--max-den": _Option("largest denominator of a duration", int, 4),
+        "--max-num": _Option("largest numerator of a duration", int, 3),
+        "--seed": _Option(_SEED, int, 0),
+    }),
+    "check": _Command(_cmd_check, "run the self-check suites", {}, {
+        **_JSON,
+        "--iters": _Option("iterations per suite", int, 25),
+        "--seed": _Option(_SEED, int, 0),
+    }),
+}
+
+
+# The argv reader. It accepts and refuses the argv that argparse accepted
+# and refused when it read this table, as Python 3.11's argparse did: a
+# unique prefix of a long option is that option; --opt=value gives a value;
+# the first "--" ends the options; a token that starts with "-" is a
+# positional when it is "-" alone, looks like a negative number or holds a
+# space; an option that takes a value takes the next token unless that
+# looks like an option; the last repeat of an option wins. One difference:
+# a "--" after the first is the value "--", where argparse gave an empty
+# list that the handlers could not read.
+
+# argparse's test for a token that looks like a negative number; re compiles
+# it on first use, which most commands never reach.
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+class _UsageError(Exception):
+    """Bad argv; ``command`` names the command whose usage is shown."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _spelt(option: str, spec: _Option) -> str:
+    return option if spec.value is None else f"{option} {spec.metavar or _dest(option).upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    cmd = _COMMANDS[command]
+    parts = [_spelt(o, s) if s.required else f"[{_spelt(o, s)}]" for o, s in cmd.options.items()]
+    return f"usage: {_PROG} {command} [-h] {' '.join(parts + list(cmd.positionals))}\n"
+
+
+def _help(command: str | None) -> str:
+    """The text that -h prints: usage, what the command does, and a line
+    for each argument."""
+    options = [("-h, --help", _HELP.help)]
+    if command is None:
+        about = _ABOUT
+        sections = {"commands": [(name, cmd.help) for name, cmd in _COMMANDS.items()]}
+    else:
+        cmd = _COMMANDS[command]
+        about = cmd.help
+        sections = {"positional arguments": list(cmd.positionals.items())}
+        options += [(_spelt(o, s), s.help + (f" (default: {s.default})" if s.value is int else ""))
+                    for o, s in cmd.options.items()]
+    sections["options"] = options
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    blocks = [_usage(command), about + "\n"]
+    blocks += [f"{title}:\n" + "".join(f"  {left:<{width}}{right}\n" for left, right in rows)
+               for title, rows in sections.items() if rows]
+    return "\n".join(blocks)
+
+
+def _read_option(token: str, options: dict, command: str | None):
+    """How a token before the first ``--`` reads: None for a positional,
+    otherwise (option, explicit value or None); the option is None when no
+    option of ``options`` matches."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches = [o for o in options if o.startswith(name)]
+        explicit = value if eq else None
+    else:  # -h is the one short option, and "-hVALUE" gives it a value
+        matches = [token[:2]] if token[:2] in options else []
+        explicit = token[2:]
+    if len(matches) > 1:
+        raise _UsageError(
+            f"ambiguous option: {_quote(token)} could match {', '.join(matches)}", command
+        )
+    if matches:
+        return matches[0], explicit
+    if re.match(_NEGATIVE, token) or " " in token:
+        return None
+    return None, None
+
+
+def _switch(option: str, explicit: str | None, command: str | None) -> None:
+    """Take a switch: -h and --help print help and exit 0. A switch takes
+    no value, but "-hh" reads as -h twice."""
+    if explicit is not None and (option.startswith("--") or not explicit or explicit.strip("h")):
+        raise _UsageError(
+            f"argument {option}: ignored explicit argument {_quote(explicit)}", command
+        )
+    if option in _MAIN:
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+
+
+def _read_command(command: str, tokens: list[str]) -> dict:
+    """The values of ``command``'s arguments in ``tokens``, the argv after
+    the command. Every token is read before any is taken, so an ambiguous
+    prefix is an error even after -h; then tokens are taken left to right,
+    so that -h wins over an error that a later token would raise."""
+    cmd = _COMMANDS[command]
+    options = {**_MAIN, **cmd.options}
+    n = len(tokens)
+    end = tokens.index("--") if "--" in tokens else n
+    kinds = [_read_option(t, options, command) for t in tokens[:end]] + [None] * (n - end)
+    values = {_dest(o): s.default if s.value else False for o, s in cmd.options.items()}
+    waiting = list(cmd.positionals)
+    given, extras = set(), []
+    i = 0
+    while i < n:
+        if kinds[i] is None:
+            # The tokens up to the next option: each waiting positional
+            # takes the next of them but the first "--", which goes with a
+            # positional taken on either side of it. The rest are left over.
+            j = i
+            while j < n and kinds[j] is None:
+                j += 1
+            taken = [k for k in range(i, j) if k != end][: len(waiting)]
+            for name, k in zip(waiting, taken):
+                values[name] = tokens[k]
+            del waiting[: len(taken)]
+            stop = taken[-1] + 1 + (taken[-1] + 1 == end) if taken else i
+            extras += tokens[stop:j]
+            i = j
+            continue
+        option, explicit = kinds[i]
+        i += 1
+        if option is None:
+            extras.append(tokens[i - 1])
+            continue
+        spec = options[option]
+        given.add(option)
+        if spec.value is None:
+            _switch(option, explicit, command)
+            values[_dest(option)] = True
+            continue
+        if explicit is None:
+            if i == end or kinds[i] is not None:  # also at the end of argv
+                raise _UsageError(f"argument {option}: expected one argument", command)
+            explicit = tokens[i]
+            i += 1
+        try:
+            values[_dest(option)] = spec.value(explicit)
+        except ValueError:
+            raise _UsageError(
+                f"argument {option}: invalid int value: {_quote(explicit)}", command
+            ) from None
+    missing = waiting + [o for o, s in cmd.options.items() if s.required and o not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(map(_quote, extras))}", command)
+    return values
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, its handler and one attribute per argument. A usage
+    error prints usage and the error to stderr and exits 2."""
+    argv = list(argv)
+    try:
+        extras = []
+        for i, token in enumerate(argv):
+            kind = None if token == "--" else _read_option(token, _MAIN, None)
+            if kind is None:
+                break
+            if kind[0] is None:
+                extras.append(token)
+            else:
+                _switch(*kind, None)
+        else:
+            raise _UsageError("the following arguments are required: command")
+        if token not in _COMMANDS:
+            raise _UsageError(
+                f"invalid command {_quote(token)} (choose from {', '.join(_COMMANDS)})"
+            )
+        values = _read_command(token, argv[i + 1:])
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(map(_quote, extras))}", token)
+    except _UsageError as exc:
+        prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
+        sys.stderr.write(f"{_usage(exc.command)}{prog}: error: {exc}\n")
+        raise SystemExit(2) from None
+    return SimpleNamespace(command=token, handler=_COMMANDS[token].handler, **values)
 
 
 def _fail(args, exc: Exception, code: int) -> int:
@@ -391,8 +594,7 @@ def _fail(args, exc: Exception, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, OracleSizeError, BudgetExceededError) as exc:

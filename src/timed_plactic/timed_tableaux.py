@@ -181,6 +181,9 @@ class TimedTableau(_Value):
     _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
+        for i, row in enumerate(rows):
+            if not isinstance(row, TimedWord):
+                raise InvalidTableauError(f"row {i} is not a timed word: {_quote(row)}")
         self.__dict__["rows"] = rows
         q = _grid(*rows)
         grid = [_to_grid(row, q) for row in rows]
@@ -272,7 +275,7 @@ def timed_row_insert(
     whole tail from t0 is bumped). Returns (bumped, new_row); lengths satisfy
     l(bumped) + l(new_row) = l(w) + duration.
     """
-    if not is_timed_row(w):
+    if not (isinstance(w, TimedWord) and is_timed_row(w)):
         raise NotARowError(f"timed_row_insert needs a timed row, got {_quote(w)}")
     dur = as_duration(duration)
     if dur <= 0:
@@ -283,8 +286,10 @@ def timed_row_insert(
 def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedWord]:
     """Insert the runs of u into the timed row w, left to right, concatenating
     the bumped pieces in order. l(bumped) + l(new_row) = l(w) + l(u)."""
-    if not is_timed_row(w):
+    if not (isinstance(w, TimedWord) and is_timed_row(w)):
         raise NotARowError(f"timed_row_insert_word needs a timed row, got {_quote(w)}")
+    if not isinstance(u, TimedWord):
+        raise NotARowError(f"timed_row_insert_word inserts a timed word, got {_quote(u)}")
     q = _grid(w, u)
     row = _to_grid(w, q)
     bumped = _bump_runs(*row, *_to_grid(u, q))
@@ -294,8 +299,10 @@ def timed_row_insert_word(w: TimedWord, u: TimedWord) -> tuple[TimedWord, TimedW
 def timed_tableau_insert(t: TimedTableau, v: TimedWord) -> TimedTableau:
     """Insert the timed row v into t, cascading bumps downward; a nonempty
     residue below the last row becomes a new row."""
-    if not is_timed_row(v):
+    if not (isinstance(v, TimedWord) and is_timed_row(v)):
         raise NotARowError(f"timed_tableau_insert needs a timed row, got {_quote(v)}")
+    if not isinstance(t, TimedTableau):
+        raise InvalidTableauError(f"timed_tableau_insert needs a timed tableau, got {_quote(t)}")
     q = _grid(t, v)
     k = q // t.q
     rows = [(list(letters), [n * k for n in counts]) for letters, counts in t.grid]

@@ -51,14 +51,10 @@ DurationLike = Union[Fraction, int, str]
 
 
 def as_duration(x: DurationLike) -> Fraction:
-    """Coerce to an exact Fraction; floats are refused since they are inexact.
-    A string in exponent notation is refused too: a few characters such as
-    ``"1e-1000000"`` would build an integer of millions of bits."""
-    if isinstance(x, (float, bool)):
-        raise TypeError(
-            f"durations must be exact (int, str, or Fraction), got {_quote(x)}; "
-            f"write the value as a string such as '0.82' or '41/50'"
-        )
+    """Coerce to an exact Fraction; floats are refused since they are
+    inexact, and so is what is not a number. A string in exponent notation
+    is refused too: a few characters such as ``"1e-1000000"`` would build
+    an integer of millions of bits."""
     if type(x) is Fraction:
         return x
     if isinstance(x, str) and ("e" in x or "E" in x):
@@ -66,7 +62,15 @@ def as_duration(x: DurationLike) -> Fraction:
             f"durations must not use exponent notation, got {_quote(x)}; "
             f"write the value as a string such as '0.82' or '41/50'"
         )
-    return Fraction(x)
+    if not isinstance(x, (float, bool)):
+        try:
+            return Fraction(x)
+        except TypeError:  # not a number at all
+            pass
+    raise TypeError(
+        f"durations must be exact (int, str, or Fraction), got {_quote(x)}; "
+        f"write the value as a string such as '0.82' or '41/50'"
+    )
 
 
 class Run(NamedTuple):
@@ -85,14 +89,20 @@ class TimedWord(_Value):
     _key = ("letters", "counts", "q")
 
     def __init__(self, runs: tuple[Run, ...] = ()):
-        for letter, dur in runs:
+        for i, run in enumerate(runs):
+            try:
+                letter, dur = run
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"run {i} is not a (letter, duration) pair: {_quote(run)}"
+                ) from None
             _check_letters((letter,))
             if not isinstance(dur, Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {_quote(dur)}")
         for a, b in zip(runs, runs[1:]):
-            if a.letter == b.letter:
+            if a[0] == b[0]:
                 raise ValueError(
-                    f"adjacent runs carry the same letter {_text(a.letter)}; use normalize()"
+                    f"adjacent runs carry the same letter {_text(a[0])}; use normalize()"
                 )
         self.__dict__.update(_word(runs).__dict__)
 
@@ -262,7 +272,13 @@ class TimeSample(_Value):
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...] = ()):
         self.__dict__["intervals"] = intervals
         prev_end: Fraction | None = None
-        for a, b in intervals:
+        for i, interval in enumerate(intervals):
+            try:
+                a, b = interval
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"interval {i} is not a pair of endpoints: {_quote(interval)}"
+                ) from None
             if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
                 raise ValueError("interval endpoints must be Fractions")
             if a < 0 or a >= b:

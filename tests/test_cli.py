@@ -814,13 +814,21 @@ class TestProcessEntry:
         assert frozen == []
 
 
-def test_startup_imports_neither_dataclasses_nor_inspect():
+def test_startup_imports_no_argparse_locale_or_dataclasses():
     # -S keeps site-packages .pth files, which may import anything, out of
-    # the check; what remains is the package's own import graph.
+    # the check; what remains is the package's own import graph. The CLI
+    # reads argv from its own table, so neither its import nor a command
+    # loads argparse or what argparse loads for its messages and help
+    # (gettext, locale, shutil).
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
-        "import sys, timed_plactic.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import contextlib, io, sys\n"
+        "unwanted = {'argparse', 'dataclasses', 'gettext', 'inspect', 'locale', 'shutil'}\n"
+        "import timed_plactic.cli\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = timed_plactic.cli.main(['insert', '3421153', '--json'])\n"
+        "print(code, sorted(unwanted & set(sys.modules)))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = src
@@ -828,4 +836,4 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n0 []\n"

@@ -2,8 +2,8 @@
 
 For every argv, ``main`` returns 0, 1 or 2 and lets no exception escape.
 A handler's error exits 2 with nothing on stdout; under ``--json`` it is one
-JSON object on stderr, otherwise one ``error:`` line. Argparse's own usage
-errors are a ``SystemExit(2)`` with plain-text usage on stderr.
+JSON object on stderr, otherwise one ``error:`` line. A usage error of the
+argv reader is a ``SystemExit(2)`` with plain-text usage on stderr.
 
 Values that size real work (``--runs``, ``--iters``, word length) stay
 small: the test is about the contract, not load. ``--runs`` is also drawn
@@ -58,7 +58,7 @@ _words = st.one_of(
     st.sampled_from([f"1^{_LONG}", f"{_LONG}^1", f"1^1/{_LONG}", f"1,{_LONG}"]),
 )
 
-# Integer arguments: zero, negative and huge, plus text argparse refuses.
+# Integer arguments: zero, negative and huge, plus text that int() refuses.
 _numbers = st.integers(-3, 5).map(str) | st.sampled_from(
     [str(10**9), str(10**18), str(10**40), str(-(10**40)), "", "x", "1.5", "1e3"]
 )
@@ -182,7 +182,7 @@ _argvs = st.one_of(
 @given(argv=_argvs, as_json=st.booleans(), bogus=st.integers(0, 9))
 def test_exit_code_contract(argv, as_json, bogus):
     argv = argv + (["--json"] if as_json else []) + (["--bogus"] if bogus == 0 else [])
-    # A drawn word "--" ends argparse's options: the "--json" after it is
+    # A drawn word "--" ends the options: the "--json" after it is
     # then a positional argument, not the switch.
     as_json = as_json and "--" not in argv
     out, err = io.StringIO(), io.StringIO()
@@ -194,7 +194,7 @@ def test_exit_code_contract(argv, as_json, bogus):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
+            except SystemExit as exc:  # usage errors
                 assert exc.code == 2
                 assert err.getvalue().startswith("usage:")
                 return

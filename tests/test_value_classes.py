@@ -5,7 +5,8 @@ Each compares equal only to an object of its own class with equal fields,
 hashes as the tuple of the values that equality compares (its grid, for a
 word or tableau), shows its fields in its repr, is false only when empty,
 survives pickling, and refuses assignment to and deletion of a field with
-an AttributeError.
+an AttributeError. A wrong-typed argument to a constructor or a row
+function raises one of the library's own errors, which names it.
 """
 
 import pickle
@@ -14,12 +15,19 @@ from fractions import Fraction
 import pytest
 
 from timed_plactic import (
+    InvalidTableauError,
+    NotARowError,
     Run,
     Tableau,
     TimedKnuthMove,
     TimedTableau,
     TimedWord,
     TimeSample,
+    row_insert,
+    tableau_insert,
+    timed_row_insert,
+    timed_row_insert_word,
+    timed_tableau_insert,
 )
 from timed_plactic.timed_words import _word
 
@@ -180,3 +188,75 @@ class TestCachedLength:
         assert w.length == F(5, 6)
         assert w.__dict__["length"] == F(5, 6)
         assert w.length is w.__dict__["length"]
+
+
+_W = TimedWord((Run(1, F(1, 2)), Run(2, F(1))))
+
+# A wrong-typed argument to each constructor and row function: the call, the
+# library error it raises, and the start of the message, which names the
+# argument.
+WRONG_TYPES = {
+    "Tableau row 5": (lambda: Tableau((5,)), InvalidTableauError,
+                      "row 0 is not a sequence of letters: 5"),
+    "Tableau row None": (lambda: Tableau((None,)), InvalidTableauError,
+                         "row 0 is not a sequence of letters: None"),
+    "TimedTableau row 5": (lambda: TimedTableau((5,)), InvalidTableauError,
+                           "row 0 is not a timed word: 5"),
+    "TimedTableau row None": (lambda: TimedTableau((None,)), InvalidTableauError,
+                              "row 0 is not a timed word: None"),
+    "TimedTableau row pair": (lambda: TimedTableau(((1, 2),)), InvalidTableauError,
+                              "row 0 is not a timed word: (1, 2)"),
+    "TimedTableau row text": (lambda: TimedTableau((_W, "3^1")), InvalidTableauError,
+                              "row 1 is not a timed word: '3^1'"),
+    "TimedWord run 5": (lambda: TimedWord((5,)), ValueError,
+                        "run 0 is not a (letter, duration) pair: 5"),
+    "TimedWord run of one": (lambda: TimedWord(((1,),)), ValueError,
+                             "run 0 is not a (letter, duration) pair: (1,)"),
+    "TimedWord float": (lambda: TimedWord(((1, 0.5),)), ValueError,
+                        "run durations must be positive Fractions"),
+    "TimeSample interval 5": (lambda: TimeSample((5,)), ValueError,
+                              "interval 0 is not a pair of endpoints: 5"),
+    "TimeSample ints": (lambda: TimeSample(((1, 2),)), ValueError,
+                        "interval endpoints must be Fractions"),
+    "TimedKnuthMove kind": (lambda: TimedKnuthMove(5, 0, 1, 1, 1), ValueError,
+                            "move kind must be 'k1' or 'k2', got 5"),
+    "TimedKnuthMove None": (lambda: TimedKnuthMove("k1", None, 1, 1, 1), TypeError,
+                            "durations must be exact (int, str, or Fraction), got None"),
+    "row_insert 5": (lambda: row_insert(5, 1), NotARowError,
+                     "row_insert needs a weakly increasing word, got 5"),
+    "row_insert set": (lambda: row_insert({1, 2}, 1), NotARowError,
+                       "row_insert needs a weakly increasing word, got {1, 2}"),
+    "row_insert None": (lambda: row_insert(None, 1), NotARowError,
+                        "row_insert needs a weakly increasing word, got None"),
+    "row_insert text letter": (lambda: row_insert((1, "a"), 1), NotARowError,
+                               "row_insert needs a weakly increasing word, got (1, 'a')"),
+    "row_insert letter": (lambda: row_insert((1, 2), "x"), ValueError,
+                          "letters must be integers >= 1, got 'x'"),
+    "tableau_insert 5": (lambda: tableau_insert(5, 1), InvalidTableauError,
+                         "tableau_insert needs a tableau, got 5"),
+    "tableau_insert row": (lambda: tableau_insert((1, 2), 1), InvalidTableauError,
+                           "tableau_insert needs a tableau, got (1, 2)"),
+    "timed_row_insert 5": (lambda: timed_row_insert(5, 1, 1), NotARowError,
+                           "timed_row_insert needs a timed row, got 5"),
+    "timed_row_insert pair": (lambda: timed_row_insert((1, 2), 1, 1), NotARowError,
+                              "timed_row_insert needs a timed row, got (1, 2)"),
+    "timed_row_insert None": (lambda: timed_row_insert(_W, 1, None), TypeError,
+                              "durations must be exact (int, str, or Fraction), got None"),
+    "timed_row_insert_word row 5": (lambda: timed_row_insert_word(5, _W), NotARowError,
+                                    "timed_row_insert_word needs a timed row, got 5"),
+    "timed_row_insert_word word 5": (lambda: timed_row_insert_word(_W, 5), NotARowError,
+                                     "timed_row_insert_word inserts a timed word, got 5"),
+    "timed_tableau_insert row 5": (lambda: timed_tableau_insert(TimedTableau((_W,)), 5),
+                                   NotARowError, "timed_tableau_insert needs a timed row, got 5"),
+    "timed_tableau_insert tableau 5": (lambda: timed_tableau_insert(5, _W), InvalidTableauError,
+                                       "timed_tableau_insert needs a timed tableau, got 5"),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_TYPES))
+def test_wrong_typed_arguments_raise_the_librarys_errors(name):
+    call, error, message = WRONG_TYPES[name]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
