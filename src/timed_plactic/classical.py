@@ -9,25 +9,26 @@ own loop on rows spelt out as letters. Each letter walks down the rows,
 one bisection per row step at most. A word makes n + sum((i - 1) * l_i)
 row steps, which its tableau's shape l fixes. ``insertion_tableau`` starts
 from no rows, ``insertion_steps`` keeps one list of spelt rows across its
-letters, ``tableau_insert`` copies the tableau's spelt rows into lists,
+letters, ``tableau_insert`` copies the tableau's rows into lists,
 and ``row_insert`` inserts into its one row and reads the bumped letter off
 the row below. Timed insertion runs its own kernel, on runs with integer
 counts, in :mod:`.timed_tableaux`; the self-check compares the two through
 the timed embedding.
 
 Each kind of tableau has one stored form and one builder. A classical
-tableau is stored as ``spelt``, its rows as tuples of letters: the rows
-the kernel spelt, frozen. Equality, hash, truth, ``shape``,
-``reading_word``, ``str`` and the text and JSON writers read them, and
-``rows`` is the same tuples unless ``Tableau(rows)`` was given others. The
-insertion functions check the kernel's rows once, with every loop over rows
-and letters at C speed (``_valid``): no empty row, rows weakly increasing,
-lengths weakly decreasing, and columns strictly increasing downward. Only
-when that fails does ``_checked``, which ``Tableau(rows)`` runs on its
-rows, name the first violation. ``grid``, each row's runs on the grid 1/q
-for q = 1, the form a timed tableau stores, is built on first read by
-``embed_classical_tableau`` alone. A timed tableau is stored on its grid
-and built by ``timed_tableaux._tableau``.
+tableau is stored as ``rows``, a tuple of rows, each a tuple of letters:
+the rows the kernel spelt, frozen, or the rows ``Tableau(rows)`` was given,
+copied into tuples once they are checked. Equality, hash, truth, ``repr``,
+``shape``, ``reading_word``, ``str`` and the text and JSON writers read
+them. The insertion functions check the kernel's rows once, with every
+loop over rows and letters at C speed (``_valid``): no empty row, rows
+weakly increasing, lengths weakly decreasing, and columns strictly
+increasing downward. Only when that fails does ``_checked``, which
+``Tableau(rows)`` runs on its rows, name the first violation. ``grid``,
+each row's runs on the grid 1/q for q = 1, the form a timed tableau
+stores, is built on first read by ``embed_classical_tableau`` alone. A
+timed tableau is stored on its grid and built by
+``timed_tableaux._tableau``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ def _check_letters(letters) -> None:
 
 def is_row(w: Word) -> bool:
     """True when w is weakly increasing; the empty word counts as a row."""
-    return all(map(le, w, w[1:]))
+    try:
+        return all(map(le, w, w[1:]))
+    except TypeError:  # not a sequence, or letters that do not compare
+        raise TypeError(f"is_row needs a word, got {_quote(w)}") from None
 
 
 def row_insert(u: Word, a: int) -> tuple[int | None, Word]:
@@ -90,12 +94,12 @@ class _Value:
     """The base of the value classes: ``_fields`` names the fields, which
     ``__init__`` writes into the instance ``__dict__``. ``_key`` names the
     attributes that equality compares, hash and truth read, by default the
-    fields; a class stored in another form than its fields (a grid, or
-    spelt rows) names that form, so equality, hash and truth need not build
-    the fields, and its subclasses inherit that key. A value equals only an
-    object of its own class with an equal key, hashes as the tuple of its
-    key's values, is false when its first key attribute is empty, and
-    refuses assignment and deletion."""
+    fields; a class stored in another form than its fields (a grid) names
+    that form, so equality, hash and truth need not build the fields, and
+    its subclasses inherit that key. A value equals only an object of its
+    own class with an equal key, hashes as the tuple of its key's values, is
+    false when its first key attribute is empty, and refuses assignment and
+    deletion."""
 
     _fields: tuple[str, ...] = ()
 
@@ -134,31 +138,25 @@ class Tableau(_Value):
     Invariants, enforced on construction: rows weakly increase, row lengths
     weakly decrease, columns strictly increase, and no row is empty.
 
-    ``Tableau(rows)`` keeps the rows as given, and its repr reads them;
-    equality, hash, truth and ``str`` read ``spelt``, the rows as tuples. So
-    rows given as lists equal the same rows given as tuples, and hash as
-    they do. ``grid``, each row's runs on the grid 1/q for q = 1, is built
-    on first read, for the timed embedding.
+    ``Tableau(rows)`` reads its rows once, from any iterable of sequences,
+    and stores them as a tuple of tuples; it keeps nothing of the caller's
+    objects. So rows given as lists, or by an iterator, equal, hash and
+    repr as the same rows given as tuples. ``grid``, each row's runs on the
+    grid 1/q for q = 1, is built on first read, for the timed embedding.
     """
 
     _fields = ("rows",)
-    _key = ("spelt",)
     q = 1
 
     def __init__(self, rows: tuple[Word, ...] = ()):
-        self.__dict__["rows"] = rows
-        self.__dict__["spelt"] = _checked(rows)
-
-    @cached_property
-    def rows(self) -> tuple[Word, ...]:
-        return self.spelt
+        self.__dict__["rows"] = _checked(rows)
 
     @cached_property
     def grid(self) -> tuple[tuple[Word, Word], ...]:
-        return tuple([tuple(map(tuple, _runs(row))) for row in self.spelt])
+        return tuple([tuple(map(tuple, _runs(row))) for row in self.rows])
 
     def __str__(self) -> str:
-        return "\n".join([" ".join(map(str, row)) for row in self.spelt])
+        return "\n".join([" ".join(map(str, row)) for row in self.rows])
 
 
 def _reduced(letters, counts, q: int):
@@ -187,12 +185,12 @@ def _runs_text(letters, counts, q: int, spell=_ratio) -> str:
 
 def shape(t: Tableau) -> tuple[int, ...]:
     """Row lengths, top row first (an integer partition)."""
-    return tuple(map(len, t.spelt))
+    return tuple(map(len, t.rows))
 
 
 def reading_word(t: Tableau) -> Word:
     """Rows concatenated left to right, starting from the bottom row."""
-    return tuple(chain.from_iterable(reversed(t.spelt)))
+    return tuple(chain.from_iterable(reversed(t.rows)))
 
 
 def _insert_units(spelt: list[list[int]], w) -> list[list[int]]:
@@ -249,7 +247,9 @@ def _checked(rows) -> tuple[Word, ...]:
     or two rows not strictly increasing downward. Each row's letters are
     checked by ``_check_letters``, which raises ValueError, after the row's
     emptiness and before its order. A row and a pair of rows are each
-    checked by one ``map`` of ``operator.le`` or ``operator.lt``."""
+    checked by one ``map`` of ``operator.le`` or ``operator.lt``. ``rows``
+    may be any iterable: it is read once, into a tuple, before any check."""
+    rows = tuple(rows)
     for i, row in enumerate(rows):
         if not isinstance(row, Sequence):
             raise InvalidTableauError(f"row {i} is not a sequence of letters: {_quote(row)}")
@@ -293,7 +293,7 @@ def _kernel_tableau(spelt: list[list[int]]) -> Tableau:
     if not _valid(rows):
         _checked(rows)
     t = object.__new__(Tableau)
-    t.__dict__["spelt"] = rows
+    t.__dict__["rows"] = rows
     return t
 
 
@@ -302,7 +302,7 @@ def tableau_insert(t: Tableau, a: int) -> Tableau:
     if not isinstance(t, Tableau):
         raise InvalidTableauError(f"tableau_insert needs a tableau, got {_quote(t)}")
     _check_letters((a,))
-    return _kernel_tableau(_insert_units(list(map(list, t.spelt)), (a,)))
+    return _kernel_tableau(_insert_units(list(map(list, t.rows)), (a,)))
 
 
 def insertion_tableau(w: Word) -> Tableau:

@@ -143,7 +143,7 @@ def _kind(timed: bool) -> _Kind:
 
 
 def _format_tableau(t) -> str:
-    return "\n".join(map(format_word, t.spelt))
+    return "\n".join(map(format_word, t.rows))
 
 
 def _tableau_text(t, kind: _Kind) -> str:
@@ -581,12 +581,10 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
 def _fail(args, exc: Exception, code: int) -> int:
     if getattr(args, "json", False):
         error = {"type": type(exc).__name__, "message": str(exc)}
-        position = getattr(exc, "position", None)
-        if position is not None:
-            error["position"] = position
-        condition = getattr(exc, "condition", None)
-        if condition is not None:
-            error["condition"] = condition
+        for name in ("position", "condition"):
+            value = getattr(exc, name, None)
+            if value is not None:
+                error[name] = value
         print(json.dumps({"error": error}), file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)

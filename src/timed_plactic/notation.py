@@ -46,7 +46,7 @@ tableau's q for a tableau row). JSON spells it ``p/q``, and text as an exact
 decimal where one exists (``_decimal_text``, which ``format_duration``
 calls with a ``Fraction``'s numerator and denominator), so no writer builds
 a row word or a ``Fraction``. A classical tableau's writers read its
-spelt rows, the tuples of letters it is stored as.
+``rows``, the tuples of letters it is stored as.
 JSON letters must be JSON integers, durations JSON strings or integers,
 and a move's ``reverse`` a JSON boolean; anything else is a
 ``NotationError``. Digits are ASCII digits only, and no numeral may run past
@@ -349,15 +349,16 @@ def timed_word_from_dict(data: dict) -> TimedWord:
 
 
 def tableau_to_dict(t: Tableau) -> dict:
-    return {"rows": list(map(list, t.spelt))}
+    return {"rows": list(map(list, t.rows))}
 
 
 def tableau_from_dict(data: dict) -> Tableau:
+    # Tableau reads every row before it checks one, so a bad letter
+    # anywhere is named before a bad row.
     try:
-        rows = tuple(tuple(_json_letter(x) for x in row) for row in data["rows"])
+        return Tableau(tuple(_json_letter(x) for x in row) for row in data["rows"])
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad tableau JSON: {exc}") from exc
-    return Tableau(rows)
 
 
 def timed_tableau_to_dict(t: TimedTableau) -> dict:
@@ -365,11 +366,11 @@ def timed_tableau_to_dict(t: TimedTableau) -> dict:
 
 
 def timed_tableau_from_dict(data: dict) -> TimedTableau:
+    # As in tableau_from_dict, every row is read before any is checked.
     try:
-        rows = tuple(timed_word_from_dict(row) for row in data["rows"])
+        return TimedTableau(timed_word_from_dict(row) for row in data["rows"])
     except (KeyError, TypeError) as exc:
         raise NotationError(f"bad timed-tableau JSON: {exc}") from exc
-    return TimedTableau(rows)
 
 
 def format_timed_tableau(t: TimedTableau) -> str:

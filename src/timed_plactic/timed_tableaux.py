@@ -34,13 +34,15 @@ Classical insertion, the unit-duration case, runs Schensted's own loop
 through ``embed_classical``.
 
 Each kind of tableau has one stored form and one builder. A timed tableau
-is built and validated once, by ``_tableau``. ``TimedTableau(rows)``, for
-user and JSON input, keeps the rows it was given and passes them on their
-grid. The insertion functions pass the kernel's own rows and q, which
-become the grid without a second check. ``embed_classical_tableau`` passes
-a classical tableau's grid with q = 1: the only place a classical
-tableau's rows are read as runs. A classical tableau is stored as its rows
-spelt out as letters (:mod:`.classical`).
+is built and validated once, by ``_tableau``, and stores only ``grid`` and
+``q``. ``TimedTableau(rows)``, for user and JSON input, reads its rows once,
+from any iterable of timed words, and passes them on their grid; it keeps
+nothing of them, so its ``rows`` is the cached view of the grid, as an
+inserted tableau's is. The insertion functions pass the kernel's own rows
+and q, which become the grid without a second check.
+``embed_classical_tableau`` passes a classical tableau's grid with q = 1:
+the only place a classical tableau's rows are read as runs. A classical
+tableau is stored as its rows spelt out as letters (:mod:`.classical`).
 """
 
 from __future__ import annotations
@@ -173,18 +175,18 @@ def _insert_runs(rows: list[Grid], letters, counts) -> None:
 
 class TimedTableau(_Value):
     """Stack of timed rows, top row first; validated on construction, and
-    stored as ``grid`` and ``q``. ``rows``, the one field, is built from
-    the grid on first read and cached; equality, hash, truth and the
-    writers read the grid."""
+    stored as ``grid`` and ``q`` alone, whatever it was built from.
+    ``rows``, the one field, is built from the grid on first read and
+    cached; equality, hash, truth and the writers read the grid."""
 
     _fields = ("rows",)
     _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
+        rows = tuple(rows)
         for i, row in enumerate(rows):
             if not isinstance(row, TimedWord):
                 raise InvalidTableauError(f"row {i} is not a timed word: {_quote(row)}")
-        self.__dict__["rows"] = rows
         q = _grid(*rows)
         grid = [_to_grid(row, q) for row in rows]
         self.__dict__.update(_tableau(grid, q).__dict__)

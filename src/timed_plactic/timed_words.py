@@ -89,6 +89,7 @@ class TimedWord(_Value):
     _key = ("letters", "counts", "q")
 
     def __init__(self, runs: tuple[Run, ...] = ()):
+        runs = tuple(runs)
         for i, run in enumerate(runs):
             try:
                 letter, dur = run
@@ -265,13 +266,14 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
 class TimeSample(_Value):
     """A finite disjoint union of half-open intervals [a, b) in strictly
     separated normal form: 0 <= a1 < b1 < a2 < b2 < ... (touching intervals
-    must be supplied pre-merged; see :meth:`from_intervals`)."""
+    must be supplied pre-merged; see :meth:`from_intervals`). The intervals
+    are read once, from any iterable of pairs, and stored as a tuple of
+    ``(a, b)`` tuples."""
 
     _fields = ("intervals",)
 
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...] = ()):
-        self.__dict__["intervals"] = intervals
-        prev_end: Fraction | None = None
+        pairs: list[tuple[Fraction, Fraction]] = []
         for i, interval in enumerate(intervals):
             try:
                 a, b = interval
@@ -283,12 +285,13 @@ class TimeSample(_Value):
                 raise ValueError("interval endpoints must be Fractions")
             if a < 0 or a >= b:
                 raise ValueError(f"bad interval [{_text(a)}, {_text(b)})")
-            if prev_end is not None and a <= prev_end:
+            if pairs and a <= pairs[-1][1]:
                 raise ValueError(
                     f"intervals must be strictly separated; [{_text(a)}, {_text(b)}) touches "
                     f"or overlaps the previous one"
                 )
-            prev_end = b
+            pairs.append((a, b))
+        self.__dict__["intervals"] = tuple(pairs)
 
     @classmethod
     def from_intervals(
@@ -310,7 +313,7 @@ class TimeSample(_Value):
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
-        return cls(tuple((a, b) for a, b in merged))
+        return cls(merged)
 
     @property
     def measure(self) -> Fraction:
@@ -331,7 +334,10 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
 def is_timed_row(w: TimedWord) -> bool:
     """True when run letters strictly increase, i.e. the step function is
     nondecreasing; the empty word counts as a row."""
-    return all(a < b for a, b in zip(w.letters, w.letters[1:]))
+    try:
+        return all(a < b for a, b in zip(w.letters, w.letters[1:]))
+    except AttributeError:
+        raise TypeError(f"is_timed_row needs a timed word, got {_quote(w)}") from None
 
 
 def embed_classical(w: Word) -> TimedWord:

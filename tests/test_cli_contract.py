@@ -22,6 +22,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timed_plactic import cli
@@ -178,8 +179,16 @@ _argvs = st.one_of(
 )
 
 
+def _asks_for_help(token: str) -> bool:
+    """-h, -h repeated as in -hh, or a prefix of --help of at least --h."""
+    if re.fullmatch(r"-h+", token):
+        return True
+    return len(token) > 2 and "--help".startswith(token)
+
+
 @settings(max_examples=300)
 @given(argv=_argvs, as_json=st.booleans(), bogus=st.integers(0, 9))
+@example(argv=["insert", "-h"], as_json=False, bogus=0)
 def test_exit_code_contract(argv, as_json, bogus):
     argv = argv + (["--json"] if as_json else []) + (["--bogus"] if bogus == 0 else [])
     # A drawn word "--" ends the options: the "--json" after it is
@@ -194,7 +203,12 @@ def test_exit_code_contract(argv, as_json, bogus):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # usage errors
+            except SystemExit as exc:  # usage errors, or help
+                if exc.code == 0:
+                    assert any(map(_asks_for_help, argv))
+                    assert out.getvalue().startswith("usage:")
+                    assert err.getvalue() == ""
+                    return
                 assert exc.code == 2
                 assert err.getvalue().startswith("usage:")
                 return

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from timed_plactic import (
+    InvalidTableauError,
     NotationError,
     Tableau,
     TimedKnuthMove,
@@ -490,6 +491,10 @@ class TestParseWord:
         assert parse_word_or_timed("3^1") == tw("3^1")
 
 
+# The JSON of the timed word 2^1 1^1, which is no timed row.
+_DESCENDING_RUNS = {"runs": [{"letter": 2, "dur": "1"}, {"letter": 1, "dur": "1"}]}
+
+
 class TestJson:
     def test_timed_word_dict(self):
         w = tw("3^0.82 5^2")
@@ -543,6 +548,31 @@ class TestJson:
     def test_timed_tableau_dict_rejects_bad_rows(self, rows):
         with pytest.raises(NotationError):
             timed_tableau_from_dict({"rows": rows})
+
+    @pytest.mark.parametrize(
+        "read, rows, error, message",
+        [
+            (tableau_from_dict, [[2, 1], [0]], NotationError, "letters must be at least 1, got 0"),
+            (tableau_from_dict, [[2, 1], 5], NotationError,
+             "bad tableau JSON: 'int' object is not iterable"),
+            (tableau_from_dict, [[2, 1], [1]], InvalidTableauError,
+             "row 0 is not weakly increasing: (2, 1)"),
+            (timed_tableau_from_dict, [_DESCENDING_RUNS, {"runs": [{"letter": 0, "dur": "1"}]}],
+             NotationError, "letters must be at least 1, got 0"),
+            (timed_tableau_from_dict, [_DESCENDING_RUNS, 5], NotationError,
+             "bad timed-word JSON: 'int' object is not subscriptable"),
+            (timed_tableau_from_dict, [{"runs": [{"letter": 1, "dur": "1"}]},
+                                       {"runs": [{"letter": 2, "dur": "2"}]}],
+             InvalidTableauError, "row 1 is longer than row 0 (2 > 1)"),
+        ],
+    )
+    def test_tableau_dicts_read_every_row_before_checking_one(self, read, rows, error, message):
+        # A bad letter or row anywhere in the JSON is named before a
+        # tableau fault in an earlier row, and a classical tableau's
+        # messages quote its rows as tuples.
+        with pytest.raises(error) as info:
+            read({"rows": rows})
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize("reverse", ["false", "true", 0, 1, None])
     def test_move_dict_requires_boolean_reverse(self, reverse):

@@ -6,7 +6,9 @@ hashes as the tuple of the values that equality compares (its grid, for a
 word or tableau), shows its fields in its repr, is false only when empty,
 survives pickling, and refuses assignment to and deletion of a field with
 an AttributeError. A wrong-typed argument to a constructor or a row
-function raises one of the library's own errors, which names it.
+function raises one of the library's own errors, which names it. A
+constructor reads its argument once, from any iterable, and keeps nothing
+of it beside its one stored form.
 """
 
 import pickle
@@ -23,6 +25,8 @@ from timed_plactic import (
     TimedTableau,
     TimedWord,
     TimeSample,
+    is_row,
+    is_timed_row,
     row_insert,
     tableau_insert,
     timed_row_insert,
@@ -250,6 +254,9 @@ WRONG_TYPES = {
                                    NotARowError, "timed_tableau_insert needs a timed row, got 5"),
     "timed_tableau_insert tableau 5": (lambda: timed_tableau_insert(5, _W), InvalidTableauError,
                                        "timed_tableau_insert needs a timed tableau, got 5"),
+    "is_row 5": (lambda: is_row(5), TypeError, "is_row needs a word, got 5"),
+    "is_timed_row 5": (lambda: is_timed_row(5), TypeError,
+                       "is_timed_row needs a timed word, got 5"),
 }
 
 
@@ -260,3 +267,45 @@ def test_wrong_typed_arguments_raise_the_librarys_errors(name):
         call()
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+# The four classes built from a sequence of entries: each one's entries as
+# a tuple, and the attributes that it stores.
+_ROWS = ((1, 1, 3), (2, 4), (3,))
+_RUNS = (Run(1, F(1, 2)), Run(2, F(3)), Run(1, F(1, 3)))
+_PAIRS = ((F(0), F(1, 2)), (F(1), F(2)))
+FROM_ENTRIES = {
+    "Tableau": (Tableau, _ROWS, {"rows"}),
+    "TimedTableau": (TimedTableau, (tw("1^1 2^1/2"), tw("3^1/3")), {"grid", "q"}),
+    "TimedWord": (TimedWord, _RUNS, {"letters", "counts", "q"}),
+    "TimeSample": (TimeSample, _PAIRS, {"intervals"}),
+}
+SOURCES = {
+    "iterator": iter,
+    "generator": lambda entries: (entry for entry in entries),
+    "list": list,
+    # Entries that are tuples given as lists too: rows, runs and intervals.
+    "lists": lambda entries: [list(e) if isinstance(e, tuple) else e for e in entries],
+}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+@pytest.mark.parametrize("name", list(FROM_ENTRIES))
+def test_the_argument_is_read_once_and_kept_by_no_one(name, source):
+    """Built from an iterator, a generator or a list, a value equals,
+    hashes and reprs as the value built from the tuple of the same entries,
+    stores its one form and nothing else, and does not change when the
+    caller edits the list it was given."""
+    cls, entries, stored = FROM_ENTRIES[name]
+    twin = cls(entries)
+    given = SOURCES[source](entries)
+    value = cls(given)
+    assert set(value.__dict__) == stored
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    if isinstance(given, list):
+        for entry in given:
+            if isinstance(entry, list):
+                entry.append(entry[-1])
+        given.append(entries[0])
+        given.reverse()
+        assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
