@@ -41,7 +41,7 @@ from itertools import chain, islice, repeat
 from math import gcd
 from operator import eq, ge, le, lt
 
-from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _quote
+from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _entries, _quote
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
@@ -249,7 +249,7 @@ def _checked(rows) -> tuple[Word, ...]:
     emptiness and before its order. A row and a pair of rows are each
     checked by one ``map`` of ``operator.le`` or ``operator.lt``. ``rows``
     may be any iterable: it is read once, into a tuple, before any check."""
-    rows = tuple(rows)
+    rows = _entries(rows, InvalidTableauError, "rows must be an iterable of rows")
     for i, row in enumerate(rows):
         if not isinstance(row, Sequence):
             raise InvalidTableauError(f"row {i} is not a sequence of letters: {_quote(row)}")

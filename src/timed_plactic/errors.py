@@ -25,6 +25,19 @@ def _quote(value) -> str:
     return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
 
 
+def _entries(arg, error: type[Exception], what: str) -> tuple:
+    """The entries of a constructor's argument, read once into a tuple.
+    Only ``iter()`` is guarded: an argument that is not iterable at all
+    raises ``error`` with ``what`` and the quoted argument, while a
+    ``TypeError`` raised as the entries are read, inside a generator, keeps
+    its own message."""
+    try:
+        entries = iter(arg)
+    except TypeError:
+        raise error(f"{what}, got {_quote(arg)}") from None
+    return tuple(entries)
+
+
 class NotARowError(ValueError):
     """An operation that requires a (timed) row was given something else."""
 

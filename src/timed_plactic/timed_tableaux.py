@@ -53,13 +53,13 @@ from itertools import islice
 from operator import lt
 
 from .classical import Grid, Tableau, _grid_gcd, _runs_text, _Value
-from .errors import InvalidTableauError, NotARowError, _quote, _text
+from .errors import InvalidTableauError, NotARowError, _entries, _quote, _text
 from .timed_words import (
     DurationLike,
     Run,
     TimedWord,
     _grid,
-    _merged,
+    _joined,
     _on_grid,
     _to_grid,
     as_duration,
@@ -183,7 +183,7 @@ class TimedTableau(_Value):
     _key = ("grid", "q")
 
     def __init__(self, rows: tuple[TimedWord, ...] = ()):
-        rows = tuple(rows)
+        rows = _entries(rows, InvalidTableauError, "rows must be an iterable of timed words")
         for i, row in enumerate(rows):
             if not isinstance(row, TimedWord):
                 raise InvalidTableauError(f"row {i} is not a timed word: {_quote(row)}")
@@ -262,7 +262,7 @@ def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
 
 def timed_reading_word(t: TimedTableau) -> TimedWord:
     """Rows concatenated bottom row first."""
-    return _merged((run for row in reversed(t.grid) for run in zip(*row)), t.q)
+    return _joined(reversed(t.grid), t.q)
 
 
 def timed_row_insert(

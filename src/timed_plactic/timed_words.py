@@ -30,8 +30,18 @@ A q is formed in four places. A word made from ratios, whether read from
 text by either path of ``notation.parse_timed_word`` or from ``Fraction``
 runs by ``TimedWord(...)`` and ``normalize``, gets the lcm of its
 denominators from ``_from_ratios``. Work on several words takes ``_grid``,
-a cut takes the lcm of w.q and its points' denominators (``_cut``), and
+a cut takes the lcm of w.q and its points' denominators (``_ticks``), and
 ``scale`` multiplies q by the factor's denominator.
+
+A cut and a join cost their pieces, not the word's runs. ``_cut`` finds
+each point's run by one ``bisect_right`` over the runs' starts, slices the
+whole runs between two points at C speed and trims the two end runs.
+``_joined`` concatenates pieces, each already in normal form, and merges
+two runs only at a seam where a piece starts with the last letter so far;
+``restrict``, ``subword``, ``concat``, ``timed_tableaux.timed_reading_word``
+and ``timed_knuth.apply_move`` build their words so. Only raw runs, which
+may repeat a letter anywhere, are merged run by run (``_merged``, for
+``_from_ratios``).
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from operator import eq, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
-from .errors import _quote, _text
+from .errors import _entries, _quote, _text
 
 DurationLike = Union[Fraction, int, str]
 
@@ -89,7 +99,7 @@ class TimedWord(_Value):
     _key = ("letters", "counts", "q")
 
     def __init__(self, runs: tuple[Run, ...] = ()):
-        runs = tuple(runs)
+        runs = _entries(runs, ValueError, "runs must be an iterable of (letter, duration) pairs")
         for i, run in enumerate(runs):
             try:
                 letter, dur = run
@@ -198,7 +208,7 @@ def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
 def concat(*words: TimedWord) -> TimedWord:
     """Concatenation, merging equal letters at the junctions."""
     q = _grid(*words)
-    return _merged((run for w in words for run in zip(*_to_grid(w, q))), q)
+    return _joined([_to_grid(w, q) for w in words], q)
 
 
 def value_at(w: TimedWord, t: DurationLike) -> int:
@@ -220,35 +230,59 @@ def _to_grid(w: TimedWord, q: int) -> Grid:
     """The runs of w on the grid 1/q (a multiple of w.q) as two parallel
     lists, the letters and their integer counts: the row form of the
     insertion kernel."""
-    k = q // w.q
-    return list(w.letters), [n * k for n in w.counts]
+    return list(w.letters), list(map(mul, w.counts, repeat(q // w.q)))
 
 
-def _cut(w: TimedWord, points: Sequence[Fraction]) -> tuple[int, list[Grid]]:
-    """The pieces of w between consecutive points, for
-    0 <= p0 <= p1 <= ... <= length, in one pass: q, and each piece as its
-    letters and counts on the grid 1/q (q also clears the points'
-    denominators). Adjacent letters within a piece are distinct."""
+def _ticks(w: TimedWord, points: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The grid of a cut: q, the lcm of w.q and the points' denominators,
+    and each point as an integer tick on the grid 1/q."""
     q = lcm(w.q, *(p.denominator for p in points))
-    ticks = [p.numerator * (q // p.denominator) for p in points]
-    letters, counts = _to_grid(w, q)
-    pieces = []
-    i = start = 0  # run i covers [start, start + its count)
-    for a, b in zip(ticks, ticks[1:]):
-        piece: Grid = ([], [])
-        while start < b:
-            end = start + counts[i]
-            if end > a:
-                span = min(end, b) - max(start, a)
-                if span:
-                    piece[0].append(letters[i])
-                    piece[1].append(span)
-                if end > b:
-                    break
-            i += 1
-            start = end
-        pieces.append(piece)
-    return q, pieces
+    return q, [p.numerator * (q // p.denominator) for p in points]
+
+
+def _cut(w: TimedWord, q: int, ticks: Sequence[int]) -> list[Grid]:
+    """The pieces of w between consecutive ticks on the grid 1/q (a multiple
+    of w.q), for 0 <= t0 <= t1 <= ... <= the length on that grid: each
+    piece as its letters and counts. Adjacent letters within a piece are
+    distinct.
+
+    Each tick's run is found by one ``bisect_right`` over the runs' starts.
+    The whole runs between two ticks are sliced at C speed and the two end
+    runs trimmed, so a piece costs a few Python steps, whatever its size.
+    The counts are scaled onto the grid only when q is not w.q."""
+    k = q // w.q
+    counts = w.counts if k == 1 else list(map(mul, w.counts, repeat(k)))
+    starts = list(accumulate(counts, initial=0))
+    runs = [bisect_right(starts, t) - 1 for t in ticks]  # the run covering each tick
+    letters = w.letters
+    pieces: list[Grid] = []
+    for a, b, i, j in zip(ticks, islice(ticks, 1, None), runs, islice(runs, 1, None)):
+        if i == j:
+            pieces.append(((letters[i],), [b - a]) if b > a else ((), []))
+            continue
+        tail = b - starts[j]  # the part of run j before b
+        end = j + 1 if tail else j
+        piece = [starts[i + 1] - a, *counts[i + 1 : end]]
+        if tail:
+            piece[-1] = tail
+        pieces.append((letters[i:end], piece))
+    return pieces
+
+
+def _joined(pieces, q: int) -> TimedWord:
+    """The word of the pieces (letters, counts) on the grid 1/q, in order,
+    each in normal form. Pieces are concatenated as they are, at C speed;
+    runs merge only at a seam where a piece starts with the last letter so
+    far."""
+    letters: list[int] = []
+    counts: list[int] = []
+    for piece_letters, piece_counts in pieces:
+        seam = 1 if letters and piece_letters and letters[-1] == piece_letters[0] else 0
+        if seam:
+            counts[-1] += piece_counts[0]
+        letters += piece_letters[seam:]
+        counts += piece_counts[seam:]
+    return _on_grid(letters, counts, q)
 
 
 def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
@@ -259,7 +293,8 @@ def restrict(w: TimedWord, a: DurationLike, b: DurationLike) -> TimedWord:
     a, b = as_duration(a), as_duration(b)
     if not (0 <= a <= b <= w.length):
         raise ValueError(f"window [{_text(a)}, {_text(b)}) outside [0, {_text(w.length)}]")
-    q, (piece,) = _cut(w, (a, b))
+    q, ticks = _ticks(w, (a, b))
+    (piece,) = _cut(w, q, ticks)
     return _on_grid(*piece, q)
 
 
@@ -274,6 +309,7 @@ class TimeSample(_Value):
 
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...] = ()):
         pairs: list[tuple[Fraction, Fraction]] = []
+        intervals = _entries(intervals, ValueError, "intervals must be an iterable of pairs")
         for i, interval in enumerate(intervals):
             try:
                 a, b = interval
@@ -327,8 +363,8 @@ def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
         raise ValueError(
             f"sample reaches {_text(sample.intervals[-1][1])}, beyond word length {_text(w.length)}"
         )
-    q, pieces = _cut(w, [p for interval in sample.intervals for p in interval])
-    return _merged((run for piece in pieces[::2] for run in zip(*piece)), q)
+    q, ticks = _ticks(w, [p for interval in sample.intervals for p in interval])
+    return _joined(_cut(w, q, ticks)[::2], q)
 
 
 def is_timed_row(w: TimedWord) -> bool:

@@ -33,6 +33,7 @@ from timed_plactic import (
     timed_row_insert_word,
     timed_tableau_insert,
 )
+from timed_plactic.cli import main
 from timed_plactic.timed_words import _word
 
 from conftest import tw
@@ -200,6 +201,15 @@ _W = TimedWord((Run(1, F(1, 2)), Run(2, F(1))))
 # library error it raises, and the start of the message, which names the
 # argument.
 WRONG_TYPES = {
+    # An argument that is not iterable at all is named as a bad entry is.
+    "Tableau 5": (lambda: Tableau(5), InvalidTableauError,
+                  "rows must be an iterable of rows, got 5"),
+    "TimedTableau 5": (lambda: TimedTableau(5), InvalidTableauError,
+                       "rows must be an iterable of timed words, got 5"),
+    "TimedWord 5": (lambda: TimedWord(5), ValueError,
+                    "runs must be an iterable of (letter, duration) pairs, got 5"),
+    "TimeSample 5": (lambda: TimeSample(5), ValueError,
+                     "intervals must be an iterable of pairs, got 5"),
     "Tableau row 5": (lambda: Tableau((5,)), InvalidTableauError,
                       "row 0 is not a sequence of letters: 5"),
     "Tableau row None": (lambda: Tableau((None,)), InvalidTableauError,
@@ -267,6 +277,21 @@ def test_wrong_typed_arguments_raise_the_librarys_errors(name):
         call()
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("data, message", [
+    ('{"rows": [5]}', "bad tableau JSON: 'int' object is not iterable"),
+    ('{"rows": [{"runs": 5}]}', "bad timed-word JSON: 'int' object is not iterable"),
+])
+def test_a_type_error_raised_while_the_entries_are_read_keeps_its_message(
+    data, message, tmp_path, capsys
+):
+    # The JSON readers hand the constructors a generator, which is
+    # iterable; a row that is not is met only as the generator runs.
+    assert main(["render", data, "--svg", str(tmp_path / "out.svg")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out.svg").exists()
 
 
 # The four classes built from a sequence of entries: each one's entries as
