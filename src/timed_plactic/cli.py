@@ -14,17 +14,23 @@ The environment variable ``TIMED_PLACTIC_SEED`` overrides ``--seed``.
 ``main`` reads argv from one table of the commands, ``_COMMANDS``, with no
 argparse: a usage error prints usage to stderr and exits 2, in plain text
 also under ``--json``, and ``-h`` prints help built from the table.
+
+A process pays only for what its command runs: ``check`` and ``random``
+load their modules (``selfcheck``, ``randomgen``, ``random``) when they
+run, ``fractions`` executes at the first ``Fraction`` built
+(:mod:`.timed_words`), and the text grammars compile on first use
+(:mod:`.notation`). ``equiv --move`` applies the move before it inserts
+either word, so a move that fails its checks exits 2 without inserting.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .classical import insertion_steps, insertion_tableau
 from .errors import BudgetExceededError, NotationError, OracleSizeError, _quote
@@ -49,9 +55,7 @@ from .notation import (
     timed_tableau_to_dict,
     timed_word_to_dict,
 )
-from .randomgen import random_timed_word
 from .render import render_svg
-from .selfcheck import run_checks
 from .timed_knuth import apply_move
 from .timed_words import TimedWord, embed_classical
 from .timed_tableaux import (
@@ -112,18 +116,20 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-class _Kind(NamedTuple):
-    """What the commands do differently for classical and timed words."""
+# A plain class, as the command table's are: a NamedTuple costs a process
+# ~0.15 ms to define.
+class _Kind:
+    """What the commands do differently for classical and timed words:
+    ``step`` is what one insertion step inserts, and ``value_json`` and
+    ``value_text`` spell a profile entry in JSON and in text."""
 
-    insert: Callable
-    steps: Callable
-    to_dict: Callable
-    tableau_text: Callable
-    step: str  # what one insertion step inserts
-    greene: Callable
-    oracle: Callable
-    value_json: Callable  # a profile entry in JSON
-    value_text: Callable  # a profile entry in text
+    def __init__(self, insert: Callable, steps: Callable, to_dict: Callable,
+                 tableau_text: Callable, step: str, greene: Callable, oracle: Callable,
+                 value_json: Callable, value_text: Callable):
+        self.insert, self.steps, self.to_dict = insert, steps, to_dict
+        self.tableau_text, self.step = tableau_text, step
+        self.greene, self.oracle = greene, oracle
+        self.value_json, self.value_text = value_json, value_text
 
 
 def _kind(timed: bool) -> _Kind:
@@ -220,12 +226,15 @@ def _cmd_equiv(args) -> int:
     timed = args.move is not None or any(isinstance(w, TimedWord) for w in words)
     if timed:
         words = [w if isinstance(w, TimedWord) else embed_classical(w) for w in words]
+    if args.move is not None:
+        # Read and applied before either word is inserted: a move that
+        # fails its checks exits 2 at the cost of the parses.
+        moved = apply_move(words[0], move_from_dict(_load_json(args.move)))
     kind = _kind(timed)
     ta, tb = (kind.insert(w) for w in words)
     equivalent = ta == tb
     payload: dict = {"left_tableau": kind.to_dict(ta), "right_tableau": kind.to_dict(tb)}
     if args.move is not None:
-        moved = apply_move(words[0], move_from_dict(_load_json(args.move)))
         payload["move_result"] = timed_word_to_dict(moved)
         payload["move_reaches_right"] = moved == words[1]
     payload["equivalent"] = equivalent
@@ -284,6 +293,11 @@ def _cmd_random(args) -> int:
             f"at most {_MAX_GRID_BITS}, got {args.runs} runs of {bits} bits"
         )
     seed = _resolve_seed(args)
+    # Loaded here: no other command draws random numbers.
+    import random
+
+    from .randomgen import random_timed_word
+
     rng = random.Random(seed)
     word = random_timed_word(
         rng,
@@ -302,7 +316,11 @@ def _cmd_random(args) -> int:
 def _cmd_check(args) -> int:
     _in_range("--iters", args.iters, 0, _MAX_ITERS)
     seed = _resolve_seed(args)
-    report = run_checks(args.iters, seed)
+    # Loaded here, and run_checks read from the module when it is called,
+    # so that a tracer that rebinds the module's attribute sees the call.
+    from . import selfcheck
+
+    report = selfcheck.run_checks(args.iters, seed)
     if args.json:
         _print_json(report)
     else:

@@ -1,6 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, the helpers that quote values in their
+messages, and ``_lazy_module``, through which the package reaches the
+``fractions`` module."""
 
 from __future__ import annotations
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # Error messages quote the offending input at most this many characters long.
 _QUOTE_LIMIT = 60
@@ -36,6 +41,24 @@ def _entries(arg, error: type[Exception], what: str) -> tuple:
     except TypeError:
         raise error(f"{what}, got {_quote(arg)}") from None
     return tuple(entries)
+
+
+def _lazy_module(name: str):
+    """The module ``name``, registered now and executed on the first read
+    of one of its attributes (``importlib.util.LazyLoader``); a module
+    already in ``sys.modules`` is returned as it is. The package reaches
+    ``fractions`` so, as ``fractions.Fraction``: ``fractions`` imports
+    ``decimal`` and ``numbers``, which a process whose command builds no
+    ``Fraction`` (a classical word's commands, a timed ``insert``) never
+    executes."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = find_spec(name)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 class NotARowError(ValueError):

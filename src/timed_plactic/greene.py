@@ -16,13 +16,14 @@ which it can therefore cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, groupby
 
 from .classical import Word, insertion_tableau, shape
-from .errors import OracleSizeError, _text
+from .errors import OracleSizeError, _lazy_module, _text
 from .timed_words import TimedWord
 from .timed_tableaux import timed_insertion_tableau, timed_shape
+
+fractions = _lazy_module("fractions")
 
 
 # The flow's work: its arcs (about runs x distinct letters) times its
@@ -149,15 +150,15 @@ def greene_classical(w: Word) -> tuple[int, ...]:
     return tuple(accumulate(shape(insertion_tableau(w))))
 
 
-def greene_timed_oracle(w: TimedWord, r: int) -> tuple[Fraction, ...]:
+def greene_timed_oracle(w: TimedWord, r: int) -> tuple[fractions.Fraction, ...]:
     """The timed Greene profile of w up to rank r, greene_timed(w)[:r] when
     insertion is right: one min-cost flow over w's runs with their counts on
     the grid 1/q (w.counts), each value divided by q. Nothing is expanded
     on the grid, so its size costs nothing; the one bound is the flow's work,
     _MAX_FLOW_WORK, past which OracleSizeError is raised."""
-    return tuple(Fraction(a, w.q) for a in _greene_runs(w.letters, w.counts, r))
+    return tuple(fractions.Fraction(a, w.q) for a in _greene_runs(w.letters, w.counts, r))
 
 
-def greene_timed(w: TimedWord) -> tuple[Fraction, ...]:
+def greene_timed(w: TimedWord) -> tuple[fractions.Fraction, ...]:
     """Timed Greene profile via partial sums of the insertion tableau's shape."""
     return tuple(accumulate(timed_shape(timed_insertion_tableau(w))))

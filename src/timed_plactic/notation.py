@@ -23,7 +23,12 @@ JSON schemas:
 
 Durations parse to exact rationals: ``0.82`` means 82/100 reduced, never a
 binary float. One helper reads a numeral's matched digits as a numerator
-and a denominator, and ``parse_duration`` makes a ``Fraction`` of them.
+and a denominator, and ``parse_duration`` makes a ``Fraction`` of them: the
+one reader that builds one, and where a command that reads a move or a
+JSON duration first executes ``fractions`` (a lazy module, as in
+:mod:`.timed_words`). The grammars' five patterns (``_Pattern``) compile on
+first use, so a command compiles only those of the text it reads: a digit
+string, none.
 A classical word in the spelling that ``format_word`` writes is read at C
 speed: a digit string by one ``bytes.translate`` of its ASCII bytes, and
 two or more comma-separated integers with no whitespace and no leading zero
@@ -60,37 +65,57 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from itertools import zip_longest
 
 from .classical import Tableau, Word, _ratio, _reduced, _runs_text
-from .errors import NotationError, _quote
+from .errors import NotationError, _lazy_module, _quote
 from .timed_knuth import SOURCE_ORDER, TimedKnuthMove
 from .timed_words import TimedWord, _from_ratios, normalize
 from .timed_tableaux import TimedTableau
+
+fractions = _lazy_module("fractions")
+
+
+class _Pattern:
+    """A regular expression compiled on first use. Until then, reading one
+    of its attributes compiles it (``__getattr__``) and binds ``fullmatch``,
+    ``finditer`` and ``search`` on this object, so that later calls reach
+    the compiled pattern's own methods. A command that reads no text of a
+    pattern's kind never compiles it."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def __getattr__(self, name: str):
+        compiled = re.compile(self.source)
+        self.fullmatch, self.finditer, self.search = (
+            compiled.fullmatch, compiled.finditer, compiled.search
+        )
+        return getattr(compiled, name)
+
 
 # A duration numeral: p/q, a decimal a.b or an integer. Its five groups are
 # p, q, a, b and the integer. Digits are ASCII only: \d would also match
 # other scripts' digits, and re.ASCII would narrow \s as well.
 _NUMERAL = r"(?:([0-9]+)/([0-9]+)|([0-9]+)\.([0-9]+)|([0-9]+))"
-_DURATION_RE = re.compile(_NUMERAL)
+_DURATION_RE = _Pattern(_NUMERAL)
 # A timed word's tokens: a run <letter>^<numeral>, whose lookahead lets
 # adjacent runs like 3^0.825^0.08 split unambiguously (the numeral
 # backtracks until the rest starts a new <letter>^ token), or, in the last
 # group, the rest of the text from the first non-space character where no
 # run starts. Taking the rest makes finditer stop at the first error
 # instead of scanning on past it.
-_TOKEN_RE = re.compile(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
+_TOKEN_RE = _Pattern(rf"([0-9]+)\^{_NUMERAL}(?=\s|[0-9]+\^|$)|(\S[\s\S]*)")
 # The spelling of str(TimedWord) and of _runs_json's durations: runs
 # <letter>^<p> or <letter>^<p>/<q> joined by single spaces, every numeral
 # without a leading zero (so each is at least 1). Every text it matches is
 # a valid word.
 _RUN = r"[1-9][0-9]*\^[1-9][0-9]*(?:/[1-9][0-9]*)?"
-_RUN_WORD_RE = re.compile(rf"{_RUN}(?: {_RUN})*")
+_RUN_WORD_RE = _Pattern(rf"{_RUN}(?: {_RUN})*")
 # The comma spelling that format_word writes, which json.loads reads as the
 # elements of a JSON array: integers without a leading zero (so each is at
 # least 1), one comma between two, and no whitespace.
-_COMMA_WORD_RE = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)+")
+_COMMA_WORD_RE = _Pattern(r"[1-9][0-9]*(?:,[1-9][0-9]*)+")
 # ASCII digit bytes to the letters they spell.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 # int() refuses more than 4,300 digits by default, a limit that varies with
@@ -100,7 +125,7 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 # earlier holds the whole window too, so the first hit is the same, and no
 # position is scanned twice.
 _MAX_DIGITS = 4300
-_LONG_DIGITS_RE = re.compile(rf"(?<![0-9.])[0-9.]{{{_MAX_DIGITS + 1}}}")
+_LONG_DIGITS_RE = _Pattern(rf"(?<![0-9.])[0-9.]{{{_MAX_DIGITS + 1}}}")
 # The same bound on output: a value whose numerator or denominator reaches
 # this has more than _MAX_DIGITS digits, which str() may refuse to write.
 _TOO_LONG = 10**_MAX_DIGITS
@@ -137,7 +162,7 @@ def _refuse_long_result():
     raise NotationError(f"exact result needs a numeral of more than {_MAX_DIGITS} digits")
 
 
-def _rational_text(d: Fraction) -> str:
+def _rational_text(d: fractions.Fraction) -> str:
     """``str(d)``, refused past the digit bound with the same verdict on
     every interpreter."""
     return _ratio_text(d.numerator, d.denominator)
@@ -151,16 +176,16 @@ def _ratio_text(num: int, den: int) -> str:
     return _ratio(num, den)
 
 
-def parse_duration(text: str) -> Fraction:
+def parse_duration(text: str) -> fractions.Fraction:
     """Parse a decimal numeral or p/q fraction into an exact Fraction."""
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
         raise NotationError(f"not a duration: {_quote(text)}")
     _check_digits(m.group(), None)
-    return Fraction(*_numeral(*m.groups(), text))
+    return fractions.Fraction(*_numeral(*m.groups(), text))
 
 
-def format_duration(d: Fraction) -> str:
+def format_duration(d: fractions.Fraction) -> str:
     """Exact decimal string when the denominator divides a power of 10
     (``41/50`` renders as ``0.82``), otherwise ``p/q``."""
     return _decimal_text(d.numerator, d.denominator)
@@ -188,7 +213,7 @@ def _decimal_text(num: int, den: int) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def human_rational(d: Fraction) -> str:
+def human_rational(d: fractions.Fraction) -> str:
     """Human-readable rendering: exact decimal when one exists, otherwise the
     fraction with an approximation marked inexact."""
     text = format_duration(d)
@@ -326,7 +351,7 @@ def _json_letter(value) -> int:
     return value
 
 
-def _json_duration(value) -> Fraction:
+def _json_duration(value) -> fractions.Fraction:
     # JSON strings and integers only: a JSON number with a fraction part is
     # already a rounded float, so 0.10000000000000001 would read as 1/10.
     if type(value) not in (str, int):

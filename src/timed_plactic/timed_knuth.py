@@ -22,14 +22,15 @@ is done at C speed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from .classical import _Value, is_row
-from .errors import InvalidMoveError, _quote, _text
+from .errors import InvalidMoveError, _lazy_module, _quote, _text
 from .greene import greene_timed_oracle
 from .timed_words import TimedWord, _cut, _joined, _ticks, as_duration
 from .timed_tableaux import timed_insertion_tableau
+
+fractions = _lazy_module("fractions")
 
 # Factor roles in their order of appearance, per (kind, reverse). A move
 # rewrites its source order into the order of the opposite direction.
@@ -63,7 +64,7 @@ class TimedKnuthMove(_Value):
         self.__dict__.update(zip(self._fields, (kind, position, *cuts, reverse)))
 
     @property
-    def cuts(self) -> tuple[Fraction, Fraction, Fraction]:
+    def cuts(self) -> tuple[fractions.Fraction, fractions.Fraction, fractions.Fraction]:
         return (self.cut1, self.cut2, self.cut3)
 
 
@@ -84,7 +85,7 @@ def _validate(kind: str, named: dict, q: int) -> None:
         raise InvalidMoveError("xyz-not-a-row", f"x y z = {word} is not a timed row")
     (a, b), (left, right) = SIDE_CONDITIONS[kind]
     if sum(named[a][1]) != sum(named[b][1]):
-        la, lb = (Fraction(sum(named[role][1]), q) for role in (a, b))
+        la, lb = (fractions.Fraction(sum(named[role][1]), q) for role in (a, b))
         raise InvalidMoveError(
             "length-mismatch", f"l({a}) = {_text(la)} differs from l({b}) = {_text(lb)}"
         )
@@ -110,7 +111,7 @@ def apply_move(w: TimedWord, m: TimedKnuthMove) -> TimedWord:
     if end > total:
         raise InvalidMoveError(
             "cuts-out-of-range",
-            f"move region [{_text(m.position)}, {_text(Fraction(end, q))}) "
+            f"move region [{_text(m.position)}, {_text(fractions.Fraction(end, q))}) "
             f"exceeds word length {_text(w.length)}",
         )
     u, *factors, v = _cut(w, q, (0, start, a, b, end, total))

@@ -47,13 +47,12 @@ tableau is stored as its rows spelt out as letters (:mod:`.classical`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import lt
 
 from .classical import Grid, Tableau, _grid_gcd, _runs_text, _Value
-from .errors import InvalidTableauError, NotARowError, _entries, _quote, _text
+from .errors import InvalidTableauError, NotARowError, _entries, _lazy_module, _quote, _text
 from .timed_words import (
     DurationLike,
     Run,
@@ -65,6 +64,8 @@ from .timed_words import (
     as_duration,
     is_timed_row,
 )
+
+fractions = _lazy_module("fractions")
 
 
 def _buffer(k: int) -> tuple[list[int], bytearray]:
@@ -246,7 +247,8 @@ def _tableau(rows: list[Grid], q: int) -> TimedTableau:
         if lengths[i] < lengths[i + 1]:
             raise InvalidTableauError(
                 f"row {i + 1} is longer than row {i} "
-                f"({_text(Fraction(lengths[i + 1], t.q))} > {_text(Fraction(lengths[i], t.q))})"
+                f"({_text(fractions.Fraction(lengths[i + 1], t.q))} > "
+                f"{_text(fractions.Fraction(lengths[i], t.q))})"
             )
         if not _column_strict(grid[i], grid[i + 1]):
             raise InvalidTableauError(
@@ -255,9 +257,9 @@ def _tableau(rows: list[Grid], q: int) -> TimedTableau:
     return t
 
 
-def timed_shape(t: TimedTableau) -> tuple[Fraction, ...]:
+def timed_shape(t: TimedTableau) -> tuple[fractions.Fraction, ...]:
     """Row lengths as exact rationals, top row first."""
-    return tuple([Fraction(sum(counts), t.q) for _, counts in t.grid])
+    return tuple([fractions.Fraction(sum(counts), t.q) for _, counts in t.grid])
 
 
 def timed_reading_word(t: TimedTableau) -> TimedWord:

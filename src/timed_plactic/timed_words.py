@@ -42,12 +42,19 @@ two runs only at a seam where a piece starts with the last letter so far;
 and ``timed_knuth.apply_move`` build their words so. Only raw runs, which
 may repeat a letter anywhere, are merged run by run (``_merged``, for
 ``_from_ratios``).
+
+The module reaches ``fractions`` as a lazy module (``errors._lazy_module``),
+which executes, with the ``decimal`` and ``numbers`` it imports, at the
+first ``Fraction`` built or type-checked: in ``as_duration``, in a public
+``TimedWord(...)`` call with runs, or at a first read of ``runs`` or
+``length``. A word read from text, embedded from a classical word
+(``embed_classical``, on the grid q = 1) or inserted stays on its grid and
+builds none, so a command on such words never executes ``fractions``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
 from math import lcm
@@ -55,17 +62,20 @@ from operator import eq, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
-from .errors import _entries, _quote, _text
+from .errors import _entries, _lazy_module, _quote, _text
 
-DurationLike = Union[Fraction, int, str]
+fractions = _lazy_module("fractions")
+
+# A forward reference: the union is built without executing `fractions`.
+DurationLike = Union["fractions.Fraction", int, str]
 
 
-def as_duration(x: DurationLike) -> Fraction:
+def as_duration(x: DurationLike) -> fractions.Fraction:
     """Coerce to an exact Fraction; floats are refused since they are
     inexact, and so is what is not a number. A string in exponent notation
     is refused too: a few characters such as ``"1e-1000000"`` would build
     an integer of millions of bits."""
-    if type(x) is Fraction:
+    if type(x) is fractions.Fraction:
         return x
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise ValueError(
@@ -74,7 +84,7 @@ def as_duration(x: DurationLike) -> Fraction:
         )
     if not isinstance(x, (float, bool)):
         try:
-            return Fraction(x)
+            return fractions.Fraction(x)
         except TypeError:  # not a number at all
             pass
     raise TypeError(
@@ -85,7 +95,7 @@ def as_duration(x: DurationLike) -> Fraction:
 
 class Run(NamedTuple):
     letter: int
-    duration: Fraction
+    duration: fractions.Fraction
 
 
 class TimedWord(_Value):
@@ -108,7 +118,7 @@ class TimedWord(_Value):
                     f"run {i} is not a (letter, duration) pair: {_quote(run)}"
                 ) from None
             _check_letters((letter,))
-            if not isinstance(dur, Fraction) or dur.numerator <= 0:
+            if not isinstance(dur, fractions.Fraction) or dur.numerator <= 0:
                 raise ValueError(f"run durations must be positive Fractions, got {_quote(dur)}")
         for a, b in zip(runs, runs[1:]):
             if a[0] == b[0]:
@@ -120,15 +130,15 @@ class TimedWord(_Value):
     @cached_property
     def runs(self) -> tuple[Run, ...]:
         q = self.q
-        return tuple([Run(c, Fraction(n, q)) for c, n in zip(self.letters, self.counts)])
+        return tuple([Run(c, fractions.Fraction(n, q)) for c, n in zip(self.letters, self.counts)])
 
     @cached_property
-    def length(self) -> Fraction:
-        return Fraction(sum(self.counts), self.q)
+    def length(self) -> fractions.Fraction:
+        return fractions.Fraction(sum(self.counts), self.q)
 
-    def breakpoints(self) -> list[Fraction]:
+    def breakpoints(self) -> list[fractions.Fraction]:
         """Prefix sums of run durations, including 0 and the total length."""
-        return [Fraction(n, self.q) for n in accumulate(self.counts, initial=0)]
+        return [fractions.Fraction(n, self.q) for n in accumulate(self.counts, initial=0)]
 
     def __mul__(self, other: "TimedWord") -> "TimedWord":
         if not isinstance(other, TimedWord):
@@ -191,7 +201,7 @@ def _merged(runs, q: int) -> TimedWord:
 def normalize(runs: Iterable[tuple[int, DurationLike]]) -> TimedWord:
     """Build a TimedWord from raw runs: zero-duration runs are dropped and
     adjacent equal-letter runs merged. Negative durations are rejected."""
-    kept: list[tuple[int, Fraction]] = []
+    kept: list[tuple[int, fractions.Fraction]] = []
     for letter, raw in runs:
         dur = as_duration(raw)
         if dur.numerator < 0:
@@ -233,7 +243,7 @@ def _to_grid(w: TimedWord, q: int) -> Grid:
     return list(w.letters), list(map(mul, w.counts, repeat(q // w.q)))
 
 
-def _ticks(w: TimedWord, points: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _ticks(w: TimedWord, points: Sequence[fractions.Fraction]) -> tuple[int, list[int]]:
     """The grid of a cut: q, the lcm of w.q and the points' denominators,
     and each point as an integer tick on the grid 1/q."""
     q = lcm(w.q, *(p.denominator for p in points))
@@ -307,8 +317,8 @@ class TimeSample(_Value):
 
     _fields = ("intervals",)
 
-    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...] = ()):
-        pairs: list[tuple[Fraction, Fraction]] = []
+    def __init__(self, intervals: tuple[tuple[fractions.Fraction, fractions.Fraction], ...] = ()):
+        pairs: list[tuple[fractions.Fraction, fractions.Fraction]] = []
         intervals = _entries(intervals, ValueError, "intervals must be an iterable of pairs")
         for i, interval in enumerate(intervals):
             try:
@@ -317,7 +327,7 @@ class TimeSample(_Value):
                 raise ValueError(
                     f"interval {i} is not a pair of endpoints: {_quote(interval)}"
                 ) from None
-            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            if not (isinstance(a, fractions.Fraction) and isinstance(b, fractions.Fraction)):
                 raise ValueError("interval endpoints must be Fractions")
             if a < 0 or a >= b:
                 raise ValueError(f"bad interval [{_text(a)}, {_text(b)})")
@@ -335,7 +345,7 @@ class TimeSample(_Value):
     ) -> "TimeSample":
         """Normalizing constructor: sorts, drops empty intervals, and merges
         overlapping or touching ones."""
-        cleaned: list[tuple[Fraction, Fraction]] = []
+        cleaned: list[tuple[fractions.Fraction, fractions.Fraction]] = []
         for a, b in pairs:
             a, b = as_duration(a), as_duration(b)
             if a > b:
@@ -343,7 +353,7 @@ class TimeSample(_Value):
             if a < b:
                 cleaned.append((a, b))
         cleaned.sort()
-        merged: list[list[Fraction]] = []
+        merged: list[list[fractions.Fraction]] = []
         for a, b in cleaned:
             if merged and a <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], b)
@@ -352,8 +362,8 @@ class TimeSample(_Value):
         return cls(merged)
 
     @property
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
+    def measure(self) -> fractions.Fraction:
+        return sum((b - a for a, b in self.intervals), fractions.Fraction(0))
 
 
 def subword(w: TimedWord, sample: TimeSample) -> TimedWord:
@@ -377,8 +387,13 @@ def is_timed_row(w: TimedWord) -> bool:
 
 
 def embed_classical(w: Word) -> TimedWord:
-    """Each letter becomes a duration-1 run (equal neighbours merge)."""
-    return normalize((c, 1) for c in w)
+    """Each letter becomes a duration-1 run (equal neighbours merge), on
+    the grid q = 1, with no ``Fraction`` built."""
+    letters = tuple(w)
+    ones = [1] * len(letters)
+    e = _from_ratios(letters, ones, ones)
+    _check_letters(e.letters)
+    return e
 
 
 def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
@@ -389,9 +404,9 @@ def scale(w: TimedWord, factor: DurationLike) -> TimedWord:
     return _on_grid(w.letters, [n * factor.numerator for n in w.counts], w.q * factor.denominator)
 
 
-def letter_durations(w: TimedWord) -> dict[int, Fraction]:
+def letter_durations(w: TimedWord) -> dict[int, fractions.Fraction]:
     """Total duration per letter (the letter-duration histogram)."""
     totals: dict[int, int] = {}
     for c, n in zip(w.letters, w.counts):
         totals[c] = totals.get(c, 0) + n
-    return {c: Fraction(n, w.q) for c, n in totals.items()}
+    return {c: fractions.Fraction(n, w.q) for c, n in totals.items()}

@@ -287,6 +287,34 @@ class TestEquiv:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "NotationError"
 
+    @pytest.mark.parametrize("move, message, condition", [
+        ('{"kind": "k1", "u_len": "5", "x_len": "1", "y_len": "1", "z_len": "1"}',
+         "move region [5, 8) exceeds word length 3/2", "cuts-out-of-range"),
+        ("not json", "bad JSON input: Expecting value: line 1 column 1 (char 0)", None),
+        ('{"kind": "k1", "u_len": "0", "x_len": "1", "y_len": "1"}',
+         "bad move JSON: 'z_len'", None),
+    ])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_failing_move_exits_before_either_insertion(
+        self, capsys, monkeypatch, move, message, condition, as_json
+    ):
+        # The move is read and applied before either word is inserted, and
+        # its error keeps its message.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a word was inserted before the move was checked")
+
+        monkeypatch.setattr(cli, "insertion_tableau", refuse)
+        monkeypatch.setattr(cli, "timed_insertion_tableau", refuse)
+        code, out, err = run_cli(capsys, "equiv", "1^1/2 3^1/2 2^1/2", "213", "--move", move,
+                                 *(["--json"] if as_json else []))
+        assert code == 2 and out == ""
+        if as_json:
+            error = json.loads(err)["error"]
+            assert error["message"] == message
+            assert error.get("condition") == condition
+        else:
+            assert err == f"error: {message}\n"
+
     def test_invalid_move_is_usage_error(self, capsys):
         move = json.dumps(
             {"kind": "k1", "u_len": "0", "x_len": "1", "y_len": "1", "z_len": "1"}
@@ -837,3 +865,34 @@ def test_startup_imports_no_argparse_locale_or_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n0 []\n"
+
+
+def test_commands_that_build_no_fraction_leave_fractions_unexecuted():
+    # The package reaches fractions through a lazy module, executed at the
+    # first Fraction built or type-checked, and with it decimal and numbers;
+    # cli loads selfcheck and randomgen only when check and random run.
+    # Classical words, a timed insert and timed equivalence build no
+    # Fraction, so none of the four is loaded after them; check then runs
+    # in the same process and passes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from timed_plactic.cli import main\n"
+        "unwanted = {'decimal', 'numbers', 'timed_plactic.selfcheck', 'timed_plactic.randomgen'}\n"
+        "for argv in (['insert', '3421153', '--json'], ['insert', '3^1/2 1^2', '--json'],\n"
+        "             ['equiv', '3421153', '3^1 4^1 2^1 1^2 5^1 3^1', '--json'],\n"
+        "             ['greene', '3421153', '--oracle', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, sorted(unwanted & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['check', '--iters', '1', '--json'])\n"
+        "print(code, json.loads(out.getvalue())['ok'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n" * 4 + "0 True\n"
