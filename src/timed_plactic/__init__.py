@@ -8,9 +8,6 @@ from .classical import (
     insertion_steps,
     insertion_tableau,
     is_row,
-    knuth_equivalent,
-    knuth_equivalent_bfs,
-    knuth_neighbors,
     reading_word,
     row_insert,
     shape,
@@ -54,7 +51,6 @@ from .timed_knuth import (
     apply_move,
     check_move_invariance,
     invert_move,
-    timed_knuth_equivalent,
 )
 from .timed_words import (
     Run,

@@ -1,5 +1,8 @@
 """Words over an ordered alphabet {1..n}, semistandard tableaux, Schensted
-insertion, reading words, and Knuth moves.
+insertion and reading words. A classical Knuth move (K1 or K2) is
+:mod:`.timed_knuth`'s ``apply_move`` with unit cuts on ``embed_classical(w)``,
+and two words are Knuth equivalent exactly when their insertion tableaux
+are equal.
 
 Words are plain tuples of integer letters (>= 1). All operations are pure;
 tableaux are immutable and validated on construction.
@@ -34,14 +37,13 @@ timed tableau is stored on its grid and built by
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd
 from operator import eq, ge, le, lt
 
-from .errors import BudgetExceededError, InvalidTableauError, NotARowError, _entries, _quote
+from .errors import InvalidTableauError, NotARowError, _entries, _quote
 
 Word = tuple[int, ...]
 # Runs with integer counts as two parallel lists, letters and counts: the
@@ -320,51 +322,3 @@ def insertion_steps(w: Word) -> list[Tableau]:
     spelt: list[list[int]] = []
     return [_kernel_tableau(_insert_units(spelt, (a,))) for a in w]
 
-
-def knuth_neighbors(w: Word) -> set[Word]:
-    """All words one Knuth move away from w, in either direction.
-
-    On a length-3 window (p, q, r): swapping p and q realizes xzy <-> zxy,
-    allowed when p <= r < q or q <= r < p; swapping q and r realizes
-    yxz <-> yzx, allowed when q < p <= r or r < p <= q.
-    """
-    out: set[Word] = set()
-    for i in range(len(w) - 2):
-        p, q, r = w[i], w[i + 1], w[i + 2]
-        if p <= r < q or q <= r < p:
-            out.add(w[:i] + (q, p, r) + w[i + 3 :])
-        if q < p <= r or r < p <= q:
-            out.add(w[:i] + (p, r, q) + w[i + 3 :])
-    return out
-
-
-def knuth_equivalent_bfs(w: Word, w2: Word, budget: int = 100_000) -> bool:
-    """Decide Knuth equivalence by exhausting the move closure of w.
-
-    Moves preserve length and letter multiset, so the class is finite; the
-    search is exhaustive unless more than ``budget`` words get explored, in
-    which case BudgetExceededError is raised (distinct from a False verdict).
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if w == w2:
-        return True
-    seen = {w}
-    frontier = deque([w])
-    while frontier:
-        for nxt in knuth_neighbors(frontier.popleft()):
-            if nxt == w2:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > budget:
-                    raise BudgetExceededError(
-                        f"equivalence class of {_quote(w)} exceeds budget of {budget} words"
-                    )
-                frontier.append(nxt)
-    return False
-
-
-def knuth_equivalent(w: Word, w2: Word) -> bool:
-    """Production-path decision: equal insertion tableaux."""
-    return insertion_tableau(w) == insertion_tableau(w2)

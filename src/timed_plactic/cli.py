@@ -116,35 +116,22 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-# A plain class, as the command table's are: a NamedTuple costs a process
-# ~0.15 ms to define.
-class _Kind:
-    """What the commands do differently for classical and timed words:
-    ``step`` is what one insertion step inserts, and ``value_json`` and
-    ``value_text`` spell a profile entry in JSON and in text."""
-
-    def __init__(self, insert: Callable, steps: Callable, to_dict: Callable,
-                 tableau_text: Callable, step: str, greene: Callable, oracle: Callable,
-                 value_json: Callable, value_text: Callable):
-        self.insert, self.steps, self.to_dict = insert, steps, to_dict
-        self.tableau_text, self.step = tableau_text, step
-        self.greene, self.oracle = greene, oracle
-        self.value_json, self.value_text = value_json, value_text
-
-
-def _kind(timed: bool) -> _Kind:
-    # Built on every call, so each library function is read from this
-    # module's namespace when it is used; tracers rebind them there.
+def _kind(timed: bool) -> SimpleNamespace:
+    # What the commands do differently for classical and timed words:
+    # ``step`` is what one insertion step inserts, and ``value_json`` and
+    # ``value_text`` spell a profile entry in JSON and in text. Built on
+    # every call, so each library function is read from this module's
+    # namespace when it is used; tracers rebind them there.
     if timed:
-        return _Kind(
-            timed_insertion_tableau, timed_insertion_steps, timed_tableau_to_dict,
-            format_timed_tableau, "run", greene_timed, _timed_oracle,
-            _rational_text, human_rational,
+        return SimpleNamespace(
+            insert=timed_insertion_tableau, steps=timed_insertion_steps, step="run",
+            to_dict=timed_tableau_to_dict, tableau_text=format_timed_tableau, greene=greene_timed,
+            oracle=_timed_oracle, value_json=_rational_text, value_text=human_rational,
         )
-    return _Kind(
-        insertion_tableau, insertion_steps, tableau_to_dict,
-        _format_tableau, "letter", greene_classical, greene_classical_oracle,
-        int, str,
+    return SimpleNamespace(
+        insert=insertion_tableau, steps=insertion_steps, step="letter",
+        to_dict=tableau_to_dict, tableau_text=_format_tableau, greene=greene_classical,
+        oracle=greene_classical_oracle, value_json=int, value_text=str,
     )
 
 
@@ -152,7 +139,7 @@ def _format_tableau(t) -> str:
     return "\n".join(map(format_word, t.rows))
 
 
-def _tableau_text(t, kind: _Kind) -> str:
+def _tableau_text(t, kind: SimpleNamespace) -> str:
     return kind.tableau_text(t) or "(empty)"
 
 

@@ -28,7 +28,6 @@ from .classical import _Value, is_row
 from .errors import InvalidMoveError, _lazy_module, _quote, _text
 from .greene import greene_timed_oracle
 from .timed_words import TimedWord, _cut, _joined, _ticks, as_duration
-from .timed_tableaux import timed_insertion_tableau
 
 fractions = _lazy_module("fractions")
 
@@ -131,12 +130,6 @@ def invert_move(m: TimedKnuthMove) -> TimedKnuthMove:
     else:
         cuts = (m.cut1, m.cut3, m.cut2)
     return TimedKnuthMove(m.kind, m.position, *cuts, reverse=not m.reverse)
-
-
-def timed_knuth_equivalent(w: TimedWord, w2: TimedWord) -> bool:
-    """Decide Knuth equivalence of timed words by insertion-tableau equality
-    (exact rational comparison of all rows)."""
-    return timed_insertion_tableau(w) == timed_insertion_tableau(w2)
 
 
 def check_move_invariance(w: TimedWord, m: TimedKnuthMove, r: int) -> bool:

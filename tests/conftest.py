@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
@@ -14,9 +15,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from timed_plactic import (
+    BudgetExceededError,
     NotationError,
     Run,
     TimedWord,
+    Word,
     format_word,
     letter_color,
     normalize,
@@ -168,6 +171,50 @@ def schensted_rows(word) -> tuple[tuple[int, ...], ...]:
         else:
             rows.append([a])
     return tuple(tuple(row) for row in rows)
+
+
+def knuth_neighbors(w: Word) -> set[Word]:
+    """All words one Knuth move away from w, in either direction.
+
+    On a length-3 window (p, q, r): swapping p and q realizes xzy <-> zxy,
+    allowed when p <= r < q or q <= r < p; swapping q and r realizes
+    yxz <-> yzx, allowed when q < p <= r or r < p <= q.
+    """
+    out: set[Word] = set()
+    for i in range(len(w) - 2):
+        p, q, r = w[i], w[i + 1], w[i + 2]
+        if p <= r < q or q <= r < p:
+            out.add(w[:i] + (q, p, r) + w[i + 3 :])
+        if q < p <= r or r < p <= q:
+            out.add(w[:i] + (p, r, q) + w[i + 3 :])
+    return out
+
+
+def knuth_equivalent_bfs(w: Word, w2: Word, budget: int = 100_000) -> bool:
+    """Decide Knuth equivalence by exhausting the move closure of w.
+
+    Moves preserve length and letter multiset, so the class is finite; the
+    search is exhaustive unless more than ``budget`` words get explored, in
+    which case BudgetExceededError is raised (distinct from a False verdict).
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if w == w2:
+        return True
+    seen = {w}
+    frontier = deque([w])
+    while frontier:
+        for nxt in knuth_neighbors(frontier.popleft()):
+            if nxt == w2:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > budget:
+                    raise BudgetExceededError(
+                        f"equivalence class of {_quote(w)} exceeds budget of {budget} words"
+                    )
+                frontier.append(nxt)
+    return False
 
 
 def runs_reference(row) -> tuple[list[int], list[int]]:

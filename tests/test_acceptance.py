@@ -20,7 +20,6 @@ from timed_plactic import (
     greene_timed_oracle,
     insertion_steps,
     insertion_tableau,
-    knuth_equivalent_bfs,
     parse_timed_word,
     render_svg,
     timed_insertion_tableau,
@@ -54,6 +53,7 @@ from conftest import (
     STEPS_3421153,
     TABLEAU_3421153,
     WORD_3421153,
+    knuth_equivalent_bfs,
     timed_greene_reference,
     tw,
 )

@@ -20,7 +20,6 @@ from timed_plactic import (
     as_duration,
     greene_classical_oracle,
     insertion_tableau,
-    knuth_equivalent_bfs,
     normalize,
     parse_timed_word,
     render_svg,
@@ -41,7 +40,12 @@ from timed_plactic.cli import _MAX_RUNS, main
 from timed_plactic.notation import format_timed_word, format_word
 from timed_plactic.randomgen import random_kappa_instance
 
-from conftest import BIG_TIMED_WORD_TEXT, KAPPA2_RESULT_TEXT, KAPPA2_SOURCE_TEXT
+from conftest import (
+    BIG_TIMED_WORD_TEXT,
+    KAPPA2_RESULT_TEXT,
+    KAPPA2_SOURCE_TEXT,
+    knuth_equivalent_bfs,
+)
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +553,29 @@ class TestCheck:
             "greene-timed-oracle-agreement",
             3,
         )
+
+    @pytest.mark.parametrize("reader", ["parse_timed_word", "timed_word_from_dict"])
+    def test_a_reader_that_loses_the_word_fails_the_roundtrips(self, capsys, monkeypatch, reader):
+        # Each reader is checked before the tableau is built; one that reads
+        # back the empty word fails that suite alone.
+        monkeypatch.setattr(selfcheck, reader, lambda _: TimedWord())
+        report = selfcheck.run_checks(3, 0)
+        assert [(s["name"], s["fail"]) for s in report["suites"]] == [
+            ("greene-classical-oracle-agreement", 0),
+            ("greene-timed-oracle-agreement", 0),
+            ("knuth-move-invariance", 0),
+            ("parse-and-reading-word-roundtrips", 3),
+            ("classical-embedding-compatibility", 0),
+            ("discretization-stability", 0),
+        ]
+        witness = report["witness"]
+        assert (witness["suite"], witness["seed"], witness["iteration"]) == (
+            "parse-and-reading-word-roundtrips",
+            0,
+            0,
+        )
+        code, _, _ = run_cli(capsys, "check", "--iters", "3", "--seed", "0")
+        assert code == 1
 
     def test_negative_iters_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--iters", "-2", "--json")

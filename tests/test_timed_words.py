@@ -158,6 +158,14 @@ class TestConcat:
     def test_operator(self):
         assert tw("1^1") * tw("2^1") == tw("1^1 2^1")
 
+    @pytest.mark.parametrize(
+        "product", [lambda w: w * 3, lambda w: 3 * w, lambda w: w * "1^1"],
+        ids=["word-int", "int-word", "word-str"],
+    )
+    def test_operator_refuses_what_is_not_a_timed_word(self, product):
+        with pytest.raises(TypeError):
+            product(tw("1^1 2^1"))
+
     @given(timed_words, timed_words, timed_words)
     def test_associative(self, a, b, c):
         assert concat(concat(a, b), c) == concat(a, concat(b, c))
