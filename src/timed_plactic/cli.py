@@ -17,10 +17,12 @@ also under ``--json``, and ``-h`` prints help built from the table.
 
 A process pays only for what its command runs: ``check`` and ``random``
 load their modules (``selfcheck``, ``randomgen``, ``random``) when they
-run, ``fractions`` executes at the first ``Fraction`` built
-(:mod:`.timed_words`), and the text grammars compile on first use
-(:mod:`.notation`). ``equiv --move`` applies the move before it inserts
-either word, so a move that fails its checks exits 2 without inserting.
+run, and one helper, ``errors._Deferred``, puts off the rest:
+``fractions`` executes at the first ``Fraction`` built
+(:mod:`.timed_words`), and the text grammars (:mod:`.notation`) and the
+negative-number test of argv (``_NEGATIVE``) compile on first use.
+``equiv --move`` applies the move before it inserts either word, so a move
+that fails its checks exits 2 without inserting.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .classical import insertion_steps, insertion_tableau
-from .errors import BudgetExceededError, NotationError, OracleSizeError, _quote
+from .errors import BudgetExceededError, NotationError, OracleSizeError, _Deferred, _quote
 from .greene import (
     greene_classical,
     greene_classical_oracle,
@@ -403,9 +405,9 @@ _COMMANDS = {
 # a "--" after the first is the value "--", where argparse gave an empty
 # list that the handlers could not read.
 
-# argparse's test for a token that looks like a negative number; re compiles
-# it on first use, which most commands never reach.
-_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+# argparse's test for a token that looks like a negative number, compiled on
+# first use, which most commands never reach.
+_NEGATIVE = _Deferred(re.compile, r"^-\d+$|^-\d*\.\d+$")
 
 
 class _UsageError(Exception):
@@ -476,7 +478,7 @@ def _read_option(token: str, options: dict, command: str | None):
         )
     if matches:
         return matches[0], explicit
-    if re.match(_NEGATIVE, token) or " " in token:
+    if _NEGATIVE.match(token) or " " in token:
         return None
     return None, None
 

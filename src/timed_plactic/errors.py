@@ -1,11 +1,10 @@
 """Shared exception types, the helpers that quote values in their
-messages, and ``_lazy_module``, through which the package reaches the
-``fractions`` module."""
+messages, and ``_Deferred``, the package's one way to put work off until it
+is used: the ``fractions`` module, which every module reaches through the
+proxy here, and each compiled pattern of the text grammars are built on
+their first read."""
 
 from __future__ import annotations
-
-import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # Error messages quote the offending input at most this many characters long.
 _QUOTE_LIMIT = 60
@@ -43,22 +42,29 @@ def _entries(arg, error: type[Exception], what: str) -> tuple:
     return tuple(entries)
 
 
-def _lazy_module(name: str):
-    """The module ``name``, registered now and executed on the first read
-    of one of its attributes (``importlib.util.LazyLoader``); a module
-    already in ``sys.modules`` is returned as it is. The package reaches
-    ``fractions`` so, as ``fractions.Fraction``: ``fractions`` imports
-    ``decimal`` and ``numbers``, which a process whose command builds no
-    ``Fraction`` (a classical word's commands, a timed ``insert``) never
-    executes."""
-    module = sys.modules.get(name)
-    if module is None:
-        spec = find_spec(name)
-        spec.loader = LazyLoader(spec.loader)
-        module = module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
+class _Deferred:
+    """A stand-in for ``build(*args)``, which it calls on the first read of
+    any attribute. Each attribute read is then stored on this object, so a
+    later read of it costs what a module attribute costs. Two threads
+    racing on a first read may both build; that is harmless here, as
+    ``__import__`` and ``re.compile`` give equal objects."""
+
+    def __init__(self, build, *args):
+        self._build, self._args = build, args
+
+    def __getattr__(self, name: str):
+        if name == "_target":
+            self._target = self._build(*self._args)
+            return self._target
+        value = getattr(self._target, name)
+        setattr(self, name, value)
+        return value
+
+
+# fractions imports decimal and numbers, which a process whose command
+# builds no Fraction (a classical word's commands, a timed insert) never
+# executes.
+fractions = _Deferred(__import__, "fractions")
 
 
 class NotARowError(ValueError):

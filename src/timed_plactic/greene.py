@@ -19,11 +19,9 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 
 from .classical import Word, insertion_tableau, shape
-from .errors import OracleSizeError, _lazy_module, _text
+from .errors import OracleSizeError, _text, fractions
 from .timed_words import TimedWord
 from .timed_tableaux import timed_insertion_tableau, timed_shape
-
-fractions = _lazy_module("fractions")
 
 
 # The flow's work: its arcs (about runs x distinct letters) times its

@@ -25,11 +25,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .classical import _Value, is_row
-from .errors import InvalidMoveError, _lazy_module, _quote, _text
+from .errors import InvalidMoveError, _quote, _text, fractions
 from .greene import greene_timed_oracle
 from .timed_words import TimedWord, _cut, _joined, _ticks, as_duration
-
-fractions = _lazy_module("fractions")
 
 # Factor roles in their order of appearance, per (kind, reverse). A move
 # rewrites its source order into the order of the opposite direction.

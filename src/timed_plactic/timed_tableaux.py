@@ -52,7 +52,7 @@ from itertools import islice
 from operator import lt
 
 from .classical import Grid, Tableau, _grid_gcd, _runs_text, _Value
-from .errors import InvalidTableauError, NotARowError, _entries, _lazy_module, _quote, _text
+from .errors import InvalidTableauError, NotARowError, _entries, _quote, _text, fractions
 from .timed_words import (
     DurationLike,
     Run,
@@ -64,8 +64,6 @@ from .timed_words import (
     as_duration,
     is_timed_row,
 )
-
-fractions = _lazy_module("fractions")
 
 
 def _buffer(k: int) -> tuple[list[int], bytearray]:

@@ -43,13 +43,14 @@ and ``timed_knuth.apply_move`` build their words so. Only raw runs, which
 may repeat a letter anywhere, are merged run by run (``_merged``, for
 ``_from_ratios``).
 
-The module reaches ``fractions`` as a lazy module (``errors._lazy_module``),
-which executes, with the ``decimal`` and ``numbers`` it imports, at the
-first ``Fraction`` built or type-checked: in ``as_duration``, in a public
-``TimedWord(...)`` call with runs, or at a first read of ``runs`` or
-``length``. A word read from text, embedded from a classical word
-(``embed_classical``, on the grid q = 1) or inserted stays on its grid and
-builds none, so a command on such words never executes ``fractions``.
+The module reaches ``fractions`` through one proxy shared by the package
+(``errors.fractions``, a ``_Deferred``), which imports it, with the
+``decimal`` and ``numbers`` it imports, at the first ``Fraction`` built or
+type-checked: in ``as_duration``, in a public ``TimedWord(...)`` call with
+runs, or at a first read of ``runs`` or ``length``. A word read from text,
+embedded from a classical word (``embed_classical``, on the grid q = 1) or
+inserted stays on its grid and builds none, so a command on such words
+never executes ``fractions``.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ from operator import eq, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classical import Grid, Word, _check_letters, _grid_gcd, _runs_text, _Value
-from .errors import _entries, _lazy_module, _quote, _text
-
-fractions = _lazy_module("fractions")
+from .errors import _entries, _quote, _text, fractions
 
 # A forward reference: the union is built without executing `fractions`.
 DurationLike = Union["fractions.Fraction", int, str]

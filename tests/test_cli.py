@@ -1,3 +1,4 @@
+import fractions
 import gc
 import json
 import os
@@ -33,7 +34,7 @@ from timed_plactic import (
     value_at,
 )
 from timed_plactic import __main__ as entry
-from timed_plactic import cli, notation, selfcheck
+from timed_plactic import cli, errors, notation, selfcheck
 from timed_plactic.cli import _MAX_GRID_BITS
 from timed_plactic.cli import _MAX_ITERS, _MAX_ORACLE_LETTERS
 from timed_plactic.cli import _MAX_RUNS, main
@@ -611,6 +612,19 @@ class TestErrors:
         assert "Traceback" not in result.stderr
         assert result.stderr == "error: bad JSON input: nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["equiv", "render"])
+    def test_deeply_nested_json_in_process(self, capsys, tmp_path, command):
+        svg = tmp_path / "x.svg"
+        if command == "equiv":
+            argv = ["equiv", "12", "21", "--move", self.DEEP]
+        else:
+            argv = ["render", self.DEEP, "--svg", str(svg)]
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, out) == (2, "") and not svg.exists()
+        assert json.loads(err) == {
+            "error": {"type": "NotationError", "message": "bad JSON input: nested too deeply"}
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -649,13 +663,20 @@ class TestErrors:
                 parse_timed_word(TestErrors.DESCENDING), parse_timed_word("1^1")
             ),
             lambda: timed_tableau_insert(TimedTableau(), parse_timed_word(TestErrors.DESCENDING)),
-            lambda: knuth_equivalent_bfs((2, 1, 3) * 100, (1,), budget=1),
         ],
     )
     def test_library_messages_are_clipped(self, call):
         # These words reach error messages only through the library.
-        with pytest.raises((NotARowError, BudgetExceededError)) as info:
+        with pytest.raises(NotARowError) as info:
             call()
+        assert len(str(info.value)) < 200 and "..." in str(info.value)
+
+    def test_reference_search_budget_message_is_clipped(self):
+        # The tests' reference search (conftest.knuth_equivalent_bfs), not
+        # the library, builds this message; it quotes the words as the
+        # library does, clipped by errors._quote.
+        with pytest.raises(BudgetExceededError) as info:
+            knuth_equivalent_bfs((2, 1, 3) * 100, (1,), budget=1)
         assert len(str(info.value)) < 200 and "..." in str(info.value)
 
     class _LongRepr(float):
@@ -892,6 +913,46 @@ def test_startup_imports_no_argparse_locale_or_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n0 []\n"
+
+
+def test_deferred_builds_once_on_first_read():
+    calls = []
+
+    def build(name):
+        calls.append(name)
+        return __import__(name)
+
+    proxy = errors._Deferred(build, "fractions")
+    assert calls == []
+    assert proxy.Fraction is fractions.Fraction
+    assert proxy.Decimal is fractions.Decimal
+    assert proxy.Fraction is fractions.Fraction
+    assert calls == ["fractions"]
+    with pytest.raises(AttributeError):
+        proxy.no_such_name
+    assert errors.fractions.Fraction is Fraction
+    assert notation._DURATION_RE.fullmatch("3/4").groups()[:2] == ("3", "4")
+
+
+def test_inserts_leave_the_fractions_module_unimported():
+    # The package's one fractions proxy imports the module at the first
+    # Fraction built, and neither insert builds one.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from timed_plactic.cli import main\n"
+        "for word in ('3421153', '3^1/2 1^2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['insert', word, '--json'])\n"
+        "    print(code, 'fractions' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False\n" * 2
 
 
 def test_commands_that_build_no_fraction_leave_fractions_unexecuted():

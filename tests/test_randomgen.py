@@ -2,10 +2,11 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timed_plactic import TimedKnuthMove
+from timed_plactic import Run, TimedKnuthMove, TimedWord, randomgen
 from timed_plactic.randomgen import random_kappa_instance
 from timed_plactic.randomgen import random_timed_word
 
@@ -55,3 +56,14 @@ def test_kappa_instances_are_pinned():
     w, m = random_kappa_instance(random.Random(1), "k2", max_den=8)
     assert str(w) == "1^1/4 3^1/6 2^1 1^1 5^1/2"
     assert m == TimedKnuthMove("k2", Fraction(5, 12), 1, 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["k1", "k2"])
+def test_kappa_instance_gives_up_when_no_row_holds_a_move(monkeypatch, kind):
+    # A one-run row has no interior breakpoint, so no draw can place a
+    # move, and the search stops after its 1000 draws.
+    row = TimedWord((Run(1, Fraction(1)),))
+    monkeypatch.setattr(randomgen, "random_timed_row", lambda rng, *, max_den: row)
+    with pytest.raises(RuntimeError) as info:
+        random_kappa_instance(random.Random(0), kind)
+    assert str(info.value) == f"could not build a valid {kind} instance"
